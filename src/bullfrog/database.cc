@@ -44,14 +44,13 @@ Database::Database() : controller_(&catalog_, &txns_) {
   txns_.BindMetrics(&metrics_);
   controller_.BindObservability(&metrics_, &tracer_);
   // Every table created from here on prunes its version chains inline
-  // against the snapshot watermark; the background sweeper mops up rows
-  // the write path no longer touches. BF_MVCC_GC_MS<=0 disables the
-  // sweeper (inline pruning still runs).
+  // against the snapshot watermark; the background sweeper mops up the
+  // rows the write path left multi-version and no longer touches.
   catalog_.SetWatermarkSource(txns_.snapshots().watermark_source());
   version_gc_ =
       std::make_unique<mvcc::VersionGC>(&catalog_, &txns_.snapshots());
   version_gc_->BindMetrics(&metrics_);
-  version_gc_->Start(EnvInt64("BF_MVCC_GC_MS", 50));
+  version_gc_->Start(/*interval_ms=*/50);
 }
 
 void Database::StartTimeseries(int64_t interval_ms) {

@@ -35,6 +35,7 @@ void VersionGC::Loop(int64_t interval_ms) {
 void VersionGC::SweepOnce() {
   const uint64_t watermark = snapshots_->watermark();
   uint64_t freed = 0;
+  uint64_t visited = 0;
   uint64_t max_chain = 0;
   // Retired tables still serve lazy-migration and snapshot reads, so
   // their chains are swept too; dropped tables are frozen (no writers)
@@ -43,12 +44,14 @@ void VersionGC::SweepOnce() {
     for (const std::string& name : catalog_->TablesInState(state)) {
       Table* t = catalog_->FindTable(name);
       if (t == nullptr) continue;
-      uint64_t chain = 0;
-      freed += t->PruneVersions(watermark, &chain);
-      max_chain = std::max(max_chain, chain);
+      const Table::PruneStats stats = t->PruneVersions(watermark);
+      freed += stats.freed;
+      visited += stats.visited;
+      max_chain = std::max(max_chain, stats.max_chain);
     }
   }
   versions_freed_.fetch_add(freed, std::memory_order_relaxed);
+  slots_visited_.fetch_add(visited, std::memory_order_relaxed);
   last_max_chain_.store(max_chain, std::memory_order_relaxed);
   passes_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -59,6 +62,9 @@ void VersionGC::BindMetrics(obs::MetricsRegistry* registry) {
   });
   registry->SetCallback("bullfrog_mvcc_gc_passes", "", [this] {
     return static_cast<double>(passes());
+  });
+  registry->SetCallback("bullfrog_mvcc_gc_slots_visited", "", [this] {
+    return static_cast<double>(slots_visited());
   });
   registry->SetCallback("bullfrog_mvcc_max_chain", "", [this] {
     return static_cast<double>(last_max_chain());

@@ -13,11 +13,12 @@
 
 namespace bullfrog::mvcc {
 
-/// Background version-chain garbage collector: periodically sweeps every
-/// readable table and frees versions shadowed below the snapshot
-/// watermark (min pinned snapshot, else the visible clock). The write
-/// path already prunes each chain it touches inline, so this sweeper
-/// mostly mops up rows that went cold while a version chain was pinned.
+/// Background version-chain garbage collector: periodically frees
+/// versions shadowed below the snapshot watermark (min pinned snapshot,
+/// else the visible clock) in every readable table. The write path
+/// prunes each chain it touches inline and queues the rows it leaves
+/// multi-version on its table's dirty list; a pass visits only those
+/// rows, so its cost follows the write rate, not the heap size.
 class VersionGC {
  public:
   VersionGC(Catalog* catalog, SnapshotManager* snapshots)
@@ -36,14 +37,19 @@ class VersionGC {
   /// sweeper thread's body).
   void SweepOnce();
 
-  /// Exports bullfrog_mvcc_* series (versions freed, passes, the longest
-  /// chain observed during the latest pass, current watermark).
+  /// Exports bullfrog_mvcc_* series (versions freed, passes, slots
+  /// visited, the longest chain observed during the latest pass, current
+  /// watermark).
   void BindMetrics(obs::MetricsRegistry* registry);
 
   uint64_t versions_freed() const {
     return versions_freed_.load(std::memory_order_relaxed);
   }
   uint64_t passes() const { return passes_.load(std::memory_order_relaxed); }
+  /// Slots latched and pruned over all passes.
+  uint64_t slots_visited() const {
+    return slots_visited_.load(std::memory_order_relaxed);
+  }
   uint64_t last_max_chain() const {
     return last_max_chain_.load(std::memory_order_relaxed);
   }
@@ -56,6 +62,7 @@ class VersionGC {
 
   std::atomic<uint64_t> versions_freed_{0};
   std::atomic<uint64_t> passes_{0};
+  std::atomic<uint64_t> slots_visited_{0};
   std::atomic<uint64_t> last_max_chain_{0};
 
   std::mutex mu_;

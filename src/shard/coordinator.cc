@@ -1,5 +1,6 @@
 #include "shard/coordinator.h"
 
+#include <algorithm>
 #include <sstream>
 #include <thread>
 
@@ -10,7 +11,7 @@
 
 namespace bullfrog::shard {
 
-Status MigrationCoordinator::Admit() {
+Status MigrationCoordinator::Admit(State* prior) {
   RefreshState();  // A drained kDraining must admit the next migration.
   std::lock_guard lock(mu_);
   if (state_ == State::kSubmitting) {
@@ -20,12 +21,18 @@ Status MigrationCoordinator::Admit() {
   // train, so a new submit over disjoint tables starts concurrently and
   // an overlapping one queues per shard (reported as kQueued). Locally
   // submitted shard migrations train the same way.
+  *prior = state_;
   state_ = State::kSubmitting;
   return Status::OK();
 }
 
+void MigrationCoordinator::RestoreState(State prior) {
+  std::lock_guard lock(mu_);
+  state_ = prior;
+}
+
 Status MigrationCoordinator::FanOut(
-    const std::function<Status(size_t)>& submit_one) {
+    State prior, const std::function<Status(size_t)>& submit_one) {
   // Fan the submit out to every shard in parallel: each shard performs
   // its own logical switch and starts its own lazy/background machinery.
   // Eager submits block until that shard's copy is done, so the parallel
@@ -38,6 +45,16 @@ Status MigrationCoordinator::FanOut(
       workers.emplace_back([&, i] { results[i] = submit_one(i); });
     }
     for (auto& w : workers) w.join();
+  }
+
+  // Every shard refused with kBusy (e.g. a duplicate of a migration the
+  // trains already hold): nothing was submitted anywhere, so the rejected
+  // request must not disturb the state of the one already in flight.
+  if (!results.empty() &&
+      std::all_of(results.begin(), results.end(),
+                  [](const Status& r) { return r.IsBusy(); })) {
+    RestoreState(prior);
+    return results[0];
   }
 
   Status first_error = Status::OK();
@@ -76,15 +93,15 @@ Status MigrationCoordinator::FanOut(
 Status MigrationCoordinator::Submit(
     const std::string& script,
     const MigrationController::SubmitOptions& options) {
-  BF_RETURN_NOT_OK(Admit());
+  State prior;
+  BF_RETURN_NOT_OK(Admit(&prior));
 
   Status valid = ValidatePartitionPreservation(script);
   // NotFound: an input table does not exist *yet* — the script chains
   // onto a train entry that creates it, so it will queue per shard and
   // validation re-runs inside the deferred compile factory at start time.
   if (!valid.ok() && !valid.IsNotFound()) {
-    std::lock_guard lock(mu_);
-    state_ = State::kIdle;  // Nothing was submitted anywhere.
+    RestoreState(prior);  // Nothing was submitted anywhere.
     return valid;
   }
 
@@ -96,7 +113,7 @@ Status MigrationCoordinator::Submit(
   // (a violation fails the auto-start and lands in the shard's
   // train_error report).
   const std::string sql = script;
-  return FanOut([&](size_t i) {
+  return FanOut(prior, [&](size_t i) {
     Database* db = shards_[i];
     auto stmts = sql::ParseSqlScript(sql);
     if (!stmts.ok()) return stmts.status();
@@ -120,16 +137,16 @@ Status MigrationCoordinator::Submit(
 Status MigrationCoordinator::Submit(
     const std::function<MigrationPlan()>& plan_factory,
     const MigrationController::SubmitOptions& options) {
-  BF_RETURN_NOT_OK(Admit());
+  State prior;
+  BF_RETURN_NOT_OK(Admit(&prior));
 
   Status valid = ValidatePlan(plan_factory());
   if (!valid.ok()) {
-    std::lock_guard lock(mu_);
-    state_ = State::kIdle;  // Nothing was submitted anywhere.
+    RestoreState(prior);  // Nothing was submitted anywhere.
     return valid;
   }
 
-  return FanOut([&](size_t i) {
+  return FanOut(prior, [&](size_t i) {
     return shards_[i]->SubmitMigration(plan_factory(), options);
   });
 }

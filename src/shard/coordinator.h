@@ -28,7 +28,10 @@ namespace bullfrog::shard {
 ///                        └─any shard rejected──▶ kFailed      │
 ///                                 kComplete ◀──all shards drained
 ///
-/// A Submit while in kSubmitting (mid fan-out) returns kBusy. A Submit
+/// A Submit while in kSubmitting (mid fan-out) returns kBusy, and so does
+/// one every shard refuses with kBusy (a duplicate); such a rejected
+/// submit, like one failing validation, leaves the state as it found it,
+/// so it never overwrites a healthy in-flight migration's. A Submit
 /// while kDraining is admitted and rides each shard's migration train:
 /// disjoint-table scripts start concurrently, overlapping ones queue per
 /// shard and the coordinator propagates kQueued (same contract as the
@@ -127,15 +130,19 @@ class MigrationCoordinator {
   /// Called by the read paths; the coordinator has no thread of its own.
   void RefreshState() const;
 
-  /// kIdle/kComplete/kFailed -> kSubmitting, or kBusy. Also refuses while
-  /// any shard has an unfinished locally-submitted migration.
-  Status Admit();
+  /// Any state but kSubmitting -> kSubmitting (the state it replaced in
+  /// *prior), or kBusy.
+  Status Admit(State* prior);
+  /// Puts back the state Admit replaced: the submit touched no shard.
+  void RestoreState(State prior);
   /// The §co-partitioning rule, checked against a compiled plan.
   Status ValidatePlan(const MigrationPlan& plan) const;
   Status ValidatePartitionPreservation(const std::string& script) const;
   /// Runs submit_one(shard) on every shard in parallel, then moves to
   /// kDraining (all accepted) or kFailed (any rejection, first returned).
-  Status FanOut(const std::function<Status(size_t)>& submit_one);
+  /// When every shard answers kBusy, no shard took the submit: the state
+  /// goes back to `prior` and the kBusy is returned unwrapped.
+  Status FanOut(State prior, const std::function<Status(size_t)>& submit_one);
 
   std::vector<Database*> shards_;
 

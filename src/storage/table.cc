@@ -155,7 +155,7 @@ std::pair<RowId, Table::RowSlot*> Table::AllocateSlot() {
 }
 
 mvcc::RowVersion* Table::InstallLocked(RowSlot* slot, Tuple data, bool deleted,
-                                       uint64_t writer_txn) {
+                                       uint64_t writer_txn, bool* queue) {
   auto* v = new mvcc::RowVersion;
   v->writer_txn = writer_txn;
   v->deleted = deleted;
@@ -178,7 +178,17 @@ mvcc::RowVersion* Table::InstallLocked(RowSlot* slot, Tuple data, bool deleted,
     PruneChainLocked(slot,
                      watermark_source_->load(std::memory_order_acquire));
   }
+  // Chains only grow here, so queueing here is what lets the sweeper
+  // visit just the written rows.
+  *queue = !slot->gc_pending && slot->head != nullptr &&
+           slot->head->older != nullptr;
+  if (*queue) slot->gc_pending = true;
   return v;
+}
+
+void Table::QueueForGc(RowId rid) {
+  std::lock_guard lock(gc_mu_);
+  gc_dirty_.push_back(rid);
 }
 
 uint64_t Table::PruneChainLocked(RowSlot* slot, uint64_t watermark,
@@ -223,20 +233,37 @@ uint64_t Table::PruneChainLocked(RowSlot* slot, uint64_t watermark,
   return freed;
 }
 
-uint64_t Table::PruneVersions(uint64_t watermark, uint64_t* max_chain) {
-  uint64_t freed = 0;
-  uint64_t longest = 0;
-  const uint64_t limit = NumAllocatedRows();
-  for (RowId rid = 0; rid < limit; ++rid) {
+Table::PruneStats Table::PruneVersions(uint64_t watermark) {
+  std::vector<RowId> batch;
+  {
+    std::lock_guard lock(gc_mu_);
+    batch.swap(gc_dirty_);
+  }
+  PruneStats stats;
+  stats.visited = batch.size();
+  // Slots still multi-version (a snapshot pins a shadowed version) keep
+  // their flag and are compacted to the front of `batch` for requeueing.
+  size_t kept = 0;
+  for (RowId rid : batch) {
     RowSlot* slot = SlotFor(rid);
-    if (slot == nullptr) break;
     uint64_t len = 0;
     std::lock_guard latch(slot->latch);
-    freed += PruneChainLocked(slot, watermark, &len);
-    longest = std::max(longest, len);
+    stats.freed += PruneChainLocked(slot, watermark, &len);
+    stats.max_chain = std::max(stats.max_chain, len);
+    if (slot->head != nullptr && slot->head->older != nullptr) {
+      batch[kept++] = rid;
+    } else {
+      slot->gc_pending = false;
+    }
   }
-  if (max_chain != nullptr) *max_chain = longest;
-  return freed;
+  if (kept > 0) {
+    std::lock_guard lock(gc_mu_);
+    gc_dirty_.insert(gc_dirty_.end(), batch.begin(), batch.begin() + kept);
+  }
+  if (NumLiveRows() > 0) {
+    stats.max_chain = std::max<uint64_t>(stats.max_chain, 1);
+  }
+  return stats;
 }
 
 Status Table::InsertIndexEntries(const Tuple& row, RowId rid,
@@ -293,12 +320,14 @@ Result<InsertOutcome> Table::Insert(const Tuple& row, OnConflict policy,
     // trivially "migrated").
     return InsertOutcome{existing, false};
   }
+  bool queue = false;
   {
     std::lock_guard latch(slot->latch);
     mvcc::RowVersion* v = InstallLocked(slot, row, /*deleted=*/false,
-                                        writer_txn);
+                                        writer_txn, &queue);
     if (installed != nullptr) *installed = v;
   }
+  if (queue) QueueForGc(rid);
   live_rows_.fetch_add(1, std::memory_order_relaxed);
   return InsertOutcome{rid, true};
 }
@@ -371,13 +400,15 @@ Status Table::Update(RowId rid, const Tuple& new_row, Tuple* before,
     }
     index->Erase(old_key, rid);
   }
+  bool queue = false;
   {
     std::lock_guard latch(slot->latch);
     if (before != nullptr && slot->head != nullptr) *before = slot->head->data;
     mvcc::RowVersion* v = InstallLocked(slot, new_row, /*deleted=*/false,
-                                        writer_txn);
+                                        writer_txn, &queue);
     if (installed != nullptr) *installed = v;
   }
+  if (queue) QueueForGc(rid);
   return Status::OK();
 }
 
@@ -388,6 +419,7 @@ Status Table::Delete(RowId rid, Tuple* before, uint64_t writer_txn,
     return Status::NotFound("rid out of range in '" + schema_.name() + "'");
   }
   Tuple old_row;
+  bool queue = false;
   {
     std::lock_guard latch(slot->latch);
     if (!HeadLive(slot->head)) {
@@ -396,9 +428,10 @@ Status Table::Delete(RowId rid, Tuple* before, uint64_t writer_txn,
     }
     old_row = slot->head->data;
     mvcc::RowVersion* v = InstallLocked(slot, Tuple{}, /*deleted=*/true,
-                                        writer_txn);
+                                        writer_txn, &queue);
     if (installed != nullptr) *installed = v;
   }
+  if (queue) QueueForGc(rid);
   EraseIndexEntries(old_row, rid);
   live_rows_.fetch_sub(1, std::memory_order_relaxed);
   if (before != nullptr) *before = old_row;
@@ -410,14 +443,16 @@ Status Table::Restore(RowId rid, const Tuple& row) {
   if (slot == nullptr) {
     return Status::NotFound("rid out of range in '" + schema_.name() + "'");
   }
+  bool queue = false;
   {
     std::lock_guard latch(slot->latch);
     if (HeadLive(slot->head)) {
       return Status::AlreadyExists("rid " + std::to_string(rid) +
                                    " is live in '" + schema_.name() + "'");
     }
-    InstallLocked(slot, row, /*deleted=*/false, /*writer_txn=*/0);
+    InstallLocked(slot, row, /*deleted=*/false, /*writer_txn=*/0, &queue);
   }
+  if (queue) QueueForGc(rid);
   for (const auto& index : indexes_) {
     (void)index->Insert(index->KeyFor(row), rid);
   }

@@ -177,10 +177,17 @@ class Table {
 
   /// --- Version GC ------------------------------------------------------
 
-  /// Frees versions shadowed below `watermark` (see mvcc/gc.h). Returns
-  /// the number of versions freed; *max_chain, when non-null, receives
-  /// the longest chain observed before pruning.
-  uint64_t PruneVersions(uint64_t watermark, uint64_t* max_chain = nullptr);
+  struct PruneStats {
+    uint64_t freed = 0;      ///< Versions freed.
+    uint64_t visited = 0;    ///< Slots latched and pruned.
+    uint64_t max_chain = 0;  ///< Longest chain observed before pruning.
+  };
+
+  /// Frees versions shadowed below `watermark` (see mvcc/gc.h). Visits
+  /// only the slots the write path left multi-version since the previous
+  /// call (the dirty list), so the cost is O(rows written), not O(heap).
+  /// max_chain is at least 1 while the table has live rows.
+  PruneStats PruneVersions(uint64_t watermark);
 
   /// Wires the write path's inline chain pruning to the snapshot
   /// watermark. Called by the catalog at table creation; tables without a
@@ -205,8 +212,12 @@ class Table {
  private:
   struct RowSlot {
     mutable SpinLatch latch;
+    // Set (under the latch) while the slot's rid is queued for the
+    // sweeper (see gc_dirty_); sits in the latch's padding.
+    bool gc_pending = false;
     mvcc::RowVersion* head = nullptr;
   };
+  static_assert(sizeof(RowSlot) == 16, "RowSlot must stay two words");
 
   static constexpr size_t kSegmentBits = 12;  // 4096 rows per segment.
   static constexpr size_t kSegmentSize = 1ULL << kSegmentBits;
@@ -224,9 +235,14 @@ class Table {
   std::pair<RowId, RowSlot*> AllocateSlot();
 
   /// Links a fresh version at the head of the slot's chain (caller holds
-  /// the latch) and prunes the chain against the watermark source.
+  /// the latch) and prunes the chain against the watermark source. If a
+  /// shadowed version survives and the slot is not queued yet, sets its
+  /// gc_pending flag and *queue: the caller must then QueueForGc(rid)
+  /// once it has released the latch.
   mvcc::RowVersion* InstallLocked(RowSlot* slot, Tuple data, bool deleted,
-                                  uint64_t writer_txn);
+                                  uint64_t writer_txn, bool* queue);
+  /// Appends rid to the dirty list. Never called under a slot latch.
+  void QueueForGc(RowId rid);
   /// Prunes one chain under its latch; returns versions freed.
   uint64_t PruneChainLocked(RowSlot* slot, uint64_t watermark,
                             uint64_t* chain_len = nullptr);
@@ -243,6 +259,16 @@ class Table {
   std::atomic<uint64_t> next_rid_{0};
   std::atomic<uint64_t> live_rows_{0};
   const std::atomic<uint64_t>* watermark_source_ = nullptr;
+
+  // Rids whose chain may hold a shadowed version. A slot's gc_pending
+  // flag is set while its rid is on this list, in a running
+  // PruneVersions batch, or about to be appended by the writer that set
+  // the flag; every slot with head->older != nullptr has it set. gc_mu_
+  // is never taken under a slot latch: appending (and growing the
+  // vector) inside a hot row's critical section stalled every other
+  // writer of that row.
+  std::mutex gc_mu_;
+  std::vector<RowId> gc_dirty_;
 };
 
 }  // namespace bullfrog

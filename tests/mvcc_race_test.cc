@@ -1,12 +1,12 @@
 // MVCC race tests, written for TSan: snapshot readers racing committing
 // writers (statement-level sum invariant), racing the background version
-// GC at a 1ms sweep interval, racing a live lazy migration's pulls, and
+// GC at a 1ms sweep interval (plus a delete/re-insert churn writer feeding
+// its dirty lists), racing a live lazy migration's pulls, and
 // racing a multistep copier's dual writes. Readers never take row locks,
 // so every reader-side Status must be OK — a reader wait-die abort is a
 // test failure, which is exactly the property the Zipf bench measures.
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,18 +153,66 @@ TEST(MvccRaceTest, SnapshotReadersVsTransferWriters) {
 TEST(MvccRaceTest, SnapshotReadersVsVersionGc) {
   // A 1ms sweeper races the readers' pinned views and the writers'
   // chain growth; the watermark handshake must keep every pinned
-  // version alive.
-  ::setenv("BF_MVCC_GC_MS", "1", 1);
+  // version alive. A churn writer deletes and re-inserts rows of a
+  // second table so the dirty-list handoff between writers and the
+  // sweeper is raced too.
   Database db;
-  ::unsetenv("BF_MVCC_GC_MS");
+  db.version_gc().Stop();
+  db.version_gc().Start(1);
   db.SetSnapshotReads(true);
   SeedAccounts(&db);
+  ASSERT_TRUE(db.CreateTable(SchemaBuilder("churn")
+                                 .AddColumn("id", ValueType::kInt64, false)
+                                 .AddColumn("gen", ValueType::kInt64)
+                                 .SetPrimaryKey({"id"})
+                                 .Build())
+                  .ok());
+  constexpr int kChurnRows = 8;
+  {
+    auto s = db.BeginSession({"churn"});
+    for (int i = 0; i < kChurnRows; ++i) {
+      ASSERT_TRUE(
+          db.Insert(&s, "churn", Tuple{Value::Int(i), Value::Int(0)}).ok());
+    }
+    ASSERT_TRUE(db.Commit(&s).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::thread churner([&] {
+    for (int64_t gen = 1; !stop.load(); ++gen) {
+      const int id = static_cast<int>(gen % kChurnRows);
+      auto s = db.BeginSession({"churn"});
+      if (!db.Delete(&s, "churn", Eq(Col("id"), LitInt(id))).ok() ||
+          !db.Insert(&s, "churn", Tuple{Value::Int(id), Value::Int(gen)})
+               .ok()) {
+        db.Abort(&s);
+        continue;
+      }
+      db.Commit(&s);
+    }
+  });
   std::atomic<bool> failed{false};
   std::thread writer_group([&] { RunWriters(&db, 3, 150); });
   RunReaders(&db, 3, 200, &failed);
   writer_group.join();
+  stop.store(true);
+  churner.join();
   EXPECT_FALSE(failed.load());
   EXPECT_GE(db.version_gc().passes(), 1u);
+  EXPECT_GT(db.version_gc().slots_visited(), 0u);
+
+  // Quiesced, with nothing pinned, one pass empties every dirty list (the
+  // next visits no slot) and the churned table still holds each id.
+  db.version_gc().Stop();
+  db.version_gc().SweepOnce();
+  const uint64_t visited = db.version_gc().slots_visited();
+  db.version_gc().SweepOnce();
+  EXPECT_EQ(db.version_gc().slots_visited(), visited);
+  EXPECT_EQ(db.version_gc().last_max_chain(), 1u);
+  auto s = db.BeginSession({"churn"});
+  auto rows = db.Select(&s, "churn", nullptr);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->size(), static_cast<size_t>(kChurnRows));
+  ASSERT_TRUE(db.Commit(&s).ok());
 }
 
 TEST(MvccRaceTest, SnapshotReadersVsLiveLazyMigration) {

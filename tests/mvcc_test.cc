@@ -239,6 +239,133 @@ TEST_F(MvccTest, PinnedSnapshotSurvivesGc) {
   EXPECT_EQ(now[2].AsInt(), 4444);
 }
 
+// Bumps the age of row `id` in one committed transaction.
+void BumpAge(Database* db, int id, int64_t age) {
+  auto s = db->BeginSession({"users"});
+  ASSERT_TRUE(db->Update(&s, "users", Eq(Col("id"), LitInt(id)),
+                         [age](const Tuple& t) {
+                           Tuple u = t;
+                           u[2] = Value::Int(age);
+                           return u;
+                         })
+                  .ok());
+  ASSERT_TRUE(db->Commit(&s).ok());
+}
+
+// The sweeper's cost follows writes, not heap size: a pass visits only
+// the slots the write path left multi-version, and each only once.
+TEST_F(MvccTest, GcVisitsOnlyWrittenRows) {
+  db_.version_gc().Stop();  // Passes below are the only ones.
+  ASSERT_TRUE(db_.CreateTable(SchemaBuilder("big")
+                                  .AddColumn("id", ValueType::kInt64, false)
+                                  .AddColumn("v", ValueType::kInt64)
+                                  .SetPrimaryKey({"id"})
+                                  .Build())
+                  .ok());
+  {
+    auto s = db_.BeginSession({"big"});
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_TRUE(
+          db_.Insert(&s, "big", Tuple{Value::Int(i), Value::Int(0)}).ok());
+    }
+    ASSERT_TRUE(db_.Commit(&s).ok());
+  }
+  for (int id : {17, 4242, 9999}) {
+    auto s = db_.BeginSession({"big"});
+    ASSERT_TRUE(db_.Update(&s, "big", Eq(Col("id"), LitInt(id)),
+                           [](const Tuple& t) {
+                             Tuple u = t;
+                             u[1] = Value::Int(1);
+                             return u;
+                           })
+                    .ok());
+    ASSERT_TRUE(db_.Commit(&s).ok());
+  }
+
+  mvcc::VersionGC& gc = db_.version_gc();
+  const uint64_t before = gc.slots_visited();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.slots_visited() - before, 3u);
+  EXPECT_EQ(gc.last_max_chain(), 2u);
+  gc.SweepOnce();
+  EXPECT_EQ(gc.slots_visited() - before, 3u);
+  EXPECT_EQ(gc.last_max_chain(), 1u);
+}
+
+// Rows whose shadowed versions a snapshot still needs stay queued across
+// passes, and the pass after the unpin frees exactly every shadowed
+// version: the dirty lists missed no multi-version row.
+TEST_F(MvccTest, GcRequeuesPinnedChainsAndFreesAllAfterUnpin) {
+  db_.version_gc().Stop();
+  mvcc::VersionGC& gc = db_.version_gc();
+  gc.SweepOnce();  // Drain whatever the fixture's load left queued.
+  constexpr int kRows = 6;
+  constexpr int kUpdates = 3;
+  auto pin = std::make_unique<mvcc::SnapshotManager::PinGuard>(
+      &db_.txns().snapshots());
+  for (int id = 0; id < kRows; ++id) {
+    for (int k = 0; k < kUpdates; ++k) BumpAge(&db_, id, 100 * id + k);
+  }
+
+  const uint64_t freed_pinned = gc.versions_freed();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.versions_freed(), freed_pinned);  // All still needed.
+  EXPECT_EQ(gc.last_max_chain(), static_cast<uint64_t>(kUpdates + 1));
+  const uint64_t visited = gc.slots_visited();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.slots_visited() - visited, static_cast<uint64_t>(kRows));
+
+  pin.reset();
+  const uint64_t freed_before = gc.versions_freed();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.versions_freed() - freed_before,
+            static_cast<uint64_t>(kRows * kUpdates));
+  const uint64_t visited_after = gc.slots_visited();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.slots_visited(), visited_after);  // Nothing left queued.
+  EXPECT_EQ(gc.last_max_chain(), 1u);
+}
+
+// An aborted write leaves its slot queued with a single-version chain;
+// the pass that finds it so must clear the flag, or a later committed
+// write would not queue the slot again and its shadowed version would
+// never be reclaimed.
+TEST_F(MvccTest, GcRequeuesSlotAfterAbortedWrite) {
+  db_.version_gc().Stop();
+  mvcc::VersionGC& gc = db_.version_gc();
+  gc.SweepOnce();
+  {
+    auto s = db_.BeginSession({"users"});
+    ASSERT_TRUE(db_.Update(&s, "users", Eq(Col("id"), LitInt(9)),
+                           [](const Tuple& t) {
+                             Tuple u = t;
+                             u[2] = Value::Int(-1);
+                             return u;
+                           })
+                    .ok());
+    ASSERT_TRUE(db_.Abort(&s).ok());
+  }
+  uint64_t visited = gc.slots_visited();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.slots_visited() - visited, 1u);
+  EXPECT_EQ(gc.last_max_chain(), 1u);
+
+  auto pin = std::make_unique<mvcc::SnapshotManager::PinGuard>(
+      &db_.txns().snapshots());
+  BumpAge(&db_, 9, 909);
+  visited = gc.slots_visited();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.slots_visited() - visited, 1u);
+  EXPECT_EQ(gc.last_max_chain(), 2u);
+
+  pin.reset();
+  const uint64_t freed_before = gc.versions_freed();
+  gc.SweepOnce();
+  EXPECT_EQ(gc.versions_freed() - freed_before, 1u);
+  gc.SweepOnce();
+  EXPECT_EQ(gc.last_max_chain(), 1u);
+}
+
 // WAL replay rebuilds version chains to the same visible state: a
 // replica applying the primary's log converges byte-for-byte, and its
 // own snapshot reads work over the rebuilt chains.
