@@ -152,12 +152,16 @@ Result<std::vector<std::pair<RowId, Tuple>>> Database::Select(
     return CollectWhereAt(*t, pred,
                           mvcc::ReadView{pin.ts(), session->txn()->id()});
   }
-  BF_ASSIGN_OR_RETURN(auto rows, CollectWhere(*t, pred));
-  if (for_update) {
-    for (auto& [rid, row] : rows) {
-      BF_RETURN_NOT_OK(txns_.Read(session->txn(), t, rid, &row,
-                                  /*for_update=*/true));
-    }
+  if (!for_update) return CollectWhere(*t, pred);
+  // FOR UPDATE re-reads every match under its exclusive lock, so the scan
+  // only collects rids: each row is copied once, by the locked read.
+  BF_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(*t, pred));
+  const std::vector<RowId> rids = CollectRids(*t, plan);
+  std::vector<std::pair<RowId, Tuple>> rows(rids.size());
+  for (size_t i = 0; i < rids.size(); ++i) {
+    rows[i].first = rids[i];
+    BF_RETURN_NOT_OK(txns_.Read(session->txn(), t, rids[i], &rows[i].second,
+                                /*for_update=*/true));
   }
   return rows;
 }
@@ -191,9 +195,11 @@ Result<uint64_t> Database::Update(
   BF_RETURN_NOT_OK(TracedPrepare(
       table, [&] { return controller_.PrepareWrite(table, pred); }));
   BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
-  BF_ASSIGN_OR_RETURN(auto matches, CollectWhere(*t, pred));
+  // Planned (and its residual bound) once; plan.Matches re-checks each
+  // row under its lock.
+  BF_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(*t, pred));
   uint64_t updated = 0;
-  for (auto& [rid, stale] : matches) {
+  for (RowId rid : CollectRids(*t, plan)) {
     // Lock, re-read (the row may have changed since the scan), re-check
     // the predicate, then write.
     Tuple current;
@@ -201,15 +207,19 @@ Result<uint64_t> Database::Update(
                              /*for_update=*/true);
     if (read.IsNotFound()) continue;  // Deleted since the scan.
     BF_RETURN_NOT_OK(read);
-    if (pred != nullptr) {
-      BF_ASSIGN_OR_RETURN(ExprPtr bound, pred->Bind(t->schema()));
-      if (!bound->Matches(current)) continue;
-    }
+    if (!plan.Matches(current)) continue;
     Tuple next = updater(current);
     BF_RETURN_NOT_OK(controller_.CheckForeignKeys(table, next));
-    BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, next));
-    BF_RETURN_NOT_OK(MaybePropagate(session, table, rid, next,
-                                    /*deleted=*/false));
+    if (!controller_.MultiStepActive()) {
+      // The new image moves into the row version.
+      BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, std::move(next)));
+    } else {
+      // Dual write: the old schema gets the image too (see MaybePropagate).
+      BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, next));
+      BF_RETURN_NOT_OK(controller_.PropagateOldWrite(session->txn(), table,
+                                                     rid, next,
+                                                     /*deleted=*/false));
+    }
     ++updated;
   }
   return updated;
@@ -220,18 +230,15 @@ Result<uint64_t> Database::Delete(Session* session, const std::string& table,
   BF_RETURN_NOT_OK(TracedPrepare(
       table, [&] { return controller_.PrepareWrite(table, pred); }));
   BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
-  BF_ASSIGN_OR_RETURN(auto matches, CollectWhere(*t, pred));
+  BF_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(*t, pred));
   uint64_t deleted = 0;
-  for (auto& [rid, stale] : matches) {
+  for (RowId rid : CollectRids(*t, plan)) {
     Tuple current;
     Status read = txns_.Read(session->txn(), t, rid, &current,
                              /*for_update=*/true);
     if (read.IsNotFound()) continue;
     BF_RETURN_NOT_OK(read);
-    if (pred != nullptr) {
-      BF_ASSIGN_OR_RETURN(ExprPtr bound, pred->Bind(t->schema()));
-      if (!bound->Matches(current)) continue;
-    }
+    if (!plan.Matches(current)) continue;
     BF_RETURN_NOT_OK(txns_.Delete(session->txn(), t, rid));
     BF_RETURN_NOT_OK(MaybePropagate(session, table, rid, current,
                                     /*deleted=*/true));

@@ -975,7 +975,9 @@ bool MigrationController::UsesNewSchema() const { return !MultiStepActive(); }
 bool MigrationController::IsComplete() const {
   if (!active_.load(std::memory_order_acquire)) return true;
   std::lock_guard lock(mu_);
-  if (!queue_.empty()) return false;
+  // A reservation is an entry the pump (or a submit) has claimed but not
+  // yet published: still in flight.
+  if (!queue_.empty() || !reservations_.empty()) return false;
   for (const auto& s : states_) {
     if (!s->complete.load(std::memory_order_acquire)) return false;
   }
@@ -988,7 +990,7 @@ double MigrationController::Progress() const {
   {
     std::lock_guard lock(mu_);
     states = states_;
-    queued = queue_.size();
+    queued = queue_.size() + reservations_.size();
   }
   double total = 0;
   size_t n = 0;
@@ -997,7 +999,7 @@ double MigrationController::Progress() const {
     total += StateProgress(*state);
     ++n;
   }
-  n += queued;  // Queued entries have moved nothing yet.
+  n += queued;  // Queued and reserved entries have moved nothing yet.
   if (n == 0) return 1.0;
   return total / static_cast<double>(n);
 }

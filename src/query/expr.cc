@@ -332,23 +332,29 @@ ExprPtr JoinConjuncts(std::vector<ExprPtr> conjuncts) {
 
 bool MatchEqualityConjunct(const ExprPtr& e, std::string* column,
                            Value* constant) {
-  if (e == nullptr || e->kind() != ExprKind::kCompare ||
-      e->compare_op() != CompareOp::kEq) {
-    return false;
+  const Value* value = nullptr;
+  const Expr* col = e == nullptr ? nullptr : MatchEquality(*e, &value);
+  if (col == nullptr) return false;
+  *column = col->column_name();
+  *constant = *value;
+  return true;
+}
+
+const Expr* MatchEquality(const Expr& e, const Value** constant) {
+  if (e.kind() != ExprKind::kCompare || e.compare_op() != CompareOp::kEq) {
+    return nullptr;
   }
-  const ExprPtr& a = e->children()[0];
-  const ExprPtr& b = e->children()[1];
-  if (a->kind() == ExprKind::kColumn && b->kind() == ExprKind::kConst) {
-    *column = a->column_name();
-    *constant = b->constant();
-    return true;
+  const Expr& a = *e.children()[0];
+  const Expr& b = *e.children()[1];
+  if (a.kind() == ExprKind::kColumn && b.kind() == ExprKind::kConst) {
+    *constant = &b.constant();
+    return &a;
   }
-  if (b->kind() == ExprKind::kColumn && a->kind() == ExprKind::kConst) {
-    *column = b->column_name();
-    *constant = a->constant();
-    return true;
+  if (b.kind() == ExprKind::kColumn && a.kind() == ExprKind::kConst) {
+    *constant = &a.constant();
+    return &b;
   }
-  return false;
+  return nullptr;
 }
 
 }  // namespace bullfrog

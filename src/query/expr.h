@@ -157,6 +157,11 @@ ExprPtr JoinConjuncts(std::vector<ExprPtr> conjuncts);
 bool MatchEqualityConjunct(const ExprPtr& e, std::string* column,
                            Value* constant);
 
+/// By-reference form of MatchEqualityConjunct: for `column = constant`
+/// returns the column node and points *constant at the literal (both owned
+/// by `e`); otherwise returns nullptr. Copies nothing.
+const Expr* MatchEquality(const Expr& e, const Value** constant);
+
 }  // namespace bullfrog
 
 #endif  // BULLFROG_QUERY_EXPR_H_

@@ -75,7 +75,7 @@ void BTree::SplitChild(Node* parent, size_t index) {
                           std::move(right));
 }
 
-bool BTree::InsertNonFull(Node* node, const Tuple& key, RowId rid) {
+bool BTree::InsertNonFull(Node* node, Tuple& key, RowId rid) {
   if (node->leaf) {
     auto it = std::lower_bound(
         node->entries.begin(), node->entries.end(), 0,
@@ -86,7 +86,7 @@ bool BTree::InsertNonFull(Node* node, const Tuple& key, RowId rid) {
         CompareKeyRid(it->key, it->rid, key, rid) == 0) {
       return false;  // Duplicate (key, rid).
     }
-    node->entries.insert(it, Entry{key, rid});
+    node->entries.insert(it, Entry{std::move(key), rid});
     return true;
   }
   size_t i = 0;
@@ -109,7 +109,7 @@ bool BTree::InsertNonFull(Node* node, const Tuple& key, RowId rid) {
   return InsertNonFull(child, key, rid);
 }
 
-bool BTree::Insert(const Tuple& key, RowId rid) {
+bool BTree::Insert(Tuple key, RowId rid) {
   if (root_ == nullptr) {
     root_ = std::make_unique<Node>();
   }

@@ -29,9 +29,9 @@ class BTree {
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
 
-  /// Inserts (key, rid). Duplicate (key, rid) pairs are ignored.
-  /// Returns true if inserted.
-  bool Insert(const Tuple& key, RowId rid);
+  /// Inserts (key, rid), moving the key into the tree. Duplicate
+  /// (key, rid) pairs are ignored. Returns true if inserted.
+  bool Insert(Tuple key, RowId rid);
 
   /// Removes (key, rid) if present. Returns true if removed.
   /// Deletion uses lazy underflow handling (entries are removed; nodes
@@ -44,7 +44,7 @@ class BTree {
 
   /// Invokes fn(key, rid) for every entry whose key is >= lo and whose
   /// prefix does not exceed hi (inclusive, prefix semantics — see
-  /// OrderedIndex::RangeLookup). Stops early if fn returns false.
+  /// OrderedIndex::RangeScan). Stops early if fn returns false.
   void Range(const Tuple& lo, const Tuple& hi,
              const std::function<bool(const Tuple&, RowId)>& fn) const;
 
@@ -98,8 +98,9 @@ class BTree {
   /// Splits `child` (children_[index] of `parent`), hoisting a separator.
   void SplitChild(Node* parent, size_t index);
 
-  /// Inserts into a non-full subtree rooted at `node`.
-  bool InsertNonFull(Node* node, const Tuple& key, RowId rid);
+  /// Inserts into a non-full subtree rooted at `node`; moves from `key`
+  /// only if it inserts.
+  bool InsertNonFull(Node* node, Tuple& key, RowId rid);
 
   NodePtr root_;
   size_t size_ = 0;

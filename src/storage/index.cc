@@ -9,70 +9,86 @@ HashIndex::HashIndex(std::string name, std::vector<size_t> key_columns,
     : Index(std::move(name), std::move(key_columns), unique),
       shards_(stripes) {}
 
-Status HashIndex::Insert(const Tuple& key, RowId rid) {
-  Shard& s = ShardFor(key);
+Status HashIndex::Insert(Tuple key, RowId rid) {
+  const uint64_t h = key.Hash();
+  Shard& s = ShardFor(h);
   std::unique_lock lock(s.mu);
-  if (unique()) {
-    auto range = s.map.equal_range(key);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second != rid) {
-        return Status::AlreadyExists("duplicate key " + key.ToString() +
-                                     " in unique index '" + name() + "'");
-      }
-      return Status::OK();  // Idempotent re-insert of the same entry.
+  auto it = s.map.find(Probe{&key, h});
+  if (it == s.map.end()) {
+    s.map.emplace(HashedKey{std::move(key), h}, Group{rid, {}});
+  } else if (unique()) {
+    if (it->second.first != rid) {
+      return Status::AlreadyExists("duplicate key " + key.ToString() +
+                                   " in unique index '" + name() + "'");
     }
+    return Status::OK();  // Idempotent re-insert of the same entry.
+  } else {
+    it->second.rest.push_back(rid);
   }
-  s.map.emplace(key, rid);
+  ++s.entries;
   return Status::OK();
 }
 
-Result<bool> HashIndex::TryReserve(const Tuple& key, RowId rid,
-                                   RowId* existing) {
+Result<bool> HashIndex::TryReserve(Tuple key, RowId rid, RowId* existing) {
   if (!unique()) {
     return Status::Unsupported("TryReserve requires a unique index");
   }
-  Shard& s = ShardFor(key);
+  const uint64_t h = key.Hash();
+  Shard& s = ShardFor(h);
   std::unique_lock lock(s.mu);
-  auto it = s.map.find(key);
+  auto it = s.map.find(Probe{&key, h});
   if (it != s.map.end()) {
-    if (existing != nullptr) *existing = it->second;
+    if (existing != nullptr) *existing = it->second.first;
     return false;
   }
-  s.map.emplace(key, rid);
+  s.map.emplace(HashedKey{std::move(key), h}, Group{rid, {}});
+  ++s.entries;
   return true;
 }
 
 void HashIndex::Erase(const Tuple& key, RowId rid) {
-  Shard& s = ShardFor(key);
+  const uint64_t h = key.Hash();
+  Shard& s = ShardFor(h);
   std::unique_lock lock(s.mu);
-  auto range = s.map.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (it->second == rid) {
+  auto it = s.map.find(Probe{&key, h});
+  if (it == s.map.end()) return;
+  Group& g = it->second;
+  if (g.first == rid) {
+    if (g.rest.empty()) {
       s.map.erase(it);
-      return;
+    } else {
+      g.first = g.rest.front();
+      g.rest.erase(g.rest.begin());
     }
+  } else {
+    auto pos = std::find(g.rest.begin(), g.rest.end(), rid);
+    if (pos == g.rest.end()) return;
+    g.rest.erase(pos);
   }
+  --s.entries;
 }
 
 void HashIndex::Lookup(const Tuple& key, std::vector<RowId>* out) const {
-  const Shard& s = ShardFor(key);
+  const uint64_t h = key.Hash();
+  const Shard& s = ShardFor(h);
   std::shared_lock lock(s.mu);
-  auto range = s.map.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    out->push_back(it->second);
-  }
+  auto it = s.map.find(Probe{&key, h});
+  if (it == s.map.end()) return;
+  out->push_back(it->second.first);
+  out->insert(out->end(), it->second.rest.begin(), it->second.rest.end());
 }
 
-Status HashIndex::RangeLookup(const Tuple&, const Tuple&,
-                              std::vector<RowId>*) const {
-  return Status::Unsupported("range lookup on hash index '" + name() + "'");
+Status HashIndex::RangeScan(
+    const Tuple&, const Tuple&,
+    const std::function<bool(const Tuple&, RowId)>&) const {
+  return Status::Unsupported("range scan on hash index '" + name() + "'");
 }
 
 size_t HashIndex::size() const {
   size_t total = 0;
   for (const Shard& s : shards_) {
     std::shared_lock lock(s.mu);
-    total += s.map.size();
+    total += s.entries;
   }
   return total;
 }
@@ -81,7 +97,7 @@ OrderedIndex::OrderedIndex(std::string name, std::vector<size_t> key_columns,
                            bool unique)
     : Index(std::move(name), std::move(key_columns), unique) {}
 
-Status OrderedIndex::Insert(const Tuple& key, RowId rid) {
+Status OrderedIndex::Insert(Tuple key, RowId rid) {
   std::unique_lock lock(mu_);
   if (unique()) {
     std::vector<RowId> existing;
@@ -94,11 +110,11 @@ Status OrderedIndex::Insert(const Tuple& key, RowId rid) {
                                    " in unique index '" + name() + "'");
     }
   }
-  tree_.Insert(key, rid);
+  tree_.Insert(std::move(key), rid);
   return Status::OK();
 }
 
-Result<bool> OrderedIndex::TryReserve(const Tuple& key, RowId rid,
+Result<bool> OrderedIndex::TryReserve(Tuple key, RowId rid,
                                       RowId* existing) {
   if (!unique()) {
     return Status::Unsupported("TryReserve requires a unique index");
@@ -110,7 +126,7 @@ Result<bool> OrderedIndex::TryReserve(const Tuple& key, RowId rid,
     if (existing != nullptr) *existing = found[0];
     return false;
   }
-  tree_.Insert(key, rid);
+  tree_.Insert(std::move(key), rid);
   return true;
 }
 
@@ -124,13 +140,11 @@ void OrderedIndex::Lookup(const Tuple& key, std::vector<RowId>* out) const {
   tree_.Lookup(key, out);
 }
 
-Status OrderedIndex::RangeLookup(const Tuple& lo, const Tuple& hi,
-                                 std::vector<RowId>* out) const {
+Status OrderedIndex::RangeScan(
+    const Tuple& lo, const Tuple& hi,
+    const std::function<bool(const Tuple&, RowId)>& fn) const {
   std::shared_lock lock(mu_);
-  tree_.Range(lo, hi, [&](const Tuple&, RowId rid) {
-    out->push_back(rid);
-    return true;
-  });
+  tree_.Range(lo, hi, fn);
   return Status::OK();
 }
 

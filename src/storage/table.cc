@@ -270,29 +270,30 @@ Status Table::InsertIndexEntries(const Tuple& row, RowId rid,
                                  OnConflict policy, bool* conflicted,
                                  RowId* existing_rid) {
   *conflicted = false;
-  // Unique indexes are reserved first (in creation order, so concurrent
-  // inserters use the same order and cannot deadlock); on a later failure
-  // the earlier reservations are rolled back.
-  std::vector<Index*> done;
-  for (const auto& index : indexes_) {
-    const Tuple key = index->KeyFor(row);
+  // Indexes are filled in creation order, so concurrent inserters reserve
+  // unique keys in the same order and cannot deadlock; on a unique
+  // conflict the entries of every earlier index are rolled back.
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    Index* index = indexes_[i].get();
     if (index->unique()) {
       RowId existing = kInvalidRowId;
-      auto reserved = index->TryReserve(key, rid, &existing);
+      auto reserved = index->TryReserve(index->KeyFor(row), rid, &existing);
       if (!reserved.ok()) return reserved.status();
       if (!*reserved) {
-        for (Index* d : done) d->Erase(d->KeyFor(row), rid);
+        for (size_t j = 0; j < i; ++j) {
+          indexes_[j]->Erase(indexes_[j]->KeyFor(row), rid);
+        }
         *conflicted = true;
         if (existing_rid != nullptr) *existing_rid = existing;
         if (policy == OnConflict::kDoNothing) return Status::OK();
-        return Status::AlreadyExists("duplicate key " + key.ToString() +
-                                     " in unique index '" + index->name() +
-                                     "' of table '" + schema_.name() + "'");
+        return Status::AlreadyExists(
+            "duplicate key " + index->KeyFor(row).ToString() +
+            " in unique index '" + index->name() + "' of table '" +
+            schema_.name() + "'");
       }
     } else {
-      BF_RETURN_NOT_OK(index->Insert(key, rid));
+      BF_RETURN_NOT_OK(index->Insert(index->KeyFor(row), rid));
     }
-    done.push_back(index.get());
   }
   return Status::OK();
 }
@@ -364,39 +365,44 @@ Status Table::ReadAt(RowId rid, const mvcc::ReadView& view, Tuple* out) const {
   return Status::OK();
 }
 
-Status Table::Update(RowId rid, const Tuple& new_row, Tuple* before,
+Status Table::Update(RowId rid, Tuple new_row, Tuple* before,
                      uint64_t writer_txn, mvcc::RowVersion** installed) {
   BF_RETURN_NOT_OK(schema_.ValidateTuple(new_row));
   RowSlot* slot = SlotFor(rid);
   if (slot == nullptr) {
     return Status::NotFound("rid out of range in '" + schema_.name() + "'");
   }
-  Tuple old_row;
+  // Indexes whose key changes, each with the key to retire. Decided by
+  // comparing key cells against the head in place: an update that moves
+  // no key (the common case) copies nothing and touches no index.
+  std::vector<std::pair<Index*, Tuple>> moved;
   {
     std::lock_guard latch(slot->latch);
     if (!HeadLive(slot->head)) {
       return Status::NotFound("rid " + std::to_string(rid) + " deleted in '" +
                               schema_.name() + "'");
     }
-    old_row = slot->head->data;
+    const Tuple& old_row = slot->head->data;
+    for (const auto& index : indexes_) {
+      if (!index->SameKey(old_row, new_row)) {
+        moved.emplace_back(index.get(), index->KeyFor(old_row));
+      }
+    }
   }
-  // Maintain indexes whose keys changed. Reserve new unique keys before
-  // erasing old ones so a concurrent duplicate cannot slip in.
-  for (const auto& index : indexes_) {
-    const Tuple old_key = index->KeyFor(old_row);
-    const Tuple new_key = index->KeyFor(new_row);
-    if (old_key == new_key) continue;
+  // Reserve new unique keys before erasing old ones so a concurrent
+  // duplicate cannot slip in.
+  for (const auto& [index, old_key] : moved) {
     if (index->unique()) {
       RowId existing = kInvalidRowId;
-      auto reserved = index->TryReserve(new_key, rid, &existing);
+      auto reserved = index->TryReserve(index->KeyFor(new_row), rid, &existing);
       if (!reserved.ok()) return reserved.status();
       if (!*reserved) {
         return Status::AlreadyExists("update would duplicate key " +
-                                     new_key.ToString() + " in '" +
-                                     index->name() + "'");
+                                     index->KeyFor(new_row).ToString() +
+                                     " in '" + index->name() + "'");
       }
     } else {
-      BF_RETURN_NOT_OK(index->Insert(new_key, rid));
+      BF_RETURN_NOT_OK(index->Insert(index->KeyFor(new_row), rid));
     }
     index->Erase(old_key, rid);
   }
@@ -404,8 +410,8 @@ Status Table::Update(RowId rid, const Tuple& new_row, Tuple* before,
   {
     std::lock_guard latch(slot->latch);
     if (before != nullptr && slot->head != nullptr) *before = slot->head->data;
-    mvcc::RowVersion* v = InstallLocked(slot, new_row, /*deleted=*/false,
-                                        writer_txn, &queue);
+    mvcc::RowVersion* v = InstallLocked(slot, std::move(new_row),
+                                        /*deleted=*/false, writer_txn, &queue);
     if (installed != nullptr) *installed = v;
   }
   if (queue) QueueForGc(rid);
@@ -510,11 +516,9 @@ Status Table::UndoInstall(RowId rid, mvcc::RowVersion* v) {
     const Tuple& undone = v->data;
     const Tuple& restored = v->older->data;
     for (const auto& index : indexes_) {
-      const Tuple undone_key = index->KeyFor(undone);
-      const Tuple restored_key = index->KeyFor(restored);
-      if (undone_key == restored_key) continue;
-      index->Erase(undone_key, rid);
-      (void)index->Insert(restored_key, rid);
+      if (index->SameKey(undone, restored)) continue;
+      index->Erase(index->KeyFor(undone), rid);
+      (void)index->Insert(index->KeyFor(restored), rid);
     }
   }
   delete v;
@@ -575,6 +579,28 @@ void Table::ReadMany(
   }
 }
 
+bool Table::ReadIf(RowId rid, const RowFilter& keep, Tuple* out) const {
+  RowSlot* slot = SlotFor(rid);
+  if (slot == nullptr) return false;
+  std::lock_guard latch(slot->latch);
+  if (!HeadLive(slot->head)) return false;
+  if (keep && !keep(slot->head->data)) return false;
+  if (out != nullptr) *out = slot->head->data;
+  return true;
+}
+
+bool Table::ReadIfAt(RowId rid, const mvcc::ReadView& view,
+                     const RowFilter& keep, Tuple* out) const {
+  RowSlot* slot = SlotFor(rid);
+  if (slot == nullptr) return false;
+  std::lock_guard latch(slot->latch);
+  const mvcc::RowVersion* v = mvcc::VisibleVersion(slot->head, view);
+  if (v == nullptr || v->deleted) return false;
+  if (keep && !keep(v->data)) return false;
+  if (out != nullptr) *out = v->data;
+  return true;
+}
+
 void Table::ScanAt(const mvcc::ReadView& view,
                    const std::function<bool(RowId, const Tuple&)>& fn) const {
   ScanRangeAt(view, 0, NumAllocatedRows(), fn);
@@ -596,17 +622,6 @@ void Table::ScanRangeAt(
       if (visible) copy = v->data;
     }
     if (visible && !fn(rid, copy)) return;
-  }
-}
-
-void Table::ReadManyAt(
-    const mvcc::ReadView& view, const std::vector<RowId>& rids,
-    const std::function<bool(RowId, const Tuple&)>& fn) const {
-  for (RowId rid : rids) {
-    Tuple row;
-    if (ReadAt(rid, view, &row).ok()) {
-      if (!fn(rid, row)) return;
-    }
   }
 }
 

@@ -110,11 +110,12 @@ class Table {
   /// Reads the newest version visible to `view`.
   Status ReadAt(RowId rid, const mvcc::ReadView& view, Tuple* out) const;
 
-  /// Installs a new version of the row, returning the latest before-image.
-  /// The caller is expected to hold a logical row lock; the slot latch
-  /// only protects against torn reads. Unique-key updates re-reserve the
-  /// new key.
-  Status Update(RowId rid, const Tuple& new_row, Tuple* before,
+  /// Installs `new_row` (moved into the version) as the row's new head,
+  /// returning the latest before-image when `before` is non-null. The
+  /// caller is expected to hold a logical row lock; the slot latch only
+  /// protects against torn reads. Only indexes whose key cells changed
+  /// are touched; unique-key updates re-reserve the new key.
+  Status Update(RowId rid, Tuple new_row, Tuple* before,
                 uint64_t writer_txn = 0,
                 mvcc::RowVersion** installed = nullptr);
 
@@ -165,6 +166,21 @@ class Table {
   void ReadMany(const std::vector<RowId>& rids,
                 const std::function<bool(RowId, const Tuple&)>& fn) const;
 
+  /// A row filter run in place under the row's slot latch. It must be pure
+  /// computation: it may take no latch and call into no table or index.
+  using RowFilter = std::function<bool(const Tuple&)>;
+
+  /// The filtered point read behind the statement path: if `rid` holds a
+  /// live row that `keep` accepts (an empty filter accepts everything),
+  /// copies it into *out (when non-null) and returns true. The filter sees
+  /// the head version in place, so a rejected row is never copied, and an
+  /// accepted one is copied exactly once.
+  bool ReadIf(RowId rid, const RowFilter& keep, Tuple* out) const;
+
+  /// ReadIf against the version visible to `view`.
+  bool ReadIfAt(RowId rid, const mvcc::ReadView& view, const RowFilter& keep,
+                Tuple* out) const;
+
   /// Snapshot variants: visit the version visible to `view` instead of
   /// the head. Each row is consistent at view.ts; the whole scan is a
   /// snapshot as long as view.ts stays pinned (SnapshotManager::Pin).
@@ -172,8 +188,6 @@ class Table {
               const std::function<bool(RowId, const Tuple&)>& fn) const;
   void ScanRangeAt(const mvcc::ReadView& view, RowId begin, RowId end,
                    const std::function<bool(RowId, const Tuple&)>& fn) const;
-  void ReadManyAt(const mvcc::ReadView& view, const std::vector<RowId>& rids,
-                  const std::function<bool(RowId, const Tuple&)>& fn) const;
 
   /// --- Version GC ------------------------------------------------------
 

@@ -388,20 +388,19 @@ Status Transactions::Delivery(const DeliveryParams& p) {
     // Oldest undelivered order: probe the ordered secondary index.
     auto no_table = db_->catalog().RequireActive(kNewOrder);
     if (!no_table.ok()) return fail(no_table.status());
-    Index* ordered = (*no_table)->FindIndex("new_order_ordered");
-    std::vector<RowId> rids;
-    Status range = ordered->RangeLookup(
-        Tuple{Value::Int(p.w_id), Value::Int(d)},
-        Tuple{Value::Int(p.w_id), Value::Int(d)}, &rids);
-    if (!range.ok()) return fail(range);
+    const Table& new_order = **no_table;
+    Index* ordered = new_order.FindIndex("new_order_ordered");
+    const Tuple district{Value::Int(p.w_id), Value::Int(d)};
     int64_t o_id = -1;
-    for (RowId rid : rids) {  // Ascending o_id order.
-      Tuple row;
-      if ((*no_table)->Read(rid, &row).ok()) {
-        o_id = row[col::no::kOId].AsInt();
-        break;
-      }
-    }
+    // Ascending o_id order; stop at the first live row.
+    Status range = ordered->RangeScan(
+        district, district, [&](const Tuple&, RowId rid) {
+          Tuple row;
+          if (!new_order.Read(rid, &row).ok()) return true;
+          o_id = row[col::no::kOId].AsInt();
+          return false;
+        });
+    if (!range.ok()) return fail(range);
     if (o_id < 0) continue;  // District fully delivered.
 
     auto del = db_->Delete(

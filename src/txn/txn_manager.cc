@@ -91,18 +91,19 @@ Status TransactionManager::Read(Transaction* txn, Table* table, RowId rid,
 }
 
 Status TransactionManager::Update(Transaction* txn, Table* table, RowId rid,
-                                  const Tuple& new_row) {
+                                  Tuple new_row) {
   assert(txn->state() == TxnState::kActive);
   BF_RETURN_NOT_OK(LockRow(txn, table, rid, LockMode::kExclusive));
   mvcc::RowVersion* installed = nullptr;
-  BF_RETURN_NOT_OK(table->Update(rid, new_row, nullptr, txn->id(),
+  BF_RETURN_NOT_OK(table->Update(rid, std::move(new_row), nullptr, txn->id(),
                                  &installed));
   txn->undo_.push_back(Transaction::UndoRecord{table, rid, installed});
   LogRecord redo;
   redo.op = LogOp::kUpdate;
   redo.table = table->name();
   redo.rid = rid;
-  redo.after = new_row;
+  // Our own pending version: immutable and pinned by the exclusive lock.
+  redo.after = installed->data;
   txn->redo_.push_back(std::move(redo));
   return Status::OK();
 }

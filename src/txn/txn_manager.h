@@ -57,8 +57,7 @@ class TransactionManager {
               bool for_update = false);
 
   /// Updates under an exclusive lock; records the before-image for undo.
-  Status Update(Transaction* txn, Table* table, RowId rid,
-                const Tuple& new_row);
+  Status Update(Transaction* txn, Table* table, RowId rid, Tuple new_row);
 
   /// Deletes under an exclusive lock.
   Status Delete(Transaction* txn, Table* table, RowId rid);

@@ -1,3 +1,4 @@
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -130,6 +131,47 @@ TEST_F(DatabaseTest, UpdatePredicateRecheckSkipsChangedRows) {
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(*m, 0u);
   ASSERT_TRUE(db_.Commit(&s).ok());
+}
+
+TEST_F(DatabaseTest, UpdateSkipsRowThatStoppedMatchingAfterTheScan) {
+  // The statement scans ids 0..2 (age < 23), then locks and re-checks each
+  // row in turn. While it processes id 0, a second session moves id 2 out
+  // of the predicate and commits: id 2 matched at scan time but not at
+  // lock time, so the re-check under the lock must skip it.
+  auto s = db_.BeginSession({"users"});
+  bool moved = false;
+  auto n = db_.Update(&s, "users", Lt(Col("age"), LitInt(23)),
+                      [&](const Tuple& t) {
+                        if (!moved) {
+                          moved = true;
+                          auto other = db_.BeginSession({"users"});
+                          auto m = db_.Update(
+                              &other, "users", Eq(Col("id"), LitInt(2)),
+                              [](const Tuple& r) {
+                                Tuple u = r;
+                                u[2] = Value::Int(99);
+                                return u;
+                              });
+                          EXPECT_TRUE(m.ok() && *m == 1u);
+                          EXPECT_TRUE(db_.Commit(&other).ok());
+                        }
+                        Tuple u = t;
+                        u[2] = Value::Int(t[2].AsInt() + 100);
+                        return u;
+                      });
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 2u);
+  ASSERT_TRUE(db_.Commit(&s).ok());
+
+  auto r = db_.BeginSession({"users"});
+  auto rows = db_.Select(&r, "users", Le(Col("id"), LitInt(2)));
+  ASSERT_TRUE(rows.ok());
+  std::map<int64_t, int64_t> age_by_id;
+  for (const auto& [rid, row] : *rows) age_by_id[row[0].AsInt()] = row[2].AsInt();
+  EXPECT_EQ(age_by_id[0], 120);
+  EXPECT_EQ(age_by_id[1], 121);
+  EXPECT_EQ(age_by_id[2], 99);  // Skipped, not overwritten with 199.
+  ASSERT_TRUE(db_.Commit(&r).ok());
 }
 
 TEST_F(DatabaseTest, BulkInsertBypassesSessions) {

@@ -17,6 +17,8 @@
 #include "common/clock.h"
 #include "replication/wal_dir.h"
 #include "sql/engine.h"
+#include "sql/migration_compiler.h"
+#include "sql/parser.h"
 
 namespace bullfrog {
 namespace {
@@ -122,6 +124,59 @@ TEST(MigrationTrainTest, OverlappingSubmitQueuesAndAutoStarts) {
   EXPECT_EQ(r->rows[0][0].AsInt(), 64);
   EXPECT_FALSE(engine.Execute("SELECT * FROM t0").ok());
   EXPECT_FALSE(engine.Execute("SELECT * FROM t1").ok());
+}
+
+TEST(MigrationTrainTest, EntryBetweenPopAndPublishIsNotComplete) {
+  Database db;
+  sql::SqlEngine engine(&db);
+  SeedTable(&engine, "t0", 16);
+  // The background worker starts after 300 ms, long after the next submit
+  // has queued behind this hop.
+  ASSERT_TRUE(engine
+                  .SubmitMigrationScript(HopScript("t0", "t1"),
+                                         Lazy(true, /*delay_ms=*/300))
+                  .ok());
+
+  // The queued hop's plan factory runs on the pump thread after the entry
+  // has left the queue but before its state is published. Once the submit
+  // has queued (armed), hold the factory there.
+  std::atomic<bool> armed{false};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  const std::string script = HopScript("t1", "t2");
+  auto parsed = sql::ParseSqlScript(script);
+  ASSERT_TRUE(parsed.ok());
+  auto footprint = sql::MigrationScriptFootprint(*parsed);
+  ASSERT_TRUE(footprint.ok());
+  const Status queued = db.controller().SubmitScript(
+      footprint->name, script, footprint->tables,
+      [&]() -> Result<MigrationPlan> {
+        if (armed) {
+          entered = true;
+          while (!release) Clock::SleepMillis(1);
+        }
+        BF_ASSIGN_OR_RETURN(auto stmts, sql::ParseSqlScript(script));
+        BF_ASSIGN_OR_RETURN(MigrationPlan plan,
+                            sql::CompileMigration(stmts, &db.catalog()));
+        plan.source_script = script;
+        return plan;
+      },
+      Lazy(true));
+  ASSERT_TRUE(queued.IsQueued()) << queued.ToString();
+  armed = true;
+
+  Stopwatch sw;
+  while (!entered && sw.ElapsedMillis() < 30000) Clock::SleepMillis(1);
+  ASSERT_TRUE(entered);
+  // Popped from the queue, not yet published: still in flight.
+  EXPECT_FALSE(db.controller().IsComplete());
+  EXPECT_LT(db.controller().Progress(), 1.0);
+
+  release = true;
+  ASSERT_TRUE(WaitComplete(&db.controller()));
+  auto r = engine.Execute("SELECT COUNT(*) AS n FROM t2");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows[0][0].AsInt(), 16);
 }
 
 TEST(MigrationTrainTest, ChainedHopsReadThroughAndConvergeInOrder) {

@@ -170,8 +170,8 @@ TEST_F(ScanTest, NullPredicateScansAll) {
 TEST_F(ScanTest, PkEqualityUsesIndex) {
   auto plan = PlanScan(*table_, Eq(Col("flightid"), LitStr("AA101")));
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->used_index);
-  EXPECT_EQ(plan->index_name, "pk_flights");
+  ASSERT_NE(plan->index, nullptr);
+  EXPECT_EQ(plan->index->name(), "pk_flights");
   EXPECT_EQ(plan->residual, nullptr);
   auto rows = CollectWhere(*table_, Eq(Col("flightid"), LitStr("AA101")));
   ASSERT_TRUE(rows.ok());
@@ -183,8 +183,8 @@ TEST_F(ScanTest, SecondaryIndexWithResidual) {
                      Gt(Col("capacity"), LitInt(160)));
   auto plan = PlanScan(*table_, pred);
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->used_index);
-  EXPECT_EQ(plan->index_name, "by_source");
+  ASSERT_NE(plan->index, nullptr);
+  EXPECT_EQ(plan->index->name(), "by_source");
   ASSERT_NE(plan->residual, nullptr);
   auto rows = CollectWhere(*table_, pred);
   ASSERT_TRUE(rows.ok());
@@ -196,7 +196,7 @@ TEST_F(ScanTest, NonIndexedPredicateFallsBackToFullScan) {
   ExprPtr pred = Gt(Col("capacity"), LitInt(160));
   auto plan = PlanScan(*table_, pred);
   ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan->used_index);
+  EXPECT_EQ(plan->index, nullptr);
   auto rows = CollectWhere(*table_, pred);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);

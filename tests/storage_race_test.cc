@@ -1,0 +1,126 @@
+// Concurrency stress for the ordered-index range probe and its latch order:
+// RangeScan runs its callback under the index's shared latch, and a
+// Delivery-style callback reads the row (taking the slot latch) inside it.
+// Writers take slot latches and index latches strictly one after the
+// other, never nested, so the nesting is deadlock-free. Run under TSan in
+// CI; any data race or lock-order inversion fails the test there.
+
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "catalog/schema.h"
+#include "storage/index.h"
+#include "storage/table.h"
+
+namespace bullfrog {
+namespace {
+
+constexpr int64_t kDistricts = 2;
+
+TableSchema NewOrderSchema() {
+  return SchemaBuilder("new_order")
+      .AddColumn("w", ValueType::kInt64, /*nullable=*/false)
+      .AddColumn("d", ValueType::kInt64, /*nullable=*/false)
+      .AddColumn("o", ValueType::kInt64, /*nullable=*/false)
+      .SetPrimaryKey({"w", "d", "o"})
+      .Build();
+}
+
+Tuple Order(int64_t d, int64_t o) {
+  return Tuple{Value::Int(1), Value::Int(d), Value::Int(o)};
+}
+
+// The oldest live order of district d, Delivery-style: stop the probe at
+// the first rid whose row is still live. Returns -1 if none. *mismatch is
+// set if a row read inside the probe disagrees with its index key.
+int64_t OldestLive(const Table& t, const Index& ordered, int64_t d,
+                   RowId* rid_out, bool* mismatch) {
+  const Tuple district{Value::Int(1), Value::Int(d)};
+  int64_t o = -1;
+  Status s = ordered.RangeScan(district, district,
+                               [&](const Tuple& key, RowId rid) {
+                                 Tuple row;
+                                 if (!t.Read(rid, &row).ok()) return true;
+                                 if (!(row == key)) *mismatch = true;
+                                 o = row[2].AsInt();
+                                 if (rid_out != nullptr) *rid_out = rid;
+                                 return false;
+                               });
+  EXPECT_TRUE(s.ok());
+  return o;
+}
+
+TEST(StorageRaceTest, RangeScanWithReadsRacesInsertAndDelete) {
+  Table t(NewOrderSchema());
+  ASSERT_TRUE(
+      t.CreateIndex("ordered", {"w", "d", "o"}, false, IndexKind::kOrdered)
+          .ok());
+  const Index& ordered = *t.FindIndex("ordered");
+  constexpr int64_t kPreload = 100;
+  for (int64_t d = 1; d <= kDistricts; ++d) {
+    for (int64_t o = 1; o <= kPreload; ++o) ASSERT_TRUE(t.Insert(Order(d, o)).ok());
+  }
+
+  constexpr int kOps = 4000;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> inserted{kPreload * kDistricts};
+  std::atomic<int64_t> deleted{0};
+  std::atomic<bool> mismatch{false};
+  std::atomic<bool> went_backwards{false};
+
+  std::vector<std::thread> threads;
+  // Inserter: appends newer orders to both districts.
+  threads.emplace_back([&] {
+    for (int64_t i = 0; i < kOps; ++i) {
+      const int64_t d = 1 + i % kDistricts;
+      if (t.Insert(Order(d, kPreload + 1 + i)).ok()) inserted.fetch_add(1);
+    }
+  });
+  // Deleter: consumes the oldest order of a district, as Delivery does. The
+  // delete runs after the probe returns — never inside its callback.
+  threads.emplace_back([&] {
+    for (int i = 0; i < kOps; ++i) {
+      bool bad = false;
+      RowId rid = kInvalidRowId;
+      if (OldestLive(t, ordered, 1 + i % kDistricts, &rid, &bad) >= 0 &&
+          t.Delete(rid, nullptr).ok()) {
+        deleted.fetch_add(1);
+      }
+      if (bad) mismatch = true;
+    }
+  });
+  // Two Delivery-style readers. Orders are consumed oldest-first and only
+  // newer ones are inserted, so each district's oldest live order never
+  // moves backwards.
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      int64_t last[kDistricts + 1] = {};
+      while (!stop.load()) {
+        for (int64_t d = 1; d <= kDistricts; ++d) {
+          bool bad = false;
+          const int64_t o = OldestLive(t, ordered, d, nullptr, &bad);
+          if (bad) mismatch = true;
+          if (o >= 0 && o < last[d]) went_backwards = true;
+          if (o >= 0) last[d] = o;
+        }
+      }
+    });
+  }
+  threads[0].join();
+  threads[1].join();
+  stop = true;
+  for (size_t i = 2; i < threads.size(); ++i) threads[i].join();
+
+  EXPECT_FALSE(mismatch.load());
+  EXPECT_FALSE(went_backwards.load());
+  const uint64_t live = static_cast<uint64_t>(inserted - deleted);
+  EXPECT_EQ(t.NumLiveRows(), live);
+  EXPECT_EQ(ordered.size(), live);
+  EXPECT_EQ(t.FindIndex("pk_new_order")->size(), live);
+}
+
+}  // namespace
+}  // namespace bullfrog

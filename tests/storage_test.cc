@@ -146,29 +146,116 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, IndexTest,
                                                                  : "Ordered";
                          });
 
-TEST(OrderedIndexTest, RangeLookupWithPrefixBounds) {
+TEST(OrderedIndexTest, RangeScanWithPrefixBoundsVisitsKeysInOrder) {
   OrderedIndex idx("r", {0, 1}, false);
   for (int64_t w = 1; w <= 3; ++w) {
-    for (int64_t o = 1; o <= 5; ++o) {
+    for (int64_t o = 5; o >= 1; --o) {  // Inserted in descending order.
       ASSERT_TRUE(
           idx.Insert(Tuple{Value::Int(w), Value::Int(o)},
                      static_cast<RowId>(w * 100 + o)).ok());
     }
   }
+  std::vector<int64_t> orders;
   std::vector<RowId> rids;
-  ASSERT_TRUE(idx.RangeLookup(Tuple{Value::Int(2)}, Tuple{Value::Int(2)},
-                              &rids).ok());
-  EXPECT_EQ(rids.size(), 5u);
-  // Ascending order within the prefix.
-  for (size_t i = 1; i < rids.size(); ++i) EXPECT_LT(rids[i - 1], rids[i]);
+  ASSERT_TRUE(idx.RangeScan(Tuple{Value::Int(2)}, Tuple{Value::Int(2)},
+                            [&](const Tuple& key, RowId rid) {
+                              EXPECT_EQ(key[0].AsInt(), 2);
+                              orders.push_back(key[1].AsInt());
+                              rids.push_back(rid);
+                              return true;
+                            })
+                  .ok());
+  EXPECT_EQ(orders, (std::vector<int64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(rids, (std::vector<RowId>{201, 202, 203, 204, 205}));
 }
 
-TEST(HashIndexTest, RangeLookupUnsupported) {
+TEST(OrderedIndexTest, RangeScanStopsAtFirstFalse) {
+  OrderedIndex idx("r", {0, 1}, false);
+  for (int64_t o = 1; o <= 300; ++o) {  // Spans many B+-tree leaves.
+    ASSERT_TRUE(idx.Insert(Tuple{Value::Int(1), Value::Int(o)},
+                           static_cast<RowId>(o)).ok());
+  }
+  int calls = 0;
+  RowId stopped_at = kInvalidRowId;
+  ASSERT_TRUE(idx.RangeScan(Tuple{Value::Int(1)}, Tuple{Value::Int(1)},
+                            [&](const Tuple&, RowId rid) {
+                              ++calls;
+                              if (rid < 3) return true;
+                              stopped_at = rid;
+                              return false;
+                            })
+                  .ok());
+  EXPECT_EQ(calls, 3);  // Visited 1, 2, 3 and nothing after the false.
+  EXPECT_EQ(stopped_at, 3u);
+}
+
+TEST(HashIndexTest, RangeScanUnsupported) {
   HashIndex idx("h", {0}, false);
-  std::vector<RowId> rids;
-  EXPECT_EQ(idx.RangeLookup(Tuple{Value::Int(1)}, Tuple{Value::Int(2)}, &rids)
+  ASSERT_TRUE(idx.Insert(Tuple{Value::Int(1)}, 1).ok());
+  int calls = 0;
+  EXPECT_EQ(idx.RangeScan(Tuple{Value::Int(1)}, Tuple{Value::Int(2)},
+                          [&](const Tuple&, RowId) {
+                            ++calls;
+                            return true;
+                          })
                 .code(),
             StatusCode::kUnsupported);
+  EXPECT_EQ(calls, 0);
+}
+
+std::vector<RowId> LookupAll(const Index& idx, int64_t key) {
+  std::vector<RowId> rids;
+  idx.Lookup(Tuple{Value::Int(key)}, &rids);
+  return rids;
+}
+
+TEST(HashIndexTest, DuplicateKeysGroupInInsertionOrder) {
+  HashIndex idx("h", {0}, false);
+  for (RowId rid : {7, 3, 9, 1}) {
+    ASSERT_TRUE(idx.Insert(Tuple{Value::Int(4)}, rid).ok());
+  }
+  ASSERT_TRUE(idx.Insert(Tuple{Value::Int(5)}, 2).ok());
+  EXPECT_EQ(LookupAll(idx, 4), (std::vector<RowId>{7, 3, 9, 1}));
+  EXPECT_EQ(LookupAll(idx, 5), (std::vector<RowId>{2}));
+  EXPECT_TRUE(LookupAll(idx, 6).empty());
+  EXPECT_EQ(idx.size(), 5u);  // Entries, not distinct keys.
+}
+
+TEST(HashIndexTest, EraseFromMiddleAndFrontOfGroup) {
+  HashIndex idx("h", {0}, false);
+  for (RowId rid : {10, 11, 12, 13}) {
+    ASSERT_TRUE(idx.Insert(Tuple{Value::Int(1)}, rid).ok());
+  }
+  idx.Erase(Tuple{Value::Int(1)}, 12);  // Middle.
+  EXPECT_EQ(LookupAll(idx, 1), (std::vector<RowId>{10, 11, 13}));
+  idx.Erase(Tuple{Value::Int(1)}, 10);  // The inline first rid.
+  EXPECT_EQ(LookupAll(idx, 1), (std::vector<RowId>{11, 13}));
+  idx.Erase(Tuple{Value::Int(1)}, 99);  // Absent rid: no-op.
+  idx.Erase(Tuple{Value::Int(2)}, 11);  // Absent key: no-op.
+  EXPECT_EQ(LookupAll(idx, 1), (std::vector<RowId>{11, 13}));
+  EXPECT_EQ(idx.size(), 2u);
+}
+
+TEST(HashIndexTest, ErasingLastRidRemovesKey) {
+  HashIndex idx("h", {0}, /*unique=*/true);
+  ASSERT_TRUE(idx.Insert(Tuple{Value::Int(8)}, 80).ok());
+  idx.Erase(Tuple{Value::Int(8)}, 80);
+  EXPECT_TRUE(LookupAll(idx, 8).empty());
+  EXPECT_EQ(idx.size(), 0u);
+  // The key is gone, so another rid can now reserve it.
+  auto reserved = idx.TryReserve(Tuple{Value::Int(8)}, 81, nullptr);
+  ASSERT_TRUE(reserved.ok());
+  EXPECT_TRUE(*reserved);
+  EXPECT_EQ(LookupAll(idx, 8), (std::vector<RowId>{81}));
+}
+
+TEST(HashIndexTest, UniqueReinsertIsIdempotent) {
+  HashIndex idx("h", {0}, /*unique=*/true);
+  ASSERT_TRUE(idx.Insert(Tuple{Value::Int(3)}, 30).ok());
+  ASSERT_TRUE(idx.Insert(Tuple{Value::Int(3)}, 30).ok());
+  EXPECT_TRUE(idx.Insert(Tuple{Value::Int(3)}, 31).IsAlreadyExists());
+  EXPECT_EQ(LookupAll(idx, 3), (std::vector<RowId>{30}));
+  EXPECT_EQ(idx.size(), 1u);
 }
 
 TableSchema TestSchema() {
@@ -250,6 +337,85 @@ TEST(TableTest, UpdateMaintainsIndexes) {
   EXPECT_TRUE(rids.empty());
   pk->Lookup(Tuple{Value::Int(2)}, &rids);
   EXPECT_EQ(rids.size(), 1u);
+}
+
+// Snapshot of every index's full contents, for "untouched" checks.
+std::vector<std::vector<RowId>> IndexState(const Table& t,
+                                           const std::vector<Tuple>& keys) {
+  std::vector<std::vector<RowId>> state;
+  for (const auto& index : t.indexes()) {
+    for (const Tuple& key : keys) {
+      if (key.size() != index->key_columns().size()) continue;
+      std::vector<RowId> rids;
+      index->Lookup(key, &rids);
+      state.push_back(std::move(rids));
+    }
+    state.push_back({index->size()});
+  }
+  return state;
+}
+
+TEST(TableTest, UpdateOfNonKeyColumnLeavesEveryIndexUntouched) {
+  Table t(TestSchema());
+  ASSERT_TRUE(t.CreateIndex("by_name", {"name"}, /*unique=*/false,
+                            IndexKind::kHash).ok());
+  auto a = t.Insert(Row(1, "x", 0));
+  auto b = t.Insert(Row(2, "x", 0));
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::vector<Tuple> keys = {Tuple{Value::Int(1)}, Tuple{Value::Int(2)},
+                                   Tuple{Value::Str("x")}};
+  const auto before = IndexState(t, keys);
+  // Re-reserving the unique pk key would fail on the row's own entry, and
+  // an erase + re-insert would reorder the by_name group {a, b}.
+  ASSERT_TRUE(t.Update(a->rid, Row(1, "x", 9.5), nullptr).ok());
+  EXPECT_EQ(IndexState(t, keys), before);
+  Tuple row;
+  ASSERT_TRUE(t.Read(a->rid, &row).ok());
+  EXPECT_EQ(row[2].AsDouble(), 9.5);
+}
+
+TEST(TableTest, KeyColumnUpdateMovesExactlyThatIndexEntry) {
+  Table t(TestSchema());
+  ASSERT_TRUE(t.CreateIndex("by_name", {"name"}, /*unique=*/false,
+                            IndexKind::kHash).ok());
+  ASSERT_TRUE(t.CreateIndex("by_score", {"score"}, /*unique=*/false,
+                            IndexKind::kOrdered).ok());
+  auto a = t.Insert(Row(1, "x", 0.5));
+  auto b = t.Insert(Row(2, "x", 0.5));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(t.Update(a->rid, Row(1, "y", 0.5), nullptr).ok());
+  auto lookup = [&](const char* index, Value key) {
+    std::vector<RowId> rids;
+    t.FindIndex(index)->Lookup(Tuple{std::move(key)}, &rids);
+    return rids;
+  };
+  EXPECT_EQ(lookup("by_name", Value::Str("x")), (std::vector<RowId>{b->rid}));
+  EXPECT_EQ(lookup("by_name", Value::Str("y")), (std::vector<RowId>{a->rid}));
+  // The other indexes keep their entries, in their original order.
+  EXPECT_EQ(lookup("pk_t", Value::Int(1)), (std::vector<RowId>{a->rid}));
+  EXPECT_EQ(lookup("by_score", Value::Double(0.5)),
+            (std::vector<RowId>{a->rid, b->rid}));
+  for (const auto& index : t.indexes()) EXPECT_EQ(index->size(), 2u);
+}
+
+TEST(TableTest, ReadIfCopiesOnlyAcceptedLiveRows) {
+  Table t(TestSchema());
+  auto a = t.Insert(Row(1, "keep", 0));
+  auto b = t.Insert(Row(2, "drop", 0));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(t.Delete(b->rid, nullptr).ok());
+  const Table::RowFilter keep = [](const Tuple& row) {
+    return row[1].AsString() == "keep";
+  };
+  Tuple out = Row(9, "untouched", 0);
+  EXPECT_TRUE(t.ReadIf(a->rid, keep, &out));
+  EXPECT_EQ(out[0].AsInt(), 1);
+  out = Row(9, "untouched", 0);
+  EXPECT_FALSE(t.ReadIf(a->rid, [](const Tuple&) { return false; }, &out));
+  EXPECT_FALSE(t.ReadIf(b->rid, {}, &out));       // Tombstone.
+  EXPECT_FALSE(t.ReadIf(1u << 30, {}, &out));     // Never allocated.
+  EXPECT_EQ(out[1].AsString(), "untouched");      // Rejections copy nothing.
+  EXPECT_TRUE(t.ReadIf(a->rid, {}, nullptr));     // Test without copying.
 }
 
 TEST(TableTest, UpdateRejectsPkCollision) {
