@@ -8,17 +8,14 @@
 #   2. ADMIN report mid-train shows the train (entries/active/queued)
 #      and the metrics scrape carries the bullfrog_migrations_active /
 #      bullfrog_migrations_queued gauges,
-#   3. a replica started mid-train bootstraps: with BF_SNAPSHOT_READS=1
-#      the quiesce-free checkpoint embeds the in-flight train and the
-#      replica restores it converging; otherwise the primary defers the
-#      capture (kBusy) and the replica's bounded-backoff retry loop rides
-#      it out, publishing phase="bootstrapping ..." in ADMIN replication
-#      instead of failing hard,
+#   3. an explicit mid-train ADMIN checkpoint succeeds (the quiesce-free
+#      capture embeds the in-flight train), and a replica started
+#      mid-train bootstraps from it and restores the train,
 #   4. the whole chain converges: t3 holds every row on primary and
 #      replica, the dumps match byte for byte,
-#   5. with BF_SNAPSHOT_READS=1, an explicit mid-train ADMIN checkpoint
-#      succeeds and a kill -9 + restart recovers from it, resumes the
-#      train from the WAL, and still converges,
+#   5. a second primary checkpoints mid-train, is killed with kill -9,
+#      and on restart recovers from the checkpoint, resumes the train
+#      from the WAL, and still converges,
 #   6. every daemon exits 0 on SIGTERM (the sanitizer legs turn leaks
 #      and races into non-zero exits).
 # Run from the repo root with the build directory as $1 (default: build).
@@ -30,7 +27,6 @@ SHELL_BIN="$BUILD_DIR/examples/bullfrog_shell"
 PLOG="$(mktemp /tmp/bullfrog_train_primary.XXXXXX.log)"
 RLOG="$(mktemp /tmp/bullfrog_train_replica.XXXXXX.log)"
 DATA_DIR="$(mktemp -d /tmp/bullfrog_train_data.XXXXXX)"
-SNAPSHOT="${BF_SNAPSHOT_READS:-0}"
 
 [[ -x $SERVERD ]] || { echo "missing $SERVERD (build first)"; exit 1; }
 [[ -x $SHELL_BIN ]] || { echo "missing $SHELL_BIN (build first)"; exit 1; }
@@ -130,43 +126,18 @@ grep -qE '^bullfrog_migrations_queued [0-9]' <<<"$METRICS" ||
   { echo "metrics missing bullfrog_migrations_queued"; exit 1; }
 echo "mid-train report + gauges OK"
 
-# Mid-train checkpoint: quiesce-free (snapshot reads) embeds the train;
-# the legacy quiesced path must defer with the busy error instead.
+# Mid-train checkpoint: the quiesce-free capture embeds the train.
 CKPT=$(echo ".admin checkpoint" | shell_run "$PADDR")
-if [[ $SNAPSHOT == "1" ]]; then
-  grep -q "checkpoint ok" <<<"$CKPT" ||
-    { echo "mid-train quiesce-free checkpoint failed: $CKPT"; exit 1; }
-  echo "mid-train checkpoint OK (train embedded)"
-else
-  grep -qi "busy\|deferred" <<<"$CKPT" ||
-    { echo "quiesced mid-train checkpoint should defer, got: $CKPT"; exit 1; }
-  echo "mid-train checkpoint deferred as expected (quiesced mode)"
-fi
+grep -q "checkpoint ok" <<<"$CKPT" ||
+  { echo "mid-train quiesce-free checkpoint failed: $CKPT"; exit 1; }
+echo "mid-train checkpoint OK (train embedded)"
 
-# Replica bootstrap mid-train. Snapshot mode: the checkpoint ships the
-# in-flight train and the replica converges while it drains. Quiesced
-# mode: the primary answers kBusy and the replica's bounded-backoff loop
-# waits it out — its ADMIN replication line must show the wait.
-BF_SNAPSHOT_READS="$SNAPSHOT" "$SERVERD" --port=0 --workers=4 \
-  --replica-of="$PADDR" >"$RLOG" 2>&1 &
+# Replica bootstrap mid-train: the checkpoint ships the in-flight train
+# and the replica converges while it drains.
+"$SERVERD" --port=0 --workers=4 --replica-of="$PADDR" >"$RLOG" 2>&1 &
 REPLICA_PID=$!
 RADDR=$(wait_addr "$RLOG" "$REPLICA_PID")
 echo "replica up at $RADDR (pid $REPLICA_PID)"
-if [[ $SNAPSHOT != "1" ]]; then
-  PHASE=""
-  for _ in $(seq 1 100); do
-    PHASE=$(echo ".admin replication" | shell_run "$RADDR") || PHASE=""
-    grep -q 'phase="bootstrapping' <<<"$PHASE" && break
-    grep -q "role=replica" <<<"$PHASE" && ! grep -q "phase=" <<<"$PHASE" && break
-    sleep 0.1
-  done
-  # Either we caught the bootstrapping phase in flight, or the train
-  # finished so fast the replica was already streaming — both fine, but
-  # the replica must never have died.
-  kill -0 "$REPLICA_PID" 2>/dev/null ||
-    { echo "replica died during busy-primary bootstrap"; exit 1; }
-  echo "replica bootstrap wait observed: ${PHASE:-streaming}"
-fi
 
 # Convergence: the chain drains hop by hop until t3 holds every row.
 DONE=""
@@ -187,8 +158,8 @@ wait "$TRAFFIC_PID" 2>/dev/null || true
 TRAFFIC_PID=""
 
 # Replica catches up and matches byte for byte. behind=0 alone is not
-# enough — right after a (busy-delayed) bootstrap the replica has not
-# tailed yet and trivially reports 0 — so poll the dumps directly.
+# enough — right after bootstrap the replica has not tailed yet and
+# trivially reports 0 — so poll the dumps directly.
 echo ".admin dump" | shell_run "$PADDR" >/tmp/bullfrog_train_pdump.txt
 CAUGHT=""
 for _ in $(seq 1 600); do
@@ -218,69 +189,67 @@ PRIMARY_PID=""
 trap - EXIT
 echo "clean shutdowns OK"
 
-# ---- Snapshot-only leg: mid-train checkpoint + kill -9 recovery ----
-if [[ $SNAPSHOT == "1" ]]; then
-  PLOG2="$(mktemp /tmp/bullfrog_train_crash.XXXXXX.log)"
-  DATA2="$(mktemp -d /tmp/bullfrog_train_data2.XXXXXX)"
-  CRASH_PID=""
-  cleanup2() {
-    [[ -n $CRASH_PID ]] && kill -9 "$CRASH_PID" 2>/dev/null || true
-    echo "--- crash-leg log ---"; cat "$PLOG2"
-  }
-  trap cleanup2 EXIT
+# ---- Mid-train checkpoint + kill -9 recovery ----
+PLOG2="$(mktemp /tmp/bullfrog_train_crash.XXXXXX.log)"
+DATA2="$(mktemp -d /tmp/bullfrog_train_data2.XXXXXX)"
+CRASH_PID=""
+cleanup2() {
+  [[ -n $CRASH_PID ]] && kill -9 "$CRASH_PID" 2>/dev/null || true
+  echo "--- crash-leg log ---"; cat "$PLOG2"
+}
+trap cleanup2 EXIT
 
-  "$SERVERD" --port=0 --workers=8 --data-dir="$DATA2" >"$PLOG2" 2>&1 &
-  CRASH_PID=$!
-  CADDR=$(wait_addr "$PLOG2" "$CRASH_PID")
-  {
-    echo "CREATE TABLE t0 (id INT PRIMARY KEY, v INT);"
-    for i in $(seq 0 $((ROWS - 1))); do
-      echo "INSERT INTO t0 VALUES ($i, $((i * 10)));"
-    done
-  } | "$SHELL_BIN" --connect "$CADDR" >/dev/null 2>&1
-  submit_crash_hop() { # src dst
-    "$SHELL_BIN" --connect "$CADDR" 2>&1 <<EOF
+"$SERVERD" --port=0 --workers=8 --data-dir="$DATA2" >"$PLOG2" 2>&1 &
+CRASH_PID=$!
+CADDR=$(wait_addr "$PLOG2" "$CRASH_PID")
+{
+  echo "CREATE TABLE t0 (id INT PRIMARY KEY, v INT);"
+  for i in $(seq 0 $((ROWS - 1))); do
+    echo "INSERT INTO t0 VALUES ($i, $((i * 10)));"
+  done
+} | "$SHELL_BIN" --connect "$CADDR" >/dev/null 2>&1
+submit_crash_hop() { # src dst
+  "$SHELL_BIN" --connect "$CADDR" 2>&1 <<EOF
 .migrate
 CREATE TABLE $2 PRIMARY KEY (id) AS SELECT id, v FROM $1;
 DROP TABLE $1;
 .go
 EOF
-  }
-  submit_crash_hop t0 t1 | grep -q "migration live" || { echo "crash leg hop 1 failed"; exit 1; }
-  submit_crash_hop t1 t2 | grep -q "migration queued" || { echo "crash leg hop 2 failed"; exit 1; }
-  submit_crash_hop t2 t3 | grep -q "migration queued" || { echo "crash leg hop 3 failed"; exit 1; }
-  CKPT=$(echo ".admin checkpoint" | "$SHELL_BIN" --connect "$CADDR" 2>&1)
-  grep -q "checkpoint ok" <<<"$CKPT" ||
-    { echo "crash-leg mid-train checkpoint failed: $CKPT"; exit 1; }
-  kill -9 "$CRASH_PID"
-  wait "$CRASH_PID" 2>/dev/null || true
-  CRASH_PID=""
-  echo "killed primary mid-train after checkpoint; restarting"
+}
+submit_crash_hop t0 t1 | grep -q "migration live" || { echo "crash leg hop 1 failed"; exit 1; }
+submit_crash_hop t1 t2 | grep -q "migration queued" || { echo "crash leg hop 2 failed"; exit 1; }
+submit_crash_hop t2 t3 | grep -q "migration queued" || { echo "crash leg hop 3 failed"; exit 1; }
+CKPT=$(echo ".admin checkpoint" | "$SHELL_BIN" --connect "$CADDR" 2>&1)
+grep -q "checkpoint ok" <<<"$CKPT" ||
+  { echo "crash-leg mid-train checkpoint failed: $CKPT"; exit 1; }
+kill -9 "$CRASH_PID"
+wait "$CRASH_PID" 2>/dev/null || true
+CRASH_PID=""
+echo "killed primary mid-train after checkpoint; restarting"
 
-  "$SERVERD" --port=0 --workers=8 --data-dir="$DATA2" >"$PLOG2" 2>&1 &
-  CRASH_PID=$!
-  CADDR=$(wait_addr "$PLOG2" "$CRASH_PID")
-  DONE=""
-  for _ in $(seq 1 600); do
-    if echo ".progress" | "$SHELL_BIN" --connect "$CADDR" 2>/dev/null |
-        grep -q "(complete)"; then
-      DONE=1; break
-    fi
-    sleep 0.1
-  done
-  [[ -n $DONE ]] || { echo "recovered train never converged"; exit 1; }
-  N=$(echo "SELECT COUNT(*) AS n FROM t3;" | "$SHELL_BIN" --connect "$CADDR" 2>&1 |
-      sed -e '1d' -e 's/^bullfrog> //')
-  grep -q "^$ROWS$" <<<"$N" || { echo "recovered t3 count wrong: $N"; exit 1; }
-  echo "checkpoint restore resumed the train and converged"
+"$SERVERD" --port=0 --workers=8 --data-dir="$DATA2" >"$PLOG2" 2>&1 &
+CRASH_PID=$!
+CADDR=$(wait_addr "$PLOG2" "$CRASH_PID")
+DONE=""
+for _ in $(seq 1 600); do
+  if echo ".progress" | "$SHELL_BIN" --connect "$CADDR" 2>/dev/null |
+      grep -q "(complete)"; then
+    DONE=1; break
+  fi
+  sleep 0.1
+done
+[[ -n $DONE ]] || { echo "recovered train never converged"; exit 1; }
+N=$(echo "SELECT COUNT(*) AS n FROM t3;" | "$SHELL_BIN" --connect "$CADDR" 2>&1 |
+    sed -e '1d' -e 's/^bullfrog> //')
+grep -q "^$ROWS$" <<<"$N" || { echo "recovered t3 count wrong: $N"; exit 1; }
+echo "checkpoint restore resumed the train and converged"
 
-  kill -TERM "$CRASH_PID"
-  STATUS=0; wait "$CRASH_PID" || STATUS=$?
-  CRASH_PID=""
-  [[ $STATUS -eq 0 ]] || { echo "crash-leg daemon exited non-zero"; exit "$STATUS"; }
-  trap - EXIT
-  rm -rf "$DATA2"
-fi
+kill -TERM "$CRASH_PID"
+STATUS=0; wait "$CRASH_PID" || STATUS=$?
+CRASH_PID=""
+[[ $STATUS -eq 0 ]] || { echo "crash-leg daemon exited non-zero"; exit "$STATUS"; }
+trap - EXIT
+rm -rf "$DATA2"
 
 rm -rf "$DATA_DIR"
 echo "migration train smoke OK"

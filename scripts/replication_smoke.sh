@@ -330,11 +330,11 @@ rm -rf "$CRASH_DIR"
 echo "durable kill -9 + replica recovery OK (acked=$ACKED recovered=$RECOVERED)"
 echo "replication smoke OK"
 
-# ---- Quiesce-free checkpoint leg (BF_SNAPSHOT_READS=1) ----
-# With snapshot reads on, `.admin checkpoint` must succeed — hard
-# assertion, no retry loop — while a lazy migration is still in flight,
-# and a replica bootstrapped from that mid-migration checkpoint must
-# converge once the migration completes on the primary.
+# ---- Quiesce-free checkpoint leg ----
+# `.admin checkpoint` must succeed — hard assertion, no retry loop —
+# while a lazy migration is still in flight, and a replica bootstrapped
+# from that mid-migration checkpoint must converge once the migration
+# completes on the primary.
 MVCC_DIR=$(mktemp -d /tmp/bullfrog_mvcc_data.XXXXXX)
 MLOG=$(mktemp /tmp/bullfrog_mvcc.XXXXXX.log)
 MRLOG=$(mktemp /tmp/bullfrog_mvcc_replica.XXXXXX.log)
@@ -348,8 +348,7 @@ cleanup_mvcc() {
 }
 trap cleanup_mvcc EXIT
 
-BF_SNAPSHOT_READS=1 "$SERVERD" --port=0 --workers=8 --data-dir="$MVCC_DIR" \
-  >"$MLOG" 2>&1 &
+"$SERVERD" --port=0 --workers=8 --data-dir="$MVCC_DIR" >"$MLOG" 2>&1 &
 MVCC_PID=$!
 MADDR=$(wait_addr "$MLOG" "$MVCC_PID")
 echo "mvcc-leg primary up at $MADDR (data dir $MVCC_DIR)"

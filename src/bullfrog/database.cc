@@ -1,5 +1,6 @@
 #include "bullfrog/database.h"
 
+#include <cassert>
 #include <cstdio>
 
 #include "catalog/schema_codec.h"
@@ -143,16 +144,22 @@ Result<std::vector<std::pair<RowId, Tuple>>> Database::Select(
   BF_RETURN_NOT_OK(TracedPrepare(
       table, [&] { return controller_.PrepareRead(table, pred); }));
   BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
-  if (!for_update && txns_.snapshot_reads()) {
-    // Statement-level snapshot, taken *after* the lazy pull above so rows
-    // this statement itself migrated are visible, and pinned for the scan
-    // so GC cannot unlink versions under it. Own uncommitted writes are
-    // visible through the txn id in the view.
-    mvcc::SnapshotManager::PinGuard pin(&txns_.snapshots());
-    return CollectWhereAt(*t, pred,
-                          mvcc::ReadView{pin.ts(), session->txn()->id()});
+  if (!for_update) {
+    // Statement-level snapshot at the visible clock, read *after* the lazy
+    // pull above so rows this statement itself migrated are visible; own
+    // uncommitted writes are visible through the txn id in the view.
+    //
+    // No statement pin: the transaction's begin pin covers the scan. GC
+    // frees a version only when a newer version with commit_ts <= the
+    // watermark shadows it, and watermark <= begin_ts (pinned) <= ts.
+    // The version visible at ts is the newest with commit_ts <= ts, so
+    // nothing with commit_ts <= ts shadows it and GC cannot free it, nor
+    // anything newer that the chain walk steps over on the way down.
+    Transaction* txn = session->txn();
+    assert(txn->pinned());
+    return CollectWhereAt(
+        *t, pred, mvcc::ReadView{txns_.snapshots().visible(), txn->id()});
   }
-  if (!for_update) return CollectWhere(*t, pred);
   // FOR UPDATE re-reads every match under its exclusive lock, so the scan
   // only collects rids: each row is copied once, by the locked read.
   BF_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(*t, pred));

@@ -1216,12 +1216,6 @@ bool MigrationController::ShouldForwardReads(const std::string& table) const {
   return m != nullptr && !m->IsComplete();
 }
 
-void MigrationController::WithQuiescedRequests(
-    const std::function<void()>& fn) {
-  std::unique_lock switch_lock(*switch_gate_);
-  fn();
-}
-
 Status MigrationController::DescribeTrainForCheckpoint(
     std::vector<CheckpointMigration>* out) const {
   std::lock_guard lock(mu_);

@@ -304,13 +304,6 @@ class MigrationController {
   Status DescribeTrainForCheckpoint(
       std::vector<CheckpointMigration>* out) const;
 
-  /// Runs `fn` with the schema-switch gate held exclusively: no client
-  /// request (and no logical switch) is in flight while it runs. The
-  /// checkpoint writer uses this to capture a consistent snapshot.
-  /// Caveat: the gate is held shared for a session's whole BEGIN..COMMIT
-  /// scope, so this waits out open explicit transactions.
-  void WithQuiescedRequests(const std::function<void()>& fn);
-
  private:
   /// Per-migration state. Immutable once published through `states_`
   /// except for the `complete` / `complete_s` atomics: any structural

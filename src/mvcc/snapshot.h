@@ -63,7 +63,8 @@ class SnapshotManager {
   uint64_t Pin();
   void Unpin(uint64_t ts);
 
-  /// RAII pin for statement-scope snapshots.
+  /// RAII pin for a snapshot read outside any transaction (the checkpoint
+  /// capture); transactions are pinned by TransactionManager::Begin.
   class PinGuard {
    public:
     explicit PinGuard(SnapshotManager* mgr) : mgr_(mgr), ts_(mgr->Pin()) {}

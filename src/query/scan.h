@@ -59,8 +59,9 @@ std::vector<RowId> CollectRids(const Table& table, const ScanPlan& plan);
 /// resolved row (a probed rid's snapshot version may no longer match the
 /// probe key). Caveat: index entries of rows deleted after view.ts are
 /// gone, so an index-probed snapshot read can miss such rows; heap scans
-/// (no usable index) are exact. This mirrors the engine's long-standing
-/// read-committed-ish scan contract and is documented in DESIGN.md.
+/// (no usable index) are exact. This is the contract of every
+/// non-FOR-UPDATE Database::Select (see DESIGN.md "MVCC & snapshot
+/// reads").
 Result<std::vector<std::pair<RowId, Tuple>>> CollectWhereAt(
     const Table& table, const ExprPtr& pred, const mvcc::ReadView& view);
 

@@ -16,10 +16,7 @@ namespace bullfrog::replication {
 namespace {
 
 constexpr char kMagic[4] = {'B', 'F', 'C', 'K'};
-// v3: the migration trailer carries the whole train — `u8 n` followed by
-// n × (`u8 started | lp migrate_blob`) in submit-then-queue order — where
-// v2 carried `u8 has_migration | lp migrate_blob` for a single one. v1/v2
-// blobs still load.
+// The only version LoadCheckpoint accepts (header layout in checkpoint.h).
 constexpr uint32_t kVersion = 3;
 
 /// Tables worth snapshotting, sorted by name for a deterministic blob.
@@ -35,12 +32,11 @@ std::vector<std::pair<std::string, TableState>> SnapshotTables(Catalog* cat) {
   return out;
 }
 
-/// Encodes one table. `view` selects the MVCC snapshot to scan at;
-/// nullptr scans latest (legacy quiesced capture). The snapshot path
-/// buffers the rows first: the live count must be the count *at the
-/// snapshot*, and NumLiveRows() tracks latest.
+/// Encodes one table as of `view`. The rows are buffered first: the live
+/// count must be the count *at the snapshot*, and NumLiveRows() tracks
+/// latest.
 void EncodeTable(std::string* out, const std::string& name, TableState state,
-                 Table* t, const mvcc::ReadView* view) {
+                 Table* t, const mvcc::ReadView& view) {
   codec::PutLenPrefixed(out, name);
   out->push_back(state == TableState::kRetired ? 1 : 0);
   EncodeTableSchema(out, t->schema());
@@ -54,31 +50,20 @@ void EncodeTable(std::string* out, const std::string& name, TableState state,
                    index->kind() == IndexKind::kOrdered);
   }
   codec::PutU64(out, t->NumAllocatedRows());
-  auto encode_row = [](std::string* dst, RowId rid, const Tuple& row) {
-    codec::PutU64(dst, rid);
-    codec::PutU32(dst, static_cast<uint32_t>(row.size()));
-    for (const Value& v : row.values()) codec::PutValue(dst, v);
-  };
-  if (view == nullptr) {
-    codec::PutU64(out, t->NumLiveRows());
-    t->Scan([&](RowId rid, const Tuple& row) {
-      encode_row(out, rid, row);
-      return true;
-    });
-  } else {
-    std::string rows;
-    uint64_t nlive = 0;
-    t->ScanAt(*view, [&](RowId rid, const Tuple& row) {
-      ++nlive;
-      encode_row(&rows, rid, row);
-      return true;
-    });
-    codec::PutU64(out, nlive);
-    out->append(rows);
-  }
+  std::string rows;
+  uint64_t nlive = 0;
+  t->ScanAt(view, [&](RowId rid, const Tuple& row) {
+    ++nlive;
+    codec::PutU64(&rows, rid);
+    codec::PutU32(&rows, static_cast<uint32_t>(row.size()));
+    for (const Value& v : row.values()) codec::PutValue(&rows, v);
+    return true;
+  });
+  codec::PutU64(out, nlive);
+  out->append(rows);
 }
 
-void EncodeTables(std::string* out, Database* db, const mvcc::ReadView* view) {
+void EncodeTables(std::string* out, Database* db, const mvcc::ReadView& view) {
   // Buffer per-table blobs so tables that race to kDropped between the
   // listing and the encode (a completing migration's retire-drop runs on
   // a worker thread) can still be skipped after the fact.
@@ -97,12 +82,13 @@ void EncodeTables(std::string* out, Database* db, const mvcc::ReadView* view) {
   for (const std::string& b : blobs) out->append(b);
 }
 
-/// The quiesce-free capture (snapshot reads on). See checkpoint.h for
-/// the O/T barrier argument.
-Status CaptureAtSnapshot(Database* db, std::string* out,
+}  // namespace
+
+Status CaptureCheckpoint(Database* db, std::string* out,
                          uint64_t offset_base) {
-  // Shared switch gate: Submit and the other capture path serialize
-  // against us; client requests (which also hold it shared) keep flowing.
+  // Shared switch gate: Submit serializes against us; client requests
+  // (which also hold it shared) keep flowing. See checkpoint.h for the
+  // O/T barrier argument.
   auto guard = db->controller().GuardTables({});
   std::vector<MigrationController::CheckpointMigration> train;
   if (!db->controller().IsComplete()) {
@@ -122,49 +108,13 @@ Status CaptureAtSnapshot(Database* db, std::string* out,
   codec::PutU32(out, kVersion);
   codec::PutU64(out, wal_offset);
   codec::PutU64(out, pin.ts());
-  EncodeTables(out, db, &view);
+  EncodeTables(out, db, view);
   out->push_back(static_cast<char>(train.size()));
   for (const auto& m : train) {
     out->push_back(m.started ? 1 : 0);
     codec::PutLenPrefixed(out, m.blob);
   }
   return Status::OK();
-}
-
-/// The legacy capture: quiesce everything, refuse mid-migration.
-Status CaptureQuiesced(Database* db, std::string* out, uint64_t offset_base) {
-  if (!db->controller().IsComplete()) {
-    return Status::Busy(
-        "checkpoint deferred: a migration is in flight (enable snapshot "
-        "reads for quiesce-free mid-migration checkpoints)");
-  }
-  Status result = Status::OK();
-  db->controller().WithQuiescedRequests([&] {
-    // Re-check under the gate: a Submit racing the check above would have
-    // serialized on the same gate, so an active migration is visible now.
-    if (!db->controller().IsComplete()) {
-      result = Status::Busy("checkpoint deferred: a migration is in flight");
-      return;
-    }
-    out->clear();
-    out->append(kMagic, sizeof(kMagic));
-    codec::PutU32(out, kVersion);
-    codec::PutU64(out, offset_base + db->txns().redo_log().size());
-    // Nothing commits while requests are quiesced, so "latest" and "the
-    // visible clock" coincide; record the clock for the header.
-    codec::PutU64(out, db->txns().snapshots().visible());
-    EncodeTables(out, db, /*view=*/nullptr);
-    out->push_back(0);  // No migration section.
-  });
-  return result;
-}
-
-}  // namespace
-
-Status CaptureCheckpoint(Database* db, std::string* out,
-                         uint64_t offset_base) {
-  if (db->snapshot_reads()) return CaptureAtSnapshot(db, out, offset_base);
-  return CaptureQuiesced(db, out, offset_base);
 }
 
 Status LoadCheckpoint(Database* db, const std::string& blob,
@@ -176,12 +126,15 @@ Status LoadCheckpoint(Database* db, const std::string& blob,
     return Status::InvalidArgument("not a checkpoint blob (bad magic)");
   }
   uint32_t version;
-  if (!reader.GetU32(&version) || version < 1 || version > kVersion) {
-    return Status::Unsupported("unsupported checkpoint version");
+  if (!reader.GetU32(&version)) {
+    return Status::InvalidArgument("truncated checkpoint header");
+  }
+  if (version != kVersion) {
+    return Status::Unsupported("unsupported checkpoint version " +
+                               std::to_string(version));
   }
   uint64_t snapshot_ts = 0;
-  if (!reader.GetU64(wal_offset) ||
-      (version >= 2 && !reader.GetU64(&snapshot_ts))) {
+  if (!reader.GetU64(wal_offset) || !reader.GetU64(&snapshot_ts)) {
     return Status::InvalidArgument("truncated checkpoint header");
   }
   uint32_t ntables;
@@ -240,72 +193,66 @@ Status LoadCheckpoint(Database* db, const std::string& blob,
     }
     if (state == 1) BF_RETURN_NOT_OK(db->catalog().RetireTable(name));
   }
-  if (version >= 2) {
-    // v2: `u8 has_migration | lp blob` (one started migration). v3: the
-    // whole train, `u8 n` × (`u8 started | lp blob`).
-    std::vector<std::pair<bool, std::string>> entries;
-    uint8_t n;
-    if (!reader.GetU8(&n)) {
-      return Status::InvalidArgument("truncated checkpoint migration flag");
+  // The migration train: `u8 n` × (`u8 started | lp blob`).
+  std::vector<std::pair<bool, std::string>> entries;
+  uint8_t n;
+  if (!reader.GetU8(&n)) {
+    return Status::InvalidArgument("truncated checkpoint migration flag");
+  }
+  for (uint8_t i = 0; i < n; ++i) {
+    uint8_t started;
+    if (!reader.GetU8(&started)) {
+      return Status::InvalidArgument("truncated checkpoint migrate entry");
     }
-    if (version == 2 && n > 1) {
-      return Status::InvalidArgument("malformed checkpoint migration flag");
+    std::string blob;
+    if (!reader.GetLenPrefixed(&blob)) {
+      return Status::InvalidArgument("malformed checkpoint migrate blob");
     }
-    for (uint8_t i = 0; i < n; ++i) {
-      uint8_t started = 1;
-      if (version >= 3 && !reader.GetU8(&started)) {
-        return Status::InvalidArgument("truncated checkpoint migrate entry");
-      }
-      std::string blob;
-      if (!reader.GetLenPrefixed(&blob)) {
-        return Status::InvalidArgument("malformed checkpoint migrate blob");
-      }
-      entries.emplace_back(started != 0, std::move(blob));
+    entries.emplace_back(started != 0, std::move(blob));
+  }
+  for (const auto& [started, migrate_blob] : entries) {
+    MigrationStrategy strategy;
+    uint64_t granularity;
+    std::string script;
+    if (!DecodeMigrateBlob(migrate_blob, &strategy, &granularity,
+                           &script)) {
+      return Status::InvalidArgument("malformed checkpoint migrate blob");
     }
-    for (const auto& [started, migrate_blob] : entries) {
-      MigrationStrategy strategy;
-      uint64_t granularity;
-      std::string script;
-      if (!DecodeMigrateBlob(migrate_blob, &strategy, &granularity,
-                             &script)) {
-        return Status::InvalidArgument("malformed checkpoint migrate blob");
-      }
-      BF_ASSIGN_OR_RETURN(std::vector<sql::Statement> stmts,
-                          sql::ParseSqlScript(script));
-      BF_ASSIGN_OR_RETURN(sql::MigrationFootprint footprint,
-                          sql::MigrationScriptFootprint(stmts));
-      MigrationController::SubmitOptions opts;
-      opts.strategy = strategy;
-      opts.lazy.granularity = granularity;
-      opts.replicated_replay = true;
-      if (started) {
-        // The restored catalog is already post-switch for started
-        // entries; only the machinery is rebuilt. Granule marks committed
-        // below the checkpoint offset are gone — the trackers start
-        // empty — so duplicate detection must be the insert-time ON
-        // CONFLICT mode: re-migrated granules simply dedupe against the
-        // rows the checkpoint already carried (§3.7).
-        opts.lazy.duplicate_detection = DuplicateDetection::kOnConflictClause;
-        opts.resume_after_switch = true;
-      }
-      // Queued entries re-queue behind the started ones they overlapped
-      // at capture time (compilation stays deferred — their input tables
-      // do not exist yet) and start when the WAL suffix replays their
-      // "migrate_start" record.
-      Status s = db->controller().SubmitScript(
-          std::move(footprint.name), script, std::move(footprint.tables),
-          [db, script]() -> Result<MigrationPlan> {
-            BF_ASSIGN_OR_RETURN(std::vector<sql::Statement> parsed,
-                                sql::ParseSqlScript(script));
-            BF_ASSIGN_OR_RETURN(
-                MigrationPlan plan,
-                sql::CompileMigration(parsed, &db->catalog()));
-            plan.source_script = script;
-            return plan;
-          },
-          opts);
-      if (!s.ok() && !s.IsQueued()) return s;
+    BF_ASSIGN_OR_RETURN(std::vector<sql::Statement> stmts,
+                        sql::ParseSqlScript(script));
+    BF_ASSIGN_OR_RETURN(sql::MigrationFootprint footprint,
+                        sql::MigrationScriptFootprint(stmts));
+    MigrationController::SubmitOptions opts;
+    opts.strategy = strategy;
+    opts.lazy.granularity = granularity;
+    opts.replicated_replay = true;
+    if (started) {
+      // The restored catalog is already post-switch for started
+      // entries; only the machinery is rebuilt. Granule marks committed
+      // below the checkpoint offset are gone — the trackers start
+      // empty — so duplicate detection must be the insert-time ON
+      // CONFLICT mode: re-migrated granules simply dedupe against the
+      // rows the checkpoint already carried (§3.7).
+      opts.lazy.duplicate_detection = DuplicateDetection::kOnConflictClause;
+      opts.resume_after_switch = true;
     }
+    // Queued entries re-queue behind the started ones they overlapped
+    // at capture time (compilation stays deferred — their input tables
+    // do not exist yet) and start when the WAL suffix replays their
+    // "migrate_start" record.
+    Status s = db->controller().SubmitScript(
+        std::move(footprint.name), script, std::move(footprint.tables),
+        [db, script]() -> Result<MigrationPlan> {
+          BF_ASSIGN_OR_RETURN(std::vector<sql::Statement> parsed,
+                              sql::ParseSqlScript(script));
+          BF_ASSIGN_OR_RETURN(
+              MigrationPlan plan,
+              sql::CompileMigration(parsed, &db->catalog()));
+          plan.source_script = script;
+          return plan;
+        },
+        opts);
+    if (!s.ok() && !s.IsQueued()) return s;
   }
   return Status::OK();
 }

@@ -33,10 +33,10 @@ Status Replica::Start() {
 
   // Bootstrap: fetch a checkpoint, retrying while the primary is still
   // coming up (kUnavailable) or defers the capture (kBusy — e.g. a
-  // quiesced-mode checkpoint with a migration in flight). Backoff is
-  // exponential, bootstrap_retry_ms doubling up to
-  // bootstrap_max_backoff_ms, and the current wait is published in the
-  // status line (ADMIN "replication") instead of failing hard.
+  // multistep migration in flight). Backoff is exponential,
+  // bootstrap_retry_ms doubling up to bootstrap_max_backoff_ms, and the
+  // current wait is published in the status line (ADMIN "replication")
+  // instead of failing hard.
   server::Client boot;
   std::string blob;
   Status last = Status::Unavailable("bootstrap never attempted");

@@ -66,9 +66,10 @@ class WalDir {
   /// batcher must outlive this WalDir's writers.
   void set_sync_batcher(SyncBatcher* batcher) { batcher_ = batcher; }
 
-  /// Captures a checkpoint (kBusy while a migration is in flight), writes
-  /// it as ckpt-<offset>.bf, rotates to a new segment, and garbage-collects
-  /// segments and checkpoints the new checkpoint supersedes.
+  /// Captures a checkpoint (kBusy while a non-embeddable migration is in
+  /// flight, see CaptureCheckpoint), writes it as ckpt-<offset>.bf,
+  /// rotates to a new segment, and garbage-collects segments and
+  /// checkpoints the new checkpoint supersedes.
   Status Checkpoint(Database* db);
 
   /// Global offset of in-memory redo-log index 0.

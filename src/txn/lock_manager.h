@@ -36,17 +36,17 @@ struct LockKeyHasher {
   }
 };
 
-enum class LockMode : uint8_t { kShared, kExclusive };
-
-/// A strict two-phase-locking row lock manager with wait-die deadlock
-/// avoidance: a requester older (smaller txn id) than every incompatible
-/// holder waits; a younger requester "dies" (gets kTxnConflict and is
-/// expected to abort and retry). This gives the engine the abort traffic
-/// that exercises BullFrog's §3.5 abort handling under contention.
+/// An exclusive-only strict two-phase-locking row lock manager with
+/// wait-die deadlock avoidance: a key has at most one holder, and a
+/// requester older (smaller txn id) than the holder waits while a younger
+/// one "dies" (gets kTxnConflict and is expected to abort and retry).
+/// Readers never come here — they resolve MVCC snapshots lock-free — so
+/// every request is a writer's (or a SELECT ... FOR UPDATE's). This gives
+/// the engine the abort traffic that exercises BullFrog's §3.5 abort
+/// handling under contention.
 ///
-/// Sharded: each shard owns a mutex + condvar + lock table. Shared-mode
-/// re-entrancy and shared->exclusive upgrade (when sole holder) are
-/// supported.
+/// Sharded: each shard owns a mutex + condvar + lock table. Re-acquiring
+/// a held key is a re-entrant grant.
 class LockManager {
  public:
   explicit LockManager(size_t shards = 64);
@@ -57,14 +57,14 @@ class LockManager {
   /// Blocks until granted, or returns kTxnConflict (wait-die) /
   /// kTimedOut. Granted locks are recorded per transaction and must be
   /// released with ReleaseAll.
-  Status Acquire(uint64_t txn_id, const LockKey& key, LockMode mode,
+  Status Acquire(uint64_t txn_id, const LockKey& key,
                  int64_t timeout_ms = 10000);
 
   /// Releases every lock held by the transaction.
   void ReleaseAll(uint64_t txn_id, const std::vector<LockKey>& keys);
 
-  /// Test hook: true if the txn currently holds the key in >= mode.
-  bool Holds(uint64_t txn_id, const LockKey& key, LockMode mode) const;
+  /// True if the txn currently holds the key.
+  bool Holds(uint64_t txn_id, const LockKey& key) const;
 
   /// Attaches observability: a wait-time histogram (recorded only when a
   /// request actually blocks — the uncontended grant path stays free of
@@ -73,12 +73,10 @@ class LockManager {
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
-  struct Holder {
-    uint64_t txn_id;
-    LockMode mode;
-  };
+  /// Transaction ids start at 1, so 0 marks a key nobody holds.
+  static constexpr uint64_t kNoHolder = 0;
   struct LockState {
-    std::vector<Holder> holders;
+    uint64_t holder = kNoHolder;
     uint32_t waiters = 0;
   };
   struct Shard {

@@ -38,9 +38,10 @@ class Transaction {
   TxnState state() const { return state_; }
 
   /// Snapshot timestamp for MVCC reads: the visible clock at Begin,
-  /// pinned against GC while the transaction lives. 0 when the manager
-  /// runs with snapshot reads disabled.
+  /// pinned against GC while the transaction is active.
   uint64_t begin_ts() const { return begin_ts_; }
+  /// True from Begin until commit/abort releases the begin pin.
+  bool pinned() const { return pinned_; }
 
   /// Registers fn to run after a successful commit (in registration order).
   void OnCommit(std::function<void()> fn) {

@@ -1,25 +1,17 @@
 #include "txn/txn_manager.h"
 
 #include <cassert>
-
-#include "common/env.h"
+#include <thread>
 
 namespace bullfrog {
-
-TransactionManager::TransactionManager() {
-  snapshot_reads_.store(EnvInt64("BF_SNAPSHOT_READS", 0) != 0,
-                        std::memory_order_relaxed);
-}
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
   const uint64_t id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   auto txn = std::make_unique<Transaction>(id);
-  if (snapshot_reads()) {
-    // Pin the begin timestamp so GC cannot reclaim any version this
-    // transaction may still read; released at commit/abort.
-    txn->begin_ts_ = snapshots_.Pin();
-    txn->pinned_ = true;
-  }
+  // Pin the begin timestamp so GC cannot reclaim any version this
+  // transaction may still read; released at commit/abort.
+  txn->begin_ts_ = snapshots_.Pin();
+  txn->pinned_ = true;
   return txn;
 }
 
@@ -37,10 +29,10 @@ void TransactionManager::BindMetrics(obs::MetricsRegistry* registry) {
   redo_.BindMetrics(registry);
 }
 
-Status TransactionManager::LockRow(Transaction* txn, Table* table, RowId rid,
-                                   LockMode mode) {
+Status TransactionManager::LockRow(Transaction* txn, Table* table,
+                                   RowId rid) {
   LockKey key{table, rid};
-  BF_RETURN_NOT_OK(locks_.Acquire(txn->id(), key, mode));
+  BF_RETURN_NOT_OK(locks_.Acquire(txn->id(), key));
   txn->locks_.push_back(key);
   return Status::OK();
 }
@@ -51,9 +43,34 @@ Result<InsertOutcome> TransactionManager::Insert(Transaction* txn,
                                                  OnConflict policy) {
   assert(txn->state() == TxnState::kActive);
   mvcc::RowVersion* installed = nullptr;
-  auto outcome = table->Insert(row, policy, txn->id(), &installed);
+  Result<InsertOutcome> outcome = table->Insert(row, policy, txn->id(),
+                                                &installed);
+  while (outcome.ok() && !outcome->inserted) {
+    // kDoNothing duplicate. Like PostgreSQL's ON CONFLICT DO NOTHING, wait
+    // out the transaction writing the conflicting row: snapshot reads
+    // never see an uncommitted row, so a caller that relies on the row
+    // being there (a lazy pull followed by its statement's read) must not
+    // return while that row is still pending. The writer holds the row's
+    // exclusive lock from just after its insert until it has committed
+    // (and published) or rolled back.
+    const RowId rid = outcome->rid;
+    const LockKey key{table, rid};
+    const bool held = locks_.Holds(txn->id(), key);
+    BF_RETURN_NOT_OK(locks_.Acquire(txn->id(), key));
+    if (!held) locks_.ReleaseAll(txn->id(), {key});
+    if (table->ReadIfAt(rid, mvcc::ReadView{snapshots_.visible(), txn->id()},
+                        {}, nullptr)) {
+      return outcome;  // Committed (or our own) conflicting row.
+    }
+    if (!table->ReadIf(rid, {}, nullptr)) {
+      // Rolled back (or deleted) meanwhile: the key is free again.
+      outcome = table->Insert(row, policy, txn->id(), &installed);
+    } else {
+      // Still pending: its writer has not taken the row lock yet.
+      std::this_thread::yield();
+    }
+  }
   if (!outcome.ok()) return outcome.status();
-  if (!outcome->inserted) return outcome;  // kDoNothing duplicate.
 
   // Record the pending version before locking so a failed lock rolls it
   // back; then lock the freshly created row so no concurrent txn can
@@ -61,7 +78,7 @@ Result<InsertOutcome> TransactionManager::Insert(Transaction* txn,
   // (non-snapshot) scans before commit; timestamped snapshots skip it.
   txn->undo_.push_back(
       Transaction::UndoRecord{table, outcome->rid, installed});
-  BF_RETURN_NOT_OK(LockRow(txn, table, outcome->rid, LockMode::kExclusive));
+  BF_RETURN_NOT_OK(LockRow(txn, table, outcome->rid));
 
   LogRecord redo;
   redo.op = LogOp::kInsert;
@@ -75,25 +92,21 @@ Result<InsertOutcome> TransactionManager::Insert(Transaction* txn,
 Status TransactionManager::Read(Transaction* txn, Table* table, RowId rid,
                                 Tuple* out, bool for_update) {
   assert(txn->state() == TxnState::kActive);
-  if (!for_update && snapshot_reads()) {
+  if (!for_update) {
     // Lock-free snapshot read: resolve the version chain at the begin
-    // timestamp (plus our own uncommitted writes). A transaction begun
-    // before the mode was flipped on has no pin; it reads the current
-    // visible clock instead.
-    const uint64_t ts =
-        txn->pinned_ ? txn->begin_ts_ : snapshots_.visible();
-    return table->ReadAt(rid, mvcc::ReadView{ts, txn->id()}, out);
+    // timestamp (plus our own uncommitted writes).
+    assert(txn->pinned_);
+    return table->ReadAt(rid, mvcc::ReadView{txn->begin_ts_, txn->id()},
+                         out);
   }
-  BF_RETURN_NOT_OK(LockRow(txn, table, rid,
-                           for_update ? LockMode::kExclusive
-                                      : LockMode::kShared));
+  BF_RETURN_NOT_OK(LockRow(txn, table, rid));
   return table->Read(rid, out);
 }
 
 Status TransactionManager::Update(Transaction* txn, Table* table, RowId rid,
                                   Tuple new_row) {
   assert(txn->state() == TxnState::kActive);
-  BF_RETURN_NOT_OK(LockRow(txn, table, rid, LockMode::kExclusive));
+  BF_RETURN_NOT_OK(LockRow(txn, table, rid));
   mvcc::RowVersion* installed = nullptr;
   BF_RETURN_NOT_OK(table->Update(rid, std::move(new_row), nullptr, txn->id(),
                                  &installed));
@@ -110,7 +123,7 @@ Status TransactionManager::Update(Transaction* txn, Table* table, RowId rid,
 
 Status TransactionManager::Delete(Transaction* txn, Table* table, RowId rid) {
   assert(txn->state() == TxnState::kActive);
-  BF_RETURN_NOT_OK(LockRow(txn, table, rid, LockMode::kExclusive));
+  BF_RETURN_NOT_OK(LockRow(txn, table, rid));
   mvcc::RowVersion* installed = nullptr;
   BF_RETURN_NOT_OK(table->Delete(rid, nullptr, txn->id(), &installed));
   txn->undo_.push_back(Transaction::UndoRecord{table, rid, installed});

@@ -22,37 +22,41 @@ namespace bullfrog {
 /// install new row versions (never update in place) and stamp them with a
 /// commit timestamp from the per-database SnapshotManager at commit.
 ///
-/// Isolation contract: writes are serializable per-row (2PL, wait-die).
-/// Reads have two modes:
-///  - 2PL (default): Read takes a shared row lock; full-table scans are
-///    read-committed-ish (they do not lock every row).
-///  - snapshot (`BF_SNAPSHOT_READS=1` or set_snapshot_reads): Read
-///    resolves the row against the transaction's begin timestamp without
-///    any row lock — readers never block writers, never wait-die.
+/// Isolation contract: writes are serializable per-row (exclusive row
+/// locks, wait-die). Reads are MVCC snapshot reads: Begin pins the
+/// transaction's begin timestamp for its whole life, and a non-FOR-UPDATE
+/// Read resolves the row against it without any row lock — readers never
+/// block writers and never wait-die. The pin also keeps version GC from
+/// reclaiming anything a statement of this transaction can still read
+/// (see Database::Select).
 /// Migration transactions use the same machinery as client transactions
 /// (§3.2: "the migration work ... is performed in a series of
 /// transactions").
 class TransactionManager {
  public:
-  TransactionManager();
+  TransactionManager() = default;
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
 
-  /// Starts a transaction. Ids are monotonically increasing; wait-die uses
-  /// them as timestamps (smaller = older).
+  /// Starts a transaction and pins its begin timestamp (released at
+  /// commit/abort). Ids are monotonically increasing; wait-die uses them
+  /// as timestamps (smaller = older).
   std::unique_ptr<Transaction> Begin();
 
   /// --- Transactional DML --------------------------------------------
 
   /// Inserts under an exclusive lock on the new row. With
   /// OnConflict::kDoNothing, a duplicate reports `inserted == false`
-  /// without error (§3.7 path).
+  /// without error (§3.7 path) once the conflicting row is committed: an
+  /// in-flight writer of that row is waited out (wait-die applies).
   Result<InsertOutcome> Insert(Transaction* txn, Table* table,
                                const Tuple& row,
                                OnConflict policy = OnConflict::kError);
 
-  /// Reads a row under a shared (or, for_update, exclusive) lock.
+  /// Reads a row at the transaction's begin timestamp (own pending
+  /// writes included) without locking it, or, for_update, the latest
+  /// version under an exclusive lock.
   Status Read(Transaction* txn, Table* table, RowId rid, Tuple* out,
               bool for_update = false);
 
@@ -91,16 +95,6 @@ class TransactionManager {
   RedoLog& redo_log() { return redo_; }
   mvcc::SnapshotManager& snapshots() { return snapshots_; }
 
-  /// Snapshot-isolation reads (per-instance so one process can A/B both
-  /// modes). Defaults from BF_SNAPSHOT_READS; flip only while no
-  /// transaction is in flight.
-  bool snapshot_reads() const {
-    return snapshot_reads_.load(std::memory_order_relaxed);
-  }
-  void set_snapshot_reads(bool on) {
-    snapshot_reads_.store(on, std::memory_order_relaxed);
-  }
-
   uint64_t num_started() const {
     return next_txn_id_.load(std::memory_order_relaxed);
   }
@@ -112,7 +106,7 @@ class TransactionManager {
   }
 
  private:
-  Status LockRow(Transaction* txn, Table* table, RowId rid, LockMode mode);
+  Status LockRow(Transaction* txn, Table* table, RowId rid);
   /// Shared rollback machinery: undo in reverse, abort hooks, lock
   /// release. Used by Abort and by Commit when the durable append fails.
   void RollbackActive(Transaction* txn);
@@ -120,7 +114,6 @@ class TransactionManager {
   LockManager locks_;
   RedoLog redo_;
   mvcc::SnapshotManager snapshots_;
-  std::atomic<bool> snapshot_reads_{false};
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> committed_{0};
   std::atomic<uint64_t> aborted_{0};

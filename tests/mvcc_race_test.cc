@@ -1,8 +1,10 @@
 // MVCC race tests, written for TSan: snapshot readers racing committing
 // writers (statement-level sum invariant), racing the background version
 // GC at a 1ms sweep interval (plus a delete/re-insert churn writer feeding
-// its dirty lists), racing a live lazy migration's pulls, and
-// racing a multistep copier's dual writes. Readers never take row locks,
+// its dirty lists), multi-statement transactions whose one begin pin must
+// cover every statement while writers commit and sweeps run between
+// them, racing a live lazy migration's pulls, and racing a multistep
+// copier's dual writes. Readers never take row locks,
 // so every reader-side Status must be OK — a reader wait-die abort is a
 // test failure, which is exactly the property the Zipf bench measures.
 
@@ -41,7 +43,7 @@ void SeedAccounts(Database* db) {
 }
 
 /// One transfer transaction: move `delta` from account `from` to
-/// account `to` under 2PL. Wait-die may kill it; returns whether it
+/// account `to` under exclusive row locks. Wait-die may kill it; returns whether it
 /// committed so callers can retry like a real client.
 bool TryTransfer(Database* db, int from, int to, int64_t delta) {
   auto s = db->BeginSession({"accounts"});
@@ -132,7 +134,6 @@ void RunWriters(Database* db, int nthreads, int transfers) {
 
 TEST(MvccRaceTest, SnapshotReadersVsTransferWriters) {
   Database db;
-  db.SetSnapshotReads(true);
   SeedAccounts(&db);
   std::atomic<bool> failed{false};
   std::thread writer_group([&] { RunWriters(&db, 4, 150); });
@@ -159,7 +160,6 @@ TEST(MvccRaceTest, SnapshotReadersVsVersionGc) {
   Database db;
   db.version_gc().Stop();
   db.version_gc().Start(1);
-  db.SetSnapshotReads(true);
   SeedAccounts(&db);
   ASSERT_TRUE(db.CreateTable(SchemaBuilder("churn")
                                  .AddColumn("id", ValueType::kInt64, false)
@@ -215,9 +215,127 @@ TEST(MvccRaceTest, SnapshotReadersVsVersionGc) {
   ASSERT_TRUE(db.Commit(&s).ok());
 }
 
+// One pin per transaction: Select takes no statement pin and reads at the
+// visible clock under the transaction's begin pin. A writer commits
+// generation after generation (every row of `gens` set to the same g in
+// one transaction) while a sweeper runs SweepOnce back to back and the
+// reader sweeps between its statements too. Each statement must see one
+// whole generation, no older than the last one committed before the
+// statement started and never going backwards; and the begin-timestamp
+// reads of the same transaction must still find the rows as of Begin
+// after later generations shadowed them and a sweep ran — a version GC
+// freed under the reader would show up as a missing or newer row (or,
+// under ASan/TSan, as a freed version touched).
+TEST(MvccRaceTest, OneBeginPinCoversEveryStatementAcrossGcSweeps) {
+  constexpr int kRows = 8;
+  constexpr int kTxns = 200;
+  constexpr int kStatements = 8;
+  Database db;
+  db.version_gc().Stop();  // Sweeps run only where this test runs them.
+  ASSERT_TRUE(db.CreateTable(SchemaBuilder("gens")
+                                 .AddColumn("id", ValueType::kInt64, false)
+                                 .AddColumn("gen", ValueType::kInt64)
+                                 .SetPrimaryKey({"id"})
+                                 .Build())
+                  .ok());
+  {
+    auto s = db.BeginSession({"gens"});
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(
+          db.Insert(&s, "gens", Tuple{Value::Int(i), Value::Int(0)}).ok());
+    }
+    ASSERT_TRUE(db.Commit(&s).ok());
+  }
+  Table* table = db.catalog().FindTable("gens");
+
+  std::atomic<int64_t> committed{0};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    // The only writer, so no wait-die kill can hit it: any failure is
+    // real, and it stops the run.
+    for (int64_t g = 1; !stop.load(); ++g) {
+      auto s = db.BeginSession({"gens"});
+      auto n = db.Update(&s, "gens", nullptr, [g](const Tuple& row) {
+        Tuple u = row;
+        u[1] = Value::Int(g);
+        return u;
+      });
+      const Status st = n.ok() ? db.Commit(&s) : n.status();
+      if (!st.ok()) {
+        ADD_FAILURE() << "writer: " << st;
+        stop.store(true);
+        return;
+      }
+      committed.store(g);
+    }
+  });
+  std::thread sweeper([&] {
+    while (!stop.load()) db.version_gc().SweepOnce();
+  });
+  struct JoinOnExit {
+    std::atomic<bool>* stop;
+    std::thread* threads[2];
+    ~JoinOnExit() {
+      stop->store(true);
+      for (std::thread* t : threads) t->join();
+    }
+  } join_on_exit{&stop, {&writer, &sweeper}};
+
+  auto one_generation = [&](const std::vector<std::pair<RowId, Tuple>>& rows,
+                            int64_t* gen) {
+    if (rows.size() != static_cast<size_t>(kRows)) return false;
+    *gen = rows.front().second[1].AsInt();
+    for (const auto& [rid, row] : rows) {
+      if (row[1].AsInt() != *gen) return false;
+    }
+    return true;
+  };
+  for (int t = 0; t < kTxns && !stop.load(); ++t) {
+    auto s = db.BeginSession({"gens"});
+    ASSERT_TRUE(s.txn()->pinned());
+    // Begin-timestamp reads (repeatable within the transaction).
+    std::vector<int64_t> at_begin(kRows);
+    for (int i = 0; i < kRows; ++i) {
+      Tuple row;
+      ASSERT_TRUE(db.txns().Read(s.txn(), table, static_cast<RowId>(i), &row)
+                      .ok());
+      at_begin[static_cast<size_t>(i)] = row[1].AsInt();
+    }
+    const int64_t begin_gen = at_begin.front();
+    int64_t last = -1;
+    for (int k = 0; k < kStatements; ++k) {
+      db.version_gc().SweepOnce();
+      const int64_t floor = committed.load();
+      auto rows = db.Select(&s, "gens", nullptr);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      int64_t gen = -1;
+      ASSERT_TRUE(one_generation(*rows, &gen))
+          << "txn " << t << " statement " << k << " saw a torn snapshot";
+      EXPECT_GE(gen, floor) << "statement read older than its timestamp";
+      EXPECT_GE(gen, last) << "statement timestamps went backwards";
+      last = gen;
+    }
+    // Later generations now shadow the Begin versions; sweep once more
+    // after one lands, then re-read at the begin timestamp.
+    while (committed.load() <= begin_gen + 1 && !stop.load()) {
+      std::this_thread::yield();
+    }
+    db.version_gc().SweepOnce();
+    for (int i = 0; i < kRows; ++i) {
+      Tuple row;
+      const Status st =
+          db.txns().Read(s.txn(), table, static_cast<RowId>(i), &row);
+      ASSERT_TRUE(st.ok()) << "begin-ts version of row " << i
+                           << " was reclaimed: " << st;
+      EXPECT_EQ(row[1].AsInt(), at_begin[static_cast<size_t>(i)]);
+    }
+    ASSERT_TRUE(db.Commit(&s).ok());
+  }
+  EXPECT_GT(db.version_gc().versions_freed(), 0u);
+}
+
 TEST(MvccRaceTest, SnapshotReadersVsLiveLazyMigration) {
   Database db;
-  db.SetSnapshotReads(true);
   sql::SqlEngine engine(&db);
   {
     auto r = engine.Execute(
@@ -276,7 +394,6 @@ TEST(MvccRaceTest, SnapshotReadersVsLiveLazyMigration) {
 
 TEST(MvccRaceTest, SnapshotReadersVsMultiStepCopier) {
   Database db;
-  db.SetSnapshotReads(true);
   sql::SqlEngine engine(&db);
   {
     auto r = engine.Execute(

@@ -28,7 +28,6 @@ void MustExec(sql::SqlEngine* engine, const std::string& stmt) {
 class MvccTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.SetSnapshotReads(true);
     ASSERT_TRUE(db_.CreateTable(SchemaBuilder("users")
                                     .AddColumn("id", ValueType::kInt64, false)
                                     .AddColumn("name", ValueType::kString)
@@ -371,7 +370,6 @@ TEST_F(MvccTest, GcRequeuesSlotAfterAbortedWrite) {
 // own snapshot reads work over the rebuilt chains.
 TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
   Database a;
-  a.SetSnapshotReads(true);
   sql::SqlEngine engine(&a);
   MustExec(&engine,
            "CREATE TABLE kv (id INT PRIMARY KEY, score DOUBLE, name TEXT)");
@@ -387,7 +385,6 @@ TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
   a.txns().redo_log().ReadFrom(0, SIZE_MAX, &records);
 
   Database b;
-  b.SetSnapshotReads(true);
   replication::LogApplier applier(&b, /*append_to_local_log=*/true);
   ASSERT_TRUE(applier.Apply(std::move(records)).ok());
 
@@ -405,7 +402,6 @@ TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
 // the WAL suffix re-owns the migration and converges with the primary.
 TEST(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
   Database a;
-  a.SetSnapshotReads(true);
   sql::SqlEngine engine(&a);
   MustExec(&engine,
            "CREATE TABLE kv (id INT PRIMARY KEY, score DOUBLE, name TEXT)");
@@ -489,10 +485,9 @@ TEST(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
 }
 
 // Without an active migration the snapshot capture is exercised by the
-// plain round-trip: v2 blobs restore tables, rids, and row content.
+// plain round-trip: the blob restores tables, rids, and row content.
 TEST(MvccCheckpointTest, SnapshotCaptureRoundTripsWithoutMigration) {
   Database a;
-  a.SetSnapshotReads(true);
   sql::SqlEngine engine(&a);
   MustExec(&engine, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)");
   for (int i = 0; i < 25; ++i) {

@@ -94,26 +94,92 @@ TEST(CheckpointTest, RoundTripPreservesDumpRidsAndIndexes) {
   // A truncated blob fails cleanly instead of half-loading.
   Database c;
   uint64_t ignored;
-  EXPECT_FALSE(
-      LoadCheckpoint(&c, blob.substr(0, blob.size() / 2), &ignored).ok());
+  EXPECT_EQ(
+      LoadCheckpoint(&c, blob.substr(0, blob.size() / 2), &ignored).code(),
+      StatusCode::kInvalidArgument);
 }
 
-TEST(CheckpointTest, BusyWhileMigrationInFlight) {
+// The loader reads version 3 only: a header naming any other version is
+// refused before anything loads, while a truncated v3 blob is still a
+// malformed-input error.
+TEST(CheckpointTest, LoaderAcceptsOnlyVersion3) {
+  Database a;
+  sql::SqlEngine engine(&a);
+  RunWorkload(&engine, 1);
+  std::string blob;
+  ASSERT_TRUE(CaptureCheckpoint(&a, &blob).ok());
+  ASSERT_GE(blob.size(), 8u);
+  ASSERT_EQ(blob[4], 3);  // "BFCK" | u32 version (little-endian).
+
+  for (char version : {1, 2, 4}) {
+    std::string other = blob;
+    other[4] = version;
+    Database b;
+    uint64_t offset = 0;
+    const Status s = LoadCheckpoint(&b, other, &offset);
+    EXPECT_EQ(s.code(), StatusCode::kUnsupported)
+        << "version " << int{version} << ": " << s;
+    EXPECT_EQ(b.catalog().FindTable("kv"), nullptr);
+  }
+  for (size_t cut : {size_t{6}, size_t{12}, blob.size() - 1}) {
+    Database b;
+    uint64_t offset = 0;
+    EXPECT_EQ(LoadCheckpoint(&b, blob.substr(0, cut), &offset).code(),
+              StatusCode::kInvalidArgument)
+        << "cut at " << cut;
+  }
+}
+
+/// Submits kv -> kv2 as a multistep migration and holds its cutover: a
+/// client write guard keeps the copier's write gate shared, so the copy
+/// finishes but the cut cannot run until the guard is released. The
+/// paced copier (4 rows per 30 ms, ~200 ms for the 49 rows) cannot reach
+/// its cut before the guard is taken.
+MigrationController::MultiStepGuard SubmitHeldMultiStep(Database* db) {
+  sql::SqlEngine engine(db);
+  MigrationController::SubmitOptions opts;
+  opts.strategy = MigrationStrategy::kMultiStep;
+  opts.multistep.batch = 4;
+  opts.multistep.pause_us = 30000;
+  Status s = engine.SubmitMigrationScript(
+      "CREATE TABLE kv2 PRIMARY KEY (id) AS SELECT id, name FROM kv; "
+      "DROP TABLE kv;",
+      opts);
+  EXPECT_TRUE(s.ok()) << s;
+  auto guard = db->controller().MultiStepWriteGuard();
+  EXPECT_TRUE(db->controller().MultiStepActive());
+  return guard;
+}
+
+void WaitMigrationComplete(Database* db) {
+  Stopwatch waited;
+  while (!db->controller().IsComplete()) {
+    ASSERT_LT(waited.ElapsedSeconds(), 30.0) << "migration never completed";
+    Clock::SleepMillis(5);
+  }
+}
+
+// A lazy migration does not defer a checkpoint (it is embedded), but a
+// multistep one still does: its copier state cannot be rebuilt from a
+// blob. Busy while it is held before its cut, OK once it completes.
+TEST(CheckpointTest, BusyWhileMultiStepMigrationInFlight) {
   Database db;
   sql::SqlEngine engine(&db);
   RunWorkload(&engine, 1);
 
-  MigrationController::SubmitOptions opts;
-  opts.enable_background = false;  // Keep it in flight forever.
-  ASSERT_TRUE(engine
-                  .SubmitMigrationScript(
-                      "CREATE TABLE kv2 PRIMARY KEY (id) AS "
-                      "SELECT id, name FROM kv; DROP TABLE kv;",
-                      opts)
-                  .ok());
+  auto guard = SubmitHeldMultiStep(&db);
   std::string blob;
   const Status s = CaptureCheckpoint(&db, &blob);
   EXPECT_EQ(s.code(), StatusCode::kBusy) << s;
+  EXPECT_FALSE(db.controller().IsComplete());
+
+  guard = MigrationController::MultiStepGuard();  // Release: the cut runs.
+  WaitMigrationComplete(&db);
+  ASSERT_TRUE(CaptureCheckpoint(&db, &blob).ok());
+  Database b;
+  uint64_t offset = 0;
+  ASSERT_TRUE(LoadCheckpoint(&b, blob, &offset).ok());
+  EXPECT_EQ(DumpForDigest(&db), DumpForDigest(&b));
 }
 
 // Satellite: checkpoint-aware startup. The same workload recovered (a)
@@ -408,6 +474,72 @@ TEST(ReplicatedMarkTest, IdempotentAndSafeAfterCompletion) {
   }
   stop.store(true, std::memory_order_release);
   marker.join();
+}
+
+// A replica started while the primary defers its checkpoint (a multistep
+// migration held before its cut) keeps retrying with backoff and reports
+// the wait in its status line, then bootstraps and converges once the
+// migration completes.
+TEST(ReplicaBootstrapTest, WaitsOutBusyPrimaryThenConverges) {
+  Database primary_db;
+  {
+    sql::SqlEngine engine(&primary_db);
+    RunWorkload(&engine, 1);
+  }
+  server::ServerConfig pconfig;
+  pconfig.workers = 4;
+  server::Server primary(&primary_db, pconfig);
+  ASSERT_TRUE(primary.Start().ok());
+  auto guard = SubmitHeldMultiStep(&primary_db);
+
+  Database replica_db;
+  ReplicaOptions ropts;
+  ropts.primary = "127.0.0.1:" + std::to_string(primary.port());
+  ropts.bootstrap_retries = 1000;  // Outlasts a slow (sanitizer) cut.
+  ropts.bootstrap_retry_ms = 10;
+  ropts.bootstrap_max_backoff_ms = 40;
+  Replica replica(&replica_db, ropts);
+  Status started = Status::Unavailable("not started");
+  std::thread starter([&] { started = replica.Start(); });
+
+  // The bootstrap loop publishes its wait while the primary says Busy.
+  Stopwatch waited;
+  std::string status;
+  for (;;) {
+    status = replica.StatusReport();
+    if (status.find("phase=\"bootstrapping attempt=") != std::string::npos &&
+        status.find("Busy") != std::string::npos) {
+      break;
+    }
+    if (waited.ElapsedSeconds() > 20.0) break;
+    Clock::SleepMillis(5);
+  }
+  EXPECT_NE(status.find("backoff_ms="), std::string::npos) << status;
+  EXPECT_NE(status.find("Busy"), std::string::npos) << status;
+  EXPECT_FALSE(primary_db.controller().IsComplete());
+
+  guard = MigrationController::MultiStepGuard();  // Release: the cut runs.
+  WaitMigrationComplete(&primary_db);
+  starter.join();
+  ASSERT_TRUE(started.ok()) << started;
+  EXPECT_EQ(replica.StatusReport().find("phase="), std::string::npos)
+      << replica.StatusReport();
+
+  // Post-bootstrap writes stream over too.
+  {
+    sql::SqlEngine engine(&primary_db);
+    MustExec(&engine, "INSERT INTO kv2 VALUES (1000, 'late')");
+  }
+  for (;;) {
+    if (DumpForDigest(&primary_db) == DumpForDigest(&replica_db)) break;
+    ASSERT_LT(waited.ElapsedSeconds(), 60.0)
+        << "replica never converged; status: " << replica.StatusReport();
+    Clock::SleepMillis(20);
+  }
+  EXPECT_NE(DumpForDigest(&replica_db).find("table kv2"), std::string::npos);
+
+  replica.Stop();
+  primary.Stop();
 }
 
 // Satellite: the end-to-end acceptance test. A replica bootstraps from a

@@ -270,7 +270,13 @@ TEST_F(TpccMigrationTest, MultiStepCustomerSplitPropagatesWrites) {
   p.c_d_id = 1;
   p.c_id = 7;
   p.amount = 55.5;
-  Status pay = txns_->Payment(p);
+  // The dual write can meet the copier's in-flight batch transaction on
+  // the shadow row and die under wait-die; retry like a real client.
+  Status pay;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    pay = txns_->Payment(p);
+    if (!pay.IsRetryable()) break;
+  }
   ASSERT_TRUE(pay.ok()) << pay.ToString();
   // Read the authoritative old-schema balance after the write.
   double expected = 0;

@@ -27,34 +27,30 @@ TableSchema TestSchema() {
 
 Tuple Row(int64_t id, int64_t v) { return Tuple{Value::Int(id), Value::Int(v)}; }
 
-TEST(LockManagerTest, SharedLocksCoexist) {
-  LockManager lm;
-  LockKey key{&lm, 1};
-  EXPECT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Holds(1, key, LockMode::kShared));
-  EXPECT_TRUE(lm.Holds(2, key, LockMode::kShared));
-  lm.ReleaseAll(1, {key});
-  lm.ReleaseAll(2, {key});
-}
-
 TEST(LockManagerTest, ExclusiveExcludesYounger) {
   LockManager lm;
   LockKey key{&lm, 1};
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
-  // Wait-die: txn 2 is younger than holder 1 -> dies immediately.
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kShared).IsTxnConflict());
+  ASSERT_TRUE(lm.Acquire(1, key).ok());
+  // Wait-die: txn 2 is younger than holder 1 -> dies immediately, and the
+  // key keeps its one holder.
+  EXPECT_TRUE(lm.Acquire(2, key).IsTxnConflict());
+  EXPECT_TRUE(lm.Holds(1, key));
+  EXPECT_FALSE(lm.Holds(2, key));
   lm.ReleaseAll(1, {key});
+  // Released: the younger txn now gets it.
+  EXPECT_TRUE(lm.Acquire(2, key).ok());
+  EXPECT_TRUE(lm.Holds(2, key));
+  lm.ReleaseAll(2, {key});
 }
 
 TEST(LockManagerTest, OlderWaitsForRelease) {
   LockManager lm;
   LockKey key{&lm, 1};
-  ASSERT_TRUE(lm.Acquire(5, key, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.Acquire(5, key).ok());
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {
     // Txn 3 is older than holder 5 -> waits.
-    EXPECT_TRUE(lm.Acquire(3, key, LockMode::kExclusive, 5000).ok());
+    EXPECT_TRUE(lm.Acquire(3, key, 5000).ok());
     acquired.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -65,27 +61,28 @@ TEST(LockManagerTest, OlderWaitsForRelease) {
   lm.ReleaseAll(3, {key});
 }
 
-TEST(LockManagerTest, ReentrantAndUpgrade) {
+TEST(LockManagerTest, Reentrant) {
   LockManager lm;
   LockKey key{&lm, 9};
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  // Sole holder upgrade.
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Holds(1, key, LockMode::kExclusive));
-  // Exclusive holder may re-acquire shared.
-  EXPECT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.Acquire(1, key).ok());
+  ASSERT_TRUE(lm.Acquire(1, key).ok());
+  EXPECT_TRUE(lm.Holds(1, key));
+  // The transaction lists the key once per grant; releasing both entries
+  // is safe, and the second must not release a later holder's grant.
   lm.ReleaseAll(1, {key});
-  EXPECT_FALSE(lm.Holds(1, key, LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(1, key));
+  ASSERT_TRUE(lm.Acquire(2, key).ok());
+  lm.ReleaseAll(1, {key});
+  EXPECT_TRUE(lm.Holds(2, key));
+  lm.ReleaseAll(2, {key});
 }
 
 TEST(LockManagerTest, TimeoutExpires) {
   LockManager lm;
   LockKey key{&lm, 2};
-  ASSERT_TRUE(lm.Acquire(10, key, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.Acquire(10, key).ok());
   // Older txn 5 waits but times out.
-  EXPECT_TRUE(lm.Acquire(5, key, LockMode::kExclusive, 100).code() ==
-              StatusCode::kTimedOut);
+  EXPECT_TRUE(lm.Acquire(5, key, 100).code() == StatusCode::kTimedOut);
   lm.ReleaseAll(10, {key});
 }
 
@@ -98,7 +95,7 @@ TEST(LockManagerTest, NoLostWakeupsUnderContention) {
   // Older transactions (small ids) wait; this must always drain.
   for (uint64_t id = 1; id <= 8; ++id) {
     threads.emplace_back([&, id] {
-      Status s = lm.Acquire(id, key, LockMode::kExclusive, 10000);
+      Status s = lm.Acquire(id, key, 10000);
       if (!s.ok()) return;
       EXPECT_EQ(in_critical.fetch_add(1), 0);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -199,6 +196,52 @@ TEST(TxnManagerTest, WriteConflictTriggersWaitDie) {
       tm.Read(younger.get(), &table, a->rid, &row, true).IsTxnConflict());
   ASSERT_TRUE(tm.Abort(younger.get()).ok());
   ASSERT_TRUE(tm.Commit(older.get()).ok());
+}
+
+// ON CONFLICT DO NOTHING against an uncommitted row waits for its writer:
+// after a commit the duplicate is reported and the row is visible to the
+// waiter's snapshot reads; after a rollback the key is free and the
+// waiter's own insert goes in.
+TEST(TxnManagerTest, DoNothingDuplicateWaitsOutThePendingWriter) {
+  for (bool writer_commits : {true, false}) {
+    TransactionManager tm;
+    Table table(TestSchema());
+    auto waiter = tm.Begin();  // Older, so wait-die lets it wait.
+    auto writer = tm.Begin();
+    auto pending = tm.Insert(writer.get(), &table, Row(1, 10));
+    ASSERT_TRUE(pending.ok());
+
+    std::atomic<bool> returned{false};
+    Result<InsertOutcome> dup = Status::Internal("not run");
+    std::thread t([&] {
+      dup = tm.Insert(waiter.get(), &table, Row(1, 20),
+                      OnConflict::kDoNothing);
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(returned.load()) << "returned while the row was pending";
+    ASSERT_TRUE((writer_commits ? tm.Commit(writer.get())
+                                : tm.Abort(writer.get()))
+                    .ok());
+    t.join();
+    ASSERT_TRUE(dup.ok()) << dup.status();
+    EXPECT_EQ(dup->inserted, !writer_commits);
+    Tuple row;
+    if (writer_commits) {
+      // The waiter began before the commit, so its begin-ts read misses
+      // the row; the statement-level snapshot (visible clock) sees it.
+      ASSERT_TRUE(table.ReadAt(dup->rid,
+                               mvcc::ReadView{tm.snapshots().visible(),
+                                              waiter->id()},
+                               &row)
+                      .ok());
+      EXPECT_EQ(row[1].AsInt(), 10);
+    } else {
+      ASSERT_TRUE(tm.Read(waiter.get(), &table, dup->rid, &row).ok());
+      EXPECT_EQ(row[1].AsInt(), 20);
+    }
+    ASSERT_TRUE(tm.Commit(waiter.get()).ok());
+  }
 }
 
 TEST(TxnManagerTest, CommitAndAbortHooksFire) {
