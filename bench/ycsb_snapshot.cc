@@ -16,6 +16,14 @@
 //
 // Usage: ycsb_snapshot [--rows N] [--seconds S] [--readers N]
 //                      [--writers N] [--theta T] [--reads-per-txn K]
+//
+// Thread sweep: `ycsb_snapshot --sweep [--rows N] [--seconds S]` measures
+// how the per-transaction path scales with cores instead. Each thread
+// runs one-row transactions — BeginSession, one PK Select (or Update),
+// Commit — on its own disjoint key range of an N-row table (default
+// 100k), at 1, 2 and 4 threads, S seconds per point (default 3). It
+// prints one line per point with the rate and its ratio to the 1-thread
+// rate, and exits 1 if any transaction failed. No migration runs.
 
 #include <algorithm>
 #include <atomic>
@@ -42,6 +50,7 @@ struct Config {
   int writers = 2;
   double theta = 0.99;
   int reads_per_txn = 8;
+  bool sweep = false;
 };
 
 struct ThreadStats {
@@ -237,6 +246,101 @@ RunResult Run(const Config& cfg) {
   return result;
 }
 
+/// One sweep point: `threads` clients, each on its own key range, run
+/// one-row read (or update) transactions for `seconds`. Returns
+/// committed transactions per second; counts failures into *failed.
+double SweepPoint(Database* db, int64_t rows, int threads, bool write,
+                  double seconds, uint64_t* failed) {
+  std::atomic<bool> stop{false};
+  std::vector<uint64_t> commits(static_cast<size_t>(threads), 0);
+  std::vector<uint64_t> errors(static_cast<size_t>(threads), 0);
+  std::vector<std::thread> pool;
+  const int64_t span = rows / threads;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      const int64_t base = span * t;
+      int64_t i = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int64_t key = base + (i++ % span);
+        auto s = db->BeginSession({"sweep"});
+        Status st;
+        if (write) {
+          auto n = db->Update(&s, "sweep", Eq(Col("id"), LitInt(key)),
+                              [](const Tuple& row) {
+                                Tuple u = row;
+                                u[1] = Value::Int(row[1].AsInt() + 1);
+                                return u;
+                              });
+          st = n.ok() && *n != 1 ? Status::Internal("row not updated")
+                                 : n.status();
+        } else {
+          auto r = db->Select(&s, "sweep", Eq(Col("id"), LitInt(key)));
+          st = r.ok() && r->size() != 1 ? Status::Internal("row not found")
+                                        : r.status();
+        }
+        if (st.ok()) st = db->Commit(&s);
+        if (st.ok()) {
+          ++commits[static_cast<size_t>(t)];
+        } else {
+          db->Abort(&s);
+          ++errors[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  const int64_t start = Clock::NowMicros();
+  Clock::SleepMillis(static_cast<int64_t>(seconds * 1000.0));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : pool) th.join();
+  const double elapsed =
+      static_cast<double>(Clock::NowMicros() - start) / 1e6;
+  uint64_t total = 0;
+  for (size_t t = 0; t < commits.size(); ++t) {
+    total += commits[t];
+    *failed += errors[t];
+  }
+  return static_cast<double>(total) / elapsed;
+}
+
+int RunSweep(const Config& cfg) {
+  Database db;
+  sql::SqlEngine engine(&db);
+  auto r =
+      engine.Execute("CREATE TABLE sweep (id INT PRIMARY KEY, counter INT)");
+  if (!r.ok()) {
+    std::fprintf(stderr, "create: %s\n", r.status().ToString().c_str());
+    return 1;
+  }
+  std::vector<Tuple> rows;
+  rows.reserve(static_cast<size_t>(cfg.rows));
+  for (int64_t i = 0; i < cfg.rows; ++i) {
+    rows.push_back(Tuple{Value::Int(i), Value::Int(0)});
+  }
+  if (!db.BulkInsert("sweep", rows).ok()) return 1;
+  std::printf("# ycsb_snapshot --sweep rows=%lld seconds=%.1f nproc=%u\n",
+              static_cast<long long>(cfg.rows), cfg.seconds,
+              std::thread::hardware_concurrency());
+  std::printf("# mode threads txn_per_s vs_1_thread\n");
+  uint64_t failed = 0;
+  for (bool write : {false, true}) {
+    double one = 0;
+    for (int threads : {1, 2, 4}) {
+      const double rate =
+          SweepPoint(&db, cfg.rows, threads, write, cfg.seconds, &failed);
+      if (threads == 1) one = rate;
+      std::printf("%-5s %7d %10.0f %11.2f\n", write ? "write" : "read",
+                  threads, rate, one > 0 ? rate / one : 0.0);
+      std::fflush(stdout);
+    }
+  }
+  if (failed != 0) {
+    std::fprintf(stderr, "FAIL: %llu sweep transactions failed\n",
+                 static_cast<unsigned long long>(failed));
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,10 +362,25 @@ int main(int argc, char** argv) {
       cfg.theta = std::atof(v);
     } else if (const char* v = next("--reads-per-txn")) {
       cfg.reads_per_txn = std::atoi(v);
+    } else if (std::strcmp(argv[i], "--sweep") == 0) {
+      cfg.sweep = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
     }
+  }
+
+  if (cfg.sweep) {
+    // The sweep's own defaults, unless overridden on the command line.
+    bool rows_set = false;
+    bool seconds_set = false;
+    for (int i = 1; i < argc; ++i) {
+      rows_set |= std::strcmp(argv[i], "--rows") == 0;
+      seconds_set |= std::strcmp(argv[i], "--seconds") == 0;
+    }
+    if (!rows_set) cfg.rows = 100000;
+    if (!seconds_set) cfg.seconds = 3.0;
+    return RunSweep(cfg);
   }
 
   std::printf(

@@ -121,8 +121,9 @@ Status Database::BulkInsert(const std::string& table,
 
 Database::Session Database::BeginSession(std::vector<std::string> tables) {
   Session session;
-  session.guard_ = controller_.GuardTables(std::move(tables));
-  session.multistep_guard_ = controller_.MultiStepWriteGuard();
+  session.guard_ = controller_.GuardTables(std::move(tables), &session.views_);
+  session.multistep_guard_ =
+      MigrationController::MultiStepWriteGuard(session.views_);
   session.txn_ = txns_.Begin();
   return session;
 }
@@ -141,9 +142,10 @@ Result<std::vector<std::pair<RowId, Tuple>>> Database::Select(
   // Migrate the potentially relevant tuples first (§2.1), then run the
   // request over the new schema. For tables not under migration this is a
   // cheap no-op.
+  const MigrationController::Views& views = ViewsFor(session);
   BF_RETURN_NOT_OK(TracedPrepare(
-      table, [&] { return controller_.PrepareRead(table, pred); }));
-  BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
+      table, [&] { return controller_.PrepareRead(views, table, pred); }));
+  BF_ASSIGN_OR_RETURN(Table * t, views.catalog->RequireActive(table));
   if (!for_update) {
     // Statement-level snapshot at the visible clock, read *after* the lazy
     // pull above so rows this statement itself migrated are visible; own
@@ -173,24 +175,20 @@ Result<std::vector<std::pair<RowId, Tuple>>> Database::Select(
   return rows;
 }
 
-Status Database::MaybePropagate(Session* session, const std::string& table,
-                                RowId rid, const Tuple& row, bool deleted) {
-  if (!controller_.MultiStepActive()) return Status::OK();
-  return controller_.PropagateOldWrite(session->txn(), table, rid, row,
-                                       deleted);
-}
-
 Status Database::Insert(Session* session, const std::string& table,
                         const Tuple& row) {
   // Unique constraints on the new schema expand the relevant set: migrate
   // potential conflicts before the constraint check (§2.1).
+  const MigrationController::Views& views = ViewsFor(session);
   BF_RETURN_NOT_OK(TracedPrepare(
-      table, [&] { return controller_.PrepareInsert(table, row); }));
-  BF_RETURN_NOT_OK(controller_.CheckForeignKeys(table, row));
-  BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
+      table, [&] { return controller_.PrepareInsert(views, table, row); }));
+  BF_RETURN_NOT_OK(controller_.CheckForeignKeys(views, table, row));
+  BF_ASSIGN_OR_RETURN(Table * t, views.catalog->RequireActive(table));
   BF_ASSIGN_OR_RETURN(InsertOutcome outcome,
                       txns_.Insert(session->txn(), t, row));
-  return MaybePropagate(session, table, outcome.rid, row, /*deleted=*/false);
+  // During a multi-step copy the write reaches the shadow tables too.
+  return MigrationController::PropagateOldWrite(
+      views, session->txn(), table, outcome.rid, row, /*deleted=*/false);
 }
 
 Result<uint64_t> Database::Update(
@@ -199,9 +197,10 @@ Result<uint64_t> Database::Update(
   // §2.1: UPDATEs are rewritten into SELECTs over the old schema that
   // migrate the relevant tuples first; then the update runs on the new
   // schema.
+  const MigrationController::Views& views = ViewsFor(session);
   BF_RETURN_NOT_OK(TracedPrepare(
-      table, [&] { return controller_.PrepareWrite(table, pred); }));
-  BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
+      table, [&] { return controller_.PrepareWrite(views, table, pred); }));
+  BF_ASSIGN_OR_RETURN(Table * t, views.catalog->RequireActive(table));
   // Planned (and its residual bound) once; plan.Matches re-checks each
   // row under its lock.
   BF_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(*t, pred));
@@ -216,16 +215,15 @@ Result<uint64_t> Database::Update(
     BF_RETURN_NOT_OK(read);
     if (!plan.Matches(current)) continue;
     Tuple next = updater(current);
-    BF_RETURN_NOT_OK(controller_.CheckForeignKeys(table, next));
-    if (!controller_.MultiStepActive()) {
+    BF_RETURN_NOT_OK(controller_.CheckForeignKeys(views, table, next));
+    if (!MigrationController::MultiStepActive(views)) {
       // The new image moves into the row version.
       BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, std::move(next)));
     } else {
-      // Dual write: the old schema gets the image too (see MaybePropagate).
+      // Dual write: the old schema gets the image too.
       BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, next));
-      BF_RETURN_NOT_OK(controller_.PropagateOldWrite(session->txn(), table,
-                                                     rid, next,
-                                                     /*deleted=*/false));
+      BF_RETURN_NOT_OK(MigrationController::PropagateOldWrite(
+          views, session->txn(), table, rid, next, /*deleted=*/false));
     }
     ++updated;
   }
@@ -234,9 +232,10 @@ Result<uint64_t> Database::Update(
 
 Result<uint64_t> Database::Delete(Session* session, const std::string& table,
                                   const ExprPtr& pred) {
+  const MigrationController::Views& views = ViewsFor(session);
   BF_RETURN_NOT_OK(TracedPrepare(
-      table, [&] { return controller_.PrepareWrite(table, pred); }));
-  BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
+      table, [&] { return controller_.PrepareWrite(views, table, pred); }));
+  BF_ASSIGN_OR_RETURN(Table * t, views.catalog->RequireActive(table));
   BF_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(*t, pred));
   uint64_t deleted = 0;
   for (RowId rid : CollectRids(*t, plan)) {
@@ -247,8 +246,8 @@ Result<uint64_t> Database::Delete(Session* session, const std::string& table,
     BF_RETURN_NOT_OK(read);
     if (!plan.Matches(current)) continue;
     BF_RETURN_NOT_OK(txns_.Delete(session->txn(), t, rid));
-    BF_RETURN_NOT_OK(MaybePropagate(session, table, rid, current,
-                                    /*deleted=*/true));
+    BF_RETURN_NOT_OK(MigrationController::PropagateOldWrite(
+        views, session->txn(), table, rid, current, /*deleted=*/true));
     ++deleted;
   }
   return deleted;

@@ -44,7 +44,10 @@ namespace bullfrog {
 /// All client requests go through Sessions, which (a) hold the gates that
 /// queue requests behind an eager migration, (b) trigger request-driven
 /// lazy migration before touching new-schema tables, and (c) route
-/// dual writes while a multi-step copy is running.
+/// dual writes while a multi-step copy is running. A session resolves
+/// table names and migrations against the catalog and routing views it
+/// captured at begin, re-fetching one only when it was superseded — the
+/// statement path takes no lock to find its table.
 class Database {
  public:
   Database();
@@ -67,6 +70,8 @@ class Database {
     std::unique_ptr<Transaction> txn_;
     MigrationController::RequestGuard guard_;
     MigrationController::MultiStepGuard multistep_guard_;
+    /// Captured after the gates; refreshed at the start of each statement.
+    MigrationController::Views views_;
   };
 
   /// --- DDL -------------------------------------------------------------
@@ -145,10 +150,12 @@ class Database {
   obs::TimeseriesSampler* timeseries() { return timeseries_.get(); }
 
  private:
-  /// Propagates a write applied to an old-schema table during a multi-step
-  /// copy (no-op otherwise).
-  Status MaybePropagate(Session* session, const std::string& table, RowId rid,
-                        const Tuple& row, bool deleted);
+  /// Brings the session's views up to date (one acquire load each) and
+  /// returns them.
+  const MigrationController::Views& ViewsFor(Session* session) {
+    controller_.Refresh(&session->views_);
+    return session->views_;
+  }
 
   /// Declared first so every subsystem below can hold handles into them
   /// for its whole lifetime (destroyed last).

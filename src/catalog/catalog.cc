@@ -15,101 +15,91 @@ std::string_view TableStateName(TableState s) {
 }
 
 Result<Table*> Catalog::CreateTable(TableSchema schema) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   const std::string name = schema.name();
   if (name.empty()) {
     return Status::InvalidArgument("table name must be non-empty");
   }
-  auto it = tables_.find(name);
-  if (it != tables_.end() && it->second.state != TableState::kDropped) {
+  std::shared_ptr<CatalogView> next = CopyLocked();
+  auto it = next->tables_.find(name);
+  if (it != next->tables_.end() && it->second.state != TableState::kDropped) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
-  Entry entry;
-  entry.table = std::make_unique<Table>(std::move(schema));
+  CatalogView::Entry entry;
+  entry.table = std::make_shared<Table>(std::move(schema));
   if (watermark_source_ != nullptr) {
     entry.table->SetWatermarkSource(watermark_source_);
   }
   entry.state = TableState::kActive;
-  entry.created_at_version = schema_version_;
+  entry.created_at_version = next->schema_version_;
   Table* raw = entry.table.get();
-  tables_[name] = std::move(entry);
+  // A re-created name replaces the dropped entry here; the dropped table
+  // lives on in the views still holding it.
+  next->tables_[name] = std::move(entry);
+  view_.Publish(std::move(next));
   return raw;
 }
 
-Table* Catalog::FindTable(const std::string& name) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return nullptr;
-  return it->second.table.get();
-}
-
-Result<Table*> Catalog::RequireActive(const std::string& name) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
+Result<Table*> CatalogView::RequireActive(const std::string& name) const {
+  const Entry* e = Find(name);
+  if (e == nullptr) {
     return Status::NotFound("no table '" + name + "'");
   }
-  if (it->second.state != TableState::kActive) {
+  if (e->state != TableState::kActive) {
     return Status::SchemaMismatch(
-        "table '" + name + "' is " +
-        std::string(TableStateName(it->second.state)) +
+        "table '" + name + "' is " + std::string(TableStateName(e->state)) +
         "; requests against the old schema are rejected after a big-flip "
         "migration");
   }
-  return it->second.table.get();
+  return e->table.get();
 }
 
-Result<Table*> Catalog::RequireReadable(const std::string& name) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
+Result<Table*> CatalogView::RequireReadable(const std::string& name) const {
+  const Entry* e = Find(name);
+  if (e == nullptr) {
     return Status::NotFound("no table '" + name + "'");
   }
-  if (it->second.state == TableState::kDropped) {
+  if (e->state == TableState::kDropped) {
     return Status::NotFound("table '" + name + "' has been dropped");
   }
-  return it->second.table.get();
+  return e->table.get();
 }
 
-TableState Catalog::GetState(const std::string& name) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return TableState::kDropped;
-  return it->second.state;
+Status Catalog::SetState(const std::string& name, TableState state) {
+  std::lock_guard lock(mu_);
+  std::shared_ptr<CatalogView> next = CopyLocked();
+  auto it = next->tables_.find(name);
+  if (it == next->tables_.end()) {
+    return Status::NotFound("no table '" + name + "'");
+  }
+  if (state == TableState::kRetired &&
+      it->second.state == TableState::kDropped) {
+    return Status::InvalidArgument("table '" + name + "' already dropped");
+  }
+  it->second.state = state;
+  view_.Publish(std::move(next));
+  return Status::OK();
 }
 
 Status Catalog::RetireTable(const std::string& name) {
-  std::unique_lock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table '" + name + "'");
-  }
-  if (it->second.state == TableState::kDropped) {
-    return Status::InvalidArgument("table '" + name + "' already dropped");
-  }
-  it->second.state = TableState::kRetired;
-  return Status::OK();
+  return SetState(name, TableState::kRetired);
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  std::unique_lock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table '" + name + "'");
-  }
-  it->second.state = TableState::kDropped;
-  return Status::OK();
+  return SetState(name, TableState::kDropped);
 }
 
 uint64_t Catalog::BumpSchemaVersion() {
-  std::unique_lock lock(mu_);
-  return ++schema_version_;
+  std::lock_guard lock(mu_);
+  std::shared_ptr<CatalogView> next = CopyLocked();
+  const uint64_t version = ++next->schema_version_;
+  view_.Publish(std::move(next));
+  return version;
 }
 
 std::vector<std::string> Catalog::TablesInState(TableState s) const {
-  std::shared_lock lock(mu_);
   std::vector<std::string> out;
-  for (const auto& [name, entry] : tables_) {
+  for (const auto& [name, entry] : view()->entries()) {
     if (entry.state == s) out.push_back(name);
   }
   return out;

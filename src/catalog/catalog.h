@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "catalog/schema.h"
+#include "common/published.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/table.h"
@@ -32,28 +32,83 @@ enum class TableState : uint8_t {
 
 std::string_view TableStateName(TableState s);
 
+/// An immutable snapshot of the catalog: every table name with its table,
+/// lifecycle state and creation version. Catalog publishes a new view on
+/// every change; a holder keeps using its view (and the tables it owns)
+/// however the catalog moves on, so a session resolving names against an
+/// older view never touches a table a later drop-and-re-create freed.
+class CatalogView {
+ public:
+  struct Entry {
+    std::shared_ptr<Table> table;
+    TableState state = TableState::kActive;
+    uint64_t created_at_version = 0;
+  };
+
+  /// The entry for `name` in any state, or nullptr.
+  const Entry* Find(const std::string& name) const {
+    auto it = tables_.find(name);
+    return it == tables_.end() ? nullptr : &it->second;
+  }
+  /// The table regardless of state, or nullptr.
+  Table* FindTable(const std::string& name) const {
+    const Entry* e = Find(name);
+    return e == nullptr ? nullptr : e->table.get();
+  }
+  /// The table only if it is in the expected state; otherwise a
+  /// descriptive error. Client request paths use RequireActive, migration
+  /// workers use RequireReadable (kActive or kRetired).
+  Result<Table*> RequireActive(const std::string& name) const;
+  Result<Table*> RequireReadable(const std::string& name) const;
+  /// kDropped for unknown names.
+  TableState GetState(const std::string& name) const {
+    const Entry* e = Find(name);
+    return e == nullptr ? TableState::kDropped : e->state;
+  }
+  uint64_t schema_version() const { return schema_version_; }
+  const std::unordered_map<std::string, Entry>& entries() const {
+    return tables_;
+  }
+
+ private:
+  friend class Catalog;
+  std::unordered_map<std::string, Entry> tables_;
+  uint64_t schema_version_ = 0;
+};
+
 /// The catalog: named tables, their lifecycle states, and a monotonically
-/// increasing schema version. Thread-safe.
+/// increasing schema version. Thread-safe: every change publishes a new
+/// CatalogView; lookups resolve against the current view without a lock.
 class Catalog {
  public:
-  Catalog() = default;
+  using ViewRef = Published<CatalogView>::Ref;
+
+  Catalog() : view_(std::make_shared<CatalogView>()) {}
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
+
+  /// The current view. Sessions hold one and Refresh it per statement.
+  ViewRef view() const { return view_.Load(); }
+  /// Replaces *held with the current view if the catalog changed since.
+  void Refresh(ViewRef* held) const { view_.Refresh(held); }
 
   /// Creates an empty table under the given schema; becomes kActive at the
   /// current schema version.
   Result<Table*> CreateTable(TableSchema schema);
 
-  /// Returns the table regardless of state, or nullptr.
-  Table* FindTable(const std::string& name) const;
-
-  /// Returns the table only if it is in the expected state; otherwise a
-  /// descriptive error. Client request paths use RequireActive, migration
-  /// workers use RequireReadable (kActive or kRetired).
-  Result<Table*> RequireActive(const std::string& name) const;
-  Result<Table*> RequireReadable(const std::string& name) const;
-
-  TableState GetState(const std::string& name) const;
+  /// Lookups against the current view (see CatalogView).
+  Table* FindTable(const std::string& name) const {
+    return view()->FindTable(name);
+  }
+  Result<Table*> RequireActive(const std::string& name) const {
+    return view()->RequireActive(name);
+  }
+  Result<Table*> RequireReadable(const std::string& name) const {
+    return view()->RequireReadable(name);
+  }
+  TableState GetState(const std::string& name) const {
+    return view()->GetState(name);
+  }
 
   /// Moves a table to kRetired (the big-flip half of SubmitMigration).
   Status RetireTable(const std::string& name);
@@ -65,10 +120,7 @@ class Catalog {
 
   /// Bumps and returns the schema version; called once per migration.
   uint64_t BumpSchemaVersion();
-  uint64_t schema_version() const {
-    std::shared_lock lock(mu_);
-    return schema_version_;
-  }
+  uint64_t schema_version() const { return view()->schema_version(); }
 
   /// Names of all tables in the given state.
   std::vector<std::string> TablesInState(TableState s) const;
@@ -76,21 +128,21 @@ class Catalog {
   /// Wires every future table's inline version pruning to the snapshot
   /// watermark (Table::SetWatermarkSource). Call before creating tables.
   void SetWatermarkSource(const std::atomic<uint64_t>* source) {
-    std::unique_lock lock(mu_);
+    std::lock_guard lock(mu_);
     watermark_source_ = source;
   }
 
  private:
-  struct Entry {
-    std::unique_ptr<Table> table;
-    TableState state = TableState::kActive;
-    uint64_t created_at_version = 0;
-  };
+  /// Copies the current view for a change (caller holds mu_).
+  std::shared_ptr<CatalogView> CopyLocked() const {
+    return std::make_shared<CatalogView>(*view_.Load());
+  }
+  /// Moves `name` to `state`; kDropped entries only accept kDropped.
+  Status SetState(const std::string& name, TableState state);
 
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, Entry> tables_;
-  uint64_t schema_version_ = 0;
-  const std::atomic<uint64_t>* watermark_source_ = nullptr;
+  std::mutex mu_;  // Serializes writers (copy, change, publish).
+  Published<CatalogView> view_;
+  const std::atomic<uint64_t>* watermark_source_ = nullptr;  // Under mu_.
 };
 
 }  // namespace bullfrog

@@ -11,6 +11,12 @@
 
 namespace bullfrog {
 
+MigrationController::MigrationController(Catalog* catalog,
+                                         TransactionManager* txns)
+    : catalog_(catalog),
+      txns_(txns),
+      routing_(std::make_shared<RoutingView>()) {}
+
 MigrationController::~MigrationController() {
   {
     std::lock_guard lock(mu_);
@@ -24,9 +30,9 @@ MigrationController::~MigrationController() {
     active_.store(false, std::memory_order_release);
     states = std::move(states_);
     states_.clear();
-    by_table_.clear();
     queue_.clear();
     reservations_.clear();
+    RepublishLocked();
   }
   for (auto& state : states) {
     if (state->background != nullptr) state->background->Stop();
@@ -35,13 +41,13 @@ MigrationController::~MigrationController() {
 }
 
 std::shared_ptr<WriterPriorityGate> MigrationController::GateFor(
-    const std::string& table, bool create) {
+    const std::string& table) {
   std::lock_guard lock(mu_);
   auto it = gates_.find(table);
   if (it != gates_.end()) return it->second;
-  if (!create) return nullptr;
   auto gate = std::make_shared<WriterPriorityGate>();
   gates_[table] = gate;
+  RepublishLocked();
   return gate;
 }
 
@@ -49,22 +55,32 @@ void MigrationController::ReleaseGates(
     const std::vector<std::string>& tables) {
   std::lock_guard lock(mu_);
   for (const std::string& t : tables) gates_.erase(t);
+  RepublishLocked();
 }
 
 MigrationController::RequestGuard MigrationController::GuardTables(
-    std::vector<std::string> tables) {
+    std::vector<std::string> tables, Views* views) {
   RequestGuard guard;
   switch_gate_->lock_shared();
-  guard.locks_.push_back(switch_gate_);
-  std::sort(tables.begin(), tables.end());
-  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
-  for (const std::string& t : tables) {
-    auto gate = GateFor(t, /*create=*/false);
-    if (gate != nullptr) {
-      gate->lock_shared();
-      guard.locks_.push_back(std::move(gate));
+  guard.switch_gate_ = switch_gate_.get();
+  // Gates are created and published only under the switch gate held
+  // exclusively, so the routing view loaded here has every gate that can
+  // matter to this request.
+  Views current = CurrentViews();
+  const auto& gates = current.routing->gates;
+  if (!gates.empty()) {
+    std::sort(tables.begin(), tables.end());
+    tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+    for (const std::string& t : tables) {
+      auto it = gates.find(t);
+      if (it == gates.end()) continue;
+      it->second->lock_shared();
+      guard.locks_.push_back(it->second);
     }
+    // The eager copy may have finished while we waited.
+    Refresh(&current);
   }
+  if (views != nullptr) *views = std::move(current);
   return guard;
 }
 
@@ -90,8 +106,8 @@ Status MigrationController::RetireInputs(const MigrationPlan& plan) {
 
 void MigrationController::Publish(std::shared_ptr<ActiveState> state) {
   std::lock_guard lock(mu_);
-  for (const auto& entry : state->by_output) by_table_[entry.first] = state;
   states_.push_back(state);
+  RepublishLocked();
   // The footprint is now covered by a visible state; overlapping submits
   // waiting on the reservation can queue behind it.
   RemoveReservationLocked(state->name);
@@ -250,6 +266,17 @@ void MigrationController::RemoveReservationLocked(const std::string& name) {
   reservation_cv_.notify_all();
 }
 
+void MigrationController::RepublishLocked() {
+  auto next = std::make_shared<RoutingView>();
+  for (const auto& s : states_) {
+    if (s->complete.load(std::memory_order_acquire)) continue;
+    for (const auto& entry : s->by_output) next->by_output[entry.first] = s;
+    if (s->opts.strategy == MigrationStrategy::kMultiStep) next->multistep = s;
+  }
+  next->gates = gates_;
+  routing_.Publish(std::move(next));
+}
+
 void MigrationController::RecomputeActiveLocked() {
   active_.store(!states_.empty() || !queue_.empty(),
                 std::memory_order_release);
@@ -259,10 +286,6 @@ void MigrationController::PruneCompletedLocked(
     std::vector<std::shared_ptr<ActiveState>>* torn_down) {
   for (auto it = states_.begin(); it != states_.end();) {
     if ((*it)->complete.load(std::memory_order_acquire)) {
-      for (const auto& entry : (*it)->by_output) {
-        auto bt = by_table_.find(entry.first);
-        if (bt != by_table_.end() && bt->second == *it) by_table_.erase(bt);
-      }
       torn_down->push_back(std::move(*it));
       it = states_.erase(it);
     } else {
@@ -442,9 +465,9 @@ Status MigrationController::StartReserved(PendingMigration e,
     if (!s.ok()) {
       // Published, then failed (e.g. the eager copy): withdraw it.
       auto it = std::find(states_.begin(), states_.end(), state);
-      if (it != states_.end()) states_.erase(it);
-      for (auto bt = by_table_.begin(); bt != by_table_.end();) {
-        bt = bt->second == state ? by_table_.erase(bt) : std::next(bt);
+      if (it != states_.end()) {
+        states_.erase(it);
+        RepublishLocked();
       }
     }
     RecomputeActiveLocked();
@@ -685,7 +708,7 @@ Status MigrationController::SubmitEager(
     }
     std::sort(outputs.begin(), outputs.end());
     for (const std::string& t : outputs) {
-      auto gate = GateFor(t, /*create=*/true);
+      auto gate = GateFor(t);
       gate->lock();
       held.push_back(std::move(gate));
     }
@@ -755,6 +778,12 @@ void MigrationController::OnMigrationComplete(ActiveState* state) {
   if (state->complete.exchange(true)) return;
   state->complete_s.store(state->since_submit.ElapsedSeconds(),
                           std::memory_order_release);
+  {
+    // Routing holds only incomplete entries: the statement path stops
+    // resolving to this one.
+    std::lock_guard lock(mu_);
+    RepublishLocked();
+  }
   if (tracer_ != nullptr) {
     char detail[48];
     std::snprintf(detail, sizeof(detail), "elapsed_s=%.3f",
@@ -808,19 +837,28 @@ double MigrationController::StateProgress(const ActiveState& state) {
   return total / static_cast<double>(state.stmt_migrators.size());
 }
 
+MigrationController::ActiveState* MigrationController::StateForTable(
+    const RoutingView& routing, const std::string& table) {
+  const auto& by_output = routing.by_output;
+  if (by_output.empty()) return nullptr;  // Steady state: nothing routed.
+  auto it = by_output.find(table);
+  return it == by_output.end() ? nullptr : it->second.get();
+}
+
 StatementMigrator* MigrationController::FindMigratorForOutput(
     const std::string& table) const {
-  auto state = StateForTable(table);
+  const RoutingRef routing = routing_.Load();
+  ActiveState* state = StateForTable(*routing, table);
   if (state == nullptr) return nullptr;
   return MigratorFor(*state, table);
 }
 
-Status MigrationController::PrepareRead(const std::string& table,
+Status MigrationController::PrepareRead(const Views& views,
+                                        const std::string& table,
                                         const ExprPtr& pred) {
-  if (!active_.load(std::memory_order_acquire)) return Status::OK();
   // Per-table resolution: with a train in flight, `table` belongs to at
   // most one migration (admission serializes overlapping footprints).
-  auto state = StateForTable(table);
+  ActiveState* state = StateForTable(*views.routing, table);
   if (state == nullptr || state->complete.load(std::memory_order_acquire)) {
     return Status::OK();
   }
@@ -841,10 +879,10 @@ Status MigrationController::PrepareRead(const std::string& table,
   return s;
 }
 
-Status MigrationController::PrepareInsert(const std::string& table,
+Status MigrationController::PrepareInsert(const Views& views,
+                                          const std::string& table,
                                           const Tuple& row) {
-  if (!active_.load(std::memory_order_acquire)) return Status::OK();
-  auto state = StateForTable(table);
+  ActiveState* state = StateForTable(*views.routing, table);
   if (state == nullptr || state->complete.load(std::memory_order_acquire)) {
     return Status::OK();
   }
@@ -853,7 +891,7 @@ Status MigrationController::PrepareInsert(const std::string& table,
   StatementMigrator* m = MigratorFor(*state, table);
   if (m == nullptr || m->IsComplete()) return Status::OK();
 
-  Table* t = catalog_->FindTable(table);
+  Table* t = views.catalog->FindTable(table);
   if (t == nullptr) return Status::NotFound("no table '" + table + "'");
   const TableSchema& schema = t->schema();
 
@@ -883,9 +921,10 @@ Status MigrationController::PrepareInsert(const std::string& table,
   return Status::OK();
 }
 
-Status MigrationController::CheckForeignKeys(const std::string& table,
+Status MigrationController::CheckForeignKeys(const Views& views,
+                                             const std::string& table,
                                              const Tuple& row) {
-  Table* t = catalog_->FindTable(table);
+  Table* t = views.catalog->FindTable(table);
   if (t == nullptr) return Status::NotFound("no table '" + table + "'");
   const TableSchema& schema = t->schema();
   for (const ForeignKey& fk : schema.foreign_keys()) {
@@ -904,8 +943,8 @@ Status MigrationController::CheckForeignKeys(const std::string& table,
     ExprPtr pred = JoinConjuncts(std::move(conjuncts));
     // §4.5: if the parent is itself mid-migration, the parent rows needed
     // for the check must be migrated first — constraints limit laziness.
-    BF_RETURN_NOT_OK(PrepareRead(fk.parent_table, pred));
-    auto parent = catalog_->RequireActive(fk.parent_table);
+    BF_RETURN_NOT_OK(PrepareRead(views, fk.parent_table, pred));
+    auto parent = views.catalog->RequireActive(fk.parent_table);
     if (!parent.ok()) return parent.status();
     bool found = false;
     auto scan = ScanWhere(**parent, pred, [&](RowId, const Tuple&) {
@@ -922,52 +961,35 @@ Status MigrationController::CheckForeignKeys(const std::string& table,
   return Status::OK();
 }
 
-bool MigrationController::MultiStepActive() const {
-  if (!active_.load(std::memory_order_acquire)) return false;
-  for (const auto& state : SnapshotAll()) {
-    if (state->opts.strategy == MigrationStrategy::kMultiStep &&
-        !state->complete.load(std::memory_order_acquire)) {
-      return true;
-    }
-  }
-  return false;
+bool MigrationController::MultiStepActive(const Views& views) {
+  const auto& state = views.routing->multistep;
+  return state != nullptr && !state->complete.load(std::memory_order_acquire);
 }
 
-MigrationController::MultiStepGuard
-MigrationController::MultiStepWriteGuard() {
-  if (!active_.load(std::memory_order_acquire)) return MultiStepGuard();
-  // Admission guarantees at most one incomplete multistep migration.
-  for (auto& state : SnapshotAll()) {
-    if (state->opts.strategy != MigrationStrategy::kMultiStep ||
-        state->complete.load(std::memory_order_acquire) ||
-        state->multistep == nullptr) {
-      continue;
-    }
-    MultiStepGuard guard;
-    guard.lock_ =
-        std::shared_lock<WriterPriorityGate>(state->multistep->write_gate());
-    guard.state_ = std::move(state);
-    return guard;
+MigrationController::MultiStepGuard MigrationController::MultiStepWriteGuard(
+    const Views& views) {
+  const auto& state = views.routing->multistep;
+  if (!MultiStepActive(views) || state->multistep == nullptr) {
+    return MultiStepGuard();
   }
-  return MultiStepGuard();
+  MultiStepGuard guard;
+  guard.lock_ =
+      std::shared_lock<WriterPriorityGate>(state->multistep->write_gate());
+  guard.state_ = state;
+  return guard;
 }
 
-Status MigrationController::PropagateOldWrite(Transaction* txn,
+Status MigrationController::PropagateOldWrite(const Views& views,
+                                              Transaction* txn,
                                               const std::string& table,
                                               RowId rid, const Tuple& row,
                                               bool deleted) {
-  if (!active_.load(std::memory_order_acquire)) return Status::OK();
-  for (const auto& state : SnapshotAll()) {
-    if (state->opts.strategy != MigrationStrategy::kMultiStep ||
-        state->complete.load(std::memory_order_acquire) ||
-        state->multistep == nullptr) {
-      continue;
-    }
-    // Propagate no-ops for tables the copier does not consume.
-    BF_RETURN_NOT_OK(
-        state->multistep->Propagate(txn, table, rid, row, deleted));
+  const auto& state = views.routing->multistep;
+  if (!MultiStepActive(views) || state->multistep == nullptr) {
+    return Status::OK();
   }
-  return Status::OK();
+  // Propagate no-ops for tables the copier does not consume.
+  return state->multistep->Propagate(txn, table, rid, row, deleted);
 }
 
 bool MigrationController::UsesNewSchema() const { return !MultiStepActive(); }
@@ -1205,8 +1227,8 @@ Status MigrationController::StartQueuedMigration(
 }
 
 bool MigrationController::ShouldForwardReads(const std::string& table) const {
-  if (!active_.load(std::memory_order_acquire)) return false;
-  auto state = StateForTable(table);
+  const RoutingRef routing = routing_.Load();
+  ActiveState* state = StateForTable(*routing, table);
   if (state == nullptr || !state->opts.replicated_replay ||
       state->opts.strategy != MigrationStrategy::kLazy ||
       state->complete.load(std::memory_order_acquire)) {
@@ -1344,10 +1366,7 @@ Status MigrationController::RecoverFromRedoLog() {
   {
     std::lock_guard lock(mu_);
     states_ = rebuilt;
-    by_table_.clear();
-    for (const auto& s : states_) {
-      for (const auto& entry : s->by_output) by_table_[entry.first] = s;
-    }
+    RepublishLocked();
     // Queued entries are handed back too: they auto-start locally once
     // their predecessors complete (their "migrate" records are already
     // durable, so the start path logs only the migrate_start marker).

@@ -8,15 +8,15 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <thread>
-
-#include "common/latch.h"
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/clock.h"
+#include "common/latch.h"
+#include "common/published.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "migration/background.h"
@@ -45,11 +45,14 @@ namespace bullfrog {
 /// over its tables. A submit with the same name as an in-flight or
 /// queued migration returns kBusy (duplicate).
 ///
-/// Lifetime model: each migration's state is published as an immutable
-/// `shared_ptr<ActiveState>` snapshot. Every reader path copies the
-/// pointer under `mu_` and works on its copy, so a concurrent Submit (or
-/// RecoverFromRedoLog) replacing the state can never free it out from
-/// under an in-flight request. See DESIGN.md "Threading & lifetime model".
+/// Lifetime model: each migration's state is an immutable
+/// `shared_ptr<ActiveState>`. The statement path never takes `mu_`: it
+/// resolves tables against a published RoutingView (output table ->
+/// incomplete entry, the incomplete multistep entry, the eager gates),
+/// which owns the states it names, so a concurrent Submit, completion,
+/// prune or RecoverFromRedoLog can never free a state out from under an
+/// in-flight request. Status paths copy the train under `mu_`. See
+/// DESIGN.md "Threading & lifetime model".
 class MigrationController {
  public:
   struct SubmitOptions {
@@ -105,8 +108,23 @@ class MigrationController {
     std::string blob;  // EncodeMigrateBlob payload.
   };
 
-  MigrationController(Catalog* catalog, TransactionManager* txns)
-      : catalog_(catalog), txns_(txns) {}
+  /// What the statement path routes by; published on every change that
+  /// affects it (publish, completion, failed start, restore, eager gate
+  /// creation and release). Holds only *incomplete* entries, so with no
+  /// migration in flight it is empty and a statement pays one lookup in
+  /// an empty map.
+  struct RoutingView;
+  using RoutingRef = Published<RoutingView>::Ref;
+
+  /// The published views a session resolves its statements against:
+  /// captured by GuardTables, refreshed per statement (one acquire load
+  /// each; re-fetched only when a view moved).
+  struct Views {
+    Catalog::ViewRef catalog;
+    RoutingRef routing;
+  };
+
+  MigrationController(Catalog* catalog, TransactionManager* txns);
   ~MigrationController();
 
   MigrationController(const MigrationController&) = delete;
@@ -138,38 +156,66 @@ class MigrationController {
                       const SubmitOptions& opts);
 
   /// --- client request integration (the §2.1 request path) -------------
+  ///
+  /// Each call takes the Views to resolve against; a session passes the
+  /// ones it holds (no lock, no shared reference count), and the
+  /// view-less overloads resolve against the current views.
+
+  /// The current catalog and routing views.
+  Views CurrentViews() const {
+    return Views{catalog_->view(), routing_.Load()};
+  }
+  /// Re-fetches whichever of *views was superseded since it was taken.
+  void Refresh(Views* views) const {
+    catalog_->Refresh(&views->catalog);
+    routing_.Refresh(&views->routing);
+  }
 
   /// Called before a request reads new-schema `table` with `pred` (over
-  /// that table's columns; nullptr = unfiltered). Blocks on eager gates;
-  /// lazily migrates the relevant units. With a train in flight, the
-  /// lookup resolves `table` to the one migration whose outputs include
-  /// it — concurrent disjoint migrations never contend here.
-  Status PrepareRead(const std::string& table, const ExprPtr& pred);
+  /// that table's columns; nullptr = unfiltered). Lazily migrates the
+  /// relevant units. With a train in flight, the lookup resolves `table`
+  /// to the one migration whose outputs include it — concurrent disjoint
+  /// migrations never contend here.
+  Status PrepareRead(const Views& views, const std::string& table,
+                     const ExprPtr& pred);
+  Status PrepareRead(const std::string& table, const ExprPtr& pred) {
+    return PrepareRead(CurrentViews(), table, pred);
+  }
 
   /// UPDATE/DELETE follow the same migrate-first rule (§2.1: rewritten
   /// "into SELECT statements on the old schema to migrate relevant tuples
   /// first").
-  Status PrepareWrite(const std::string& table, const ExprPtr& pred) {
-    return PrepareRead(table, pred);
+  Status PrepareWrite(const Views& views, const std::string& table,
+                      const ExprPtr& pred) {
+    return PrepareRead(views, table, pred);
   }
 
   /// Called before INSERTing `row` into new-schema `table`: migrates
   /// units that could conflict on the table's unique constraints, so the
   /// constraints can be checked over the new schema (§2.1, last
   /// paragraph).
-  Status PrepareInsert(const std::string& table, const Tuple& row);
+  Status PrepareInsert(const Views& views, const std::string& table,
+                       const Tuple& row);
+  Status PrepareInsert(const std::string& table, const Tuple& row) {
+    return PrepareInsert(CurrentViews(), table, row);
+  }
 
   /// Checks `table`'s declared FOREIGN KEYs for `row`. If a parent table
   /// is itself a migration output, the needed parent rows are migrated
   /// first — the §4.5 "migrate additional data to check integrity
   /// constraints" effect.
-  Status CheckForeignKeys(const std::string& table, const Tuple& row);
+  Status CheckForeignKeys(const Views& views, const std::string& table,
+                          const Tuple& row);
+  Status CheckForeignKeys(const std::string& table, const Tuple& row) {
+    return CheckForeignKeys(CurrentViews(), table, row);
+  }
 
   /// --- multistep dual-write hooks --------------------------------------
 
   /// True while a multi-step copy is running (clients must keep using the
   /// old schema and route writes through PropagateOldWrite).
-  bool MultiStepActive() const;
+  static bool MultiStepActive(const Views& views);
+  bool MultiStepActive() const { return MultiStepActive(CurrentViews()); }
 
   /// RAII guard over the multi-step copier's write gate. Holds the
   /// migration state alive for its own lifetime, so the gate it locks
@@ -190,12 +236,20 @@ class MigrationController {
 
   /// Shared-locks the copier's write gate for the scope of a client write
   /// (no-op outside multistep). Returns an unlocked guard when inactive.
-  MultiStepGuard MultiStepWriteGuard();
+  static MultiStepGuard MultiStepWriteGuard(const Views& views);
+  MultiStepGuard MultiStepWriteGuard() {
+    return MultiStepWriteGuard(CurrentViews());
+  }
 
   /// Propagates a client write on old-schema `table` into the shadow
   /// tables (inside the client's transaction).
+  static Status PropagateOldWrite(const Views& views, Transaction* txn,
+                                  const std::string& table, RowId rid,
+                                  const Tuple& row, bool deleted);
   Status PropagateOldWrite(Transaction* txn, const std::string& table,
-                           RowId rid, const Tuple& row, bool deleted);
+                           RowId rid, const Tuple& row, bool deleted) {
+    return PropagateOldWrite(CurrentViews(), txn, table, rid, row, deleted);
+  }
 
   /// --- status -----------------------------------------------------------
 
@@ -248,8 +302,8 @@ class MigrationController {
   /// Submit.
   std::vector<StatementMigrator*> migrators() const;
 
-  /// Finds the migrator (if any) whose outputs include `table`. Same
-  /// lifetime caveat as migrators().
+  /// Finds the migrator of the incomplete migration (if any) whose
+  /// outputs include `table`. Same lifetime caveat as migrators().
   StatementMigrator* FindMigratorForOutput(const std::string& table) const;
 
   /// --- recovery (§3.5 extension) ---------------------------------------
@@ -358,13 +412,10 @@ class MigrationController {
     std::vector<std::string> table_set;
   };
 
-  /// Copies the state owning `table` (as an output) under mu_. The
-  /// returned snapshot (possibly null) is safe for the caller's scope.
-  std::shared_ptr<ActiveState> StateForTable(const std::string& table) const {
-    std::lock_guard lock(mu_);
-    auto it = by_table_.find(table);
-    return it == by_table_.end() ? nullptr : it->second;
-  }
+  /// The incomplete state owning `table` (as an output) in `routing`, or
+  /// null. Lives as long as the view does.
+  static ActiveState* StateForTable(const RoutingView& routing,
+                                    const std::string& table);
 
   /// Copies every published state pointer under mu_ (submit order).
   std::vector<std::shared_ptr<ActiveState>> SnapshotAll() const {
@@ -372,11 +423,15 @@ class MigrationController {
     return states_;
   }
 
-  /// Makes a fully-built state visible to readers: registers its output
-  /// tables, appends it to the train, releases its reservation, and
+  /// Makes a fully-built state visible to readers: appends it to the
+  /// train, republishes the routing view, releases its reservation, and
   /// raises active_. Called with every non-atomic member of `state` in
   /// its final value.
   void Publish(std::shared_ptr<ActiveState> state);
+
+  /// Rebuilds the routing view from the incomplete states and the gate
+  /// map and publishes it.
+  void RepublishLocked();
 
   static StatementMigrator* MigratorFor(const ActiveState& state,
                                         const std::string& table);
@@ -428,7 +483,8 @@ class MigrationController {
   /// the pre-train behavior where active_ rose only at publish).
   void RecomputeActiveLocked();
   /// Moves completed states out of the train (into *torn_down for the
-  /// caller to Stop outside the lock), dropping their by_table_ entries.
+  /// caller to Stop outside the lock). Completion already took them out
+  /// of the routing view.
   void PruneCompletedLocked(
       std::vector<std::shared_ptr<ActiveState>>* torn_down);
   /// Appends the queued entry's "migrate" record at enqueue time, under
@@ -451,9 +507,9 @@ class MigrationController {
   /// durable-append status: a failed WAL sync fails the submit.
   Status LogMigrateDdl(const ActiveState& state);
 
-  /// Per-table gate used to queue requests during eager migration.
-  std::shared_ptr<WriterPriorityGate> GateFor(const std::string& table,
-                                             bool create);
+  /// Per-table gate used to queue requests during eager migration
+  /// (created and published on first use).
+  std::shared_ptr<WriterPriorityGate> GateFor(const std::string& table);
   /// Drops the gate map entries an eager migration created, so later
   /// GuardTables calls stop paying for dead gates.
   void ReleaseGates(const std::vector<std::string>& tables);
@@ -465,24 +521,41 @@ class MigrationController {
   class RequestGuard {
    public:
     RequestGuard() = default;
-    RequestGuard(RequestGuard&&) = default;
-    RequestGuard& operator=(RequestGuard&&) = default;
-    ~RequestGuard() {
-      for (auto it = locks_.rbegin(); it != locks_.rend(); ++it) {
-        (*it)->unlock_shared();
+    RequestGuard(RequestGuard&& other) noexcept { *this = std::move(other); }
+    RequestGuard& operator=(RequestGuard&& other) noexcept {
+      if (this != &other) {
+        Release();
+        switch_gate_ = std::exchange(other.switch_gate_, nullptr);
+        locks_ = std::move(other.locks_);
+        other.locks_.clear();
       }
+      return *this;
     }
+    ~RequestGuard() { Release(); }
 
    private:
     friend class MigrationController;
+    void Release() {
+      for (auto it = locks_.rbegin(); it != locks_.rend(); ++it) {
+        (*it)->unlock_shared();
+      }
+      locks_.clear();
+      if (switch_gate_ != nullptr) switch_gate_->unlock_shared();
+      switch_gate_ = nullptr;
+    }
+    /// The controller's switch gate (it outlives every request).
+    WriterPriorityGate* switch_gate_ = nullptr;
+    /// Eager gates, kept alive by the guard.
     std::vector<std::shared_ptr<WriterPriorityGate>> locks_;
   };
 
   /// Acquires shared gates for `tables` (sorted, to avoid deadlock with
   /// concurrent eager submits). Cheap when no gates exist. Also holds the
   /// global schema-switch gate shared, so a request is never in flight
-  /// across the instant of a logical switch.
-  RequestGuard GuardTables(std::vector<std::string> tables);
+  /// across the instant of a logical switch. When `views` is non-null it
+  /// receives the views current once every gate is held.
+  RequestGuard GuardTables(std::vector<std::string> tables,
+                           Views* views = nullptr);
 
  private:
   friend class MigrationControllerTestPeer;
@@ -499,8 +572,8 @@ class MigrationController {
   /// Published migrations, submit order. Completed entries linger (for
   /// status/metrics) until a later Submit prunes them.
   std::vector<std::shared_ptr<ActiveState>> states_;
-  /// Output table -> owning state, for the per-table request paths.
-  std::unordered_map<std::string, std::shared_ptr<ActiveState>> by_table_;
+  /// The statement path's view of states_ and gates_ (see RoutingView).
+  Published<RoutingView> routing_;
   /// Overlapping submits parked FIFO; started by the pump thread.
   std::deque<PendingMigration> queue_;
   /// Submits between admission and publish (see Reservation).
@@ -512,6 +585,7 @@ class MigrationController {
   /// admission can re-evaluate overlap.
   std::condition_variable reservation_cv_;
   std::atomic<bool> active_{false};
+  /// Eager per-table gates; the statement path reads them from routing_.
   std::unordered_map<std::string, std::shared_ptr<WriterPriorityGate>> gates_;
   /// Clients hold this shared per request; Submit holds it exclusively
   /// during the logical switch so boundaries are captured with no write
@@ -527,6 +601,15 @@ class MigrationController {
   std::condition_variable pump_cv_;
   bool pump_wake_ = false;      // Guarded by mu_.
   bool pump_shutdown_ = false;  // Guarded by mu_.
+};
+
+struct MigrationController::RoutingView {
+  /// Output table -> the incomplete entry producing it.
+  std::unordered_map<std::string, std::shared_ptr<ActiveState>> by_output;
+  /// The incomplete multistep entry (admission allows at most one).
+  std::shared_ptr<ActiveState> multistep;
+  /// Eager per-table gates (see GuardTables).
+  std::unordered_map<std::string, std::shared_ptr<WriterPriorityGate>> gates;
 };
 
 }  // namespace bullfrog

@@ -33,22 +33,21 @@ void VersionGC::Loop(int64_t interval_ms) {
 }
 
 void VersionGC::SweepOnce() {
-  const uint64_t watermark = snapshots_->watermark();
+  const uint64_t watermark = snapshots_->AdvanceWatermark();
   uint64_t freed = 0;
   uint64_t visited = 0;
   uint64_t max_chain = 0;
   // Retired tables still serve lazy-migration and snapshot reads, so
   // their chains are swept too; dropped tables are frozen (no writers)
-  // and were swept on the way out.
-  for (TableState state : {TableState::kActive, TableState::kRetired}) {
-    for (const std::string& name : catalog_->TablesInState(state)) {
-      Table* t = catalog_->FindTable(name);
-      if (t == nullptr) continue;
-      const Table::PruneStats stats = t->PruneVersions(watermark);
-      freed += stats.freed;
-      visited += stats.visited;
-      max_chain = std::max(max_chain, stats.max_chain);
-    }
+  // and were swept on the way out. The held view keeps every table it
+  // names alive for the pass.
+  const Catalog::ViewRef view = catalog_->view();
+  for (const auto& [name, entry] : view->entries()) {
+    if (entry.state == TableState::kDropped) continue;
+    const Table::PruneStats stats = entry.table->PruneVersions(watermark);
+    freed += stats.freed;
+    visited += stats.visited;
+    max_chain = std::max(max_chain, stats.max_chain);
   }
   versions_freed_.fetch_add(freed, std::memory_order_relaxed);
   slots_visited_.fetch_add(visited, std::memory_order_relaxed);

@@ -13,9 +13,10 @@
 
 namespace bullfrog::mvcc {
 
-/// Background version-chain garbage collector: periodically frees
-/// versions shadowed below the snapshot watermark (min pinned snapshot,
-/// else the visible clock) in every readable table. The write path
+/// Background version-chain garbage collector: periodically advances the
+/// snapshot watermark (min of the visible clock and every pinned
+/// snapshot) and frees versions shadowed below it in every readable
+/// table. The write path
 /// prunes each chain it touches inline and queues the rows it leaves
 /// multi-version on its table's dirty list; a pass visits only those
 /// rows, so its cost follows the write rate, not the heap size.

@@ -1,41 +1,119 @@
 #include "mvcc/snapshot.h"
 
+#include <algorithm>
 #include <thread>
 
 namespace bullfrog::mvcc {
 
-uint64_t SnapshotManager::Pin() {
-  // Raise the pin count before reading the clock — see the header for why
-  // this closes the race against a publisher advancing the watermark.
-  pin_count_.fetch_add(1, std::memory_order_seq_cst);
-  std::lock_guard lock(mu_);
-  const uint64_t ts = visible_clock_.load(std::memory_order_seq_cst);
-  ++pins_[ts];
-  // The watermark only moves down here if a publisher stored a value
-  // above our ts after missing our pin-count raise — impossible by the
-  // ordering argument — so this is a monotone clamp in practice.
-  const uint64_t min_pin = pins_.begin()->first;
-  if (min_pin < watermark_.load(std::memory_order_relaxed)) {
-    watermark_.store(min_pin, std::memory_order_release);
+namespace {
+// Index of the slot this thread claimed last, in whichever manager: a
+// starting guess only, so it needs no per-manager keying.
+thread_local size_t tl_slot_hint = 0;
+}  // namespace
+
+SnapshotManager::~SnapshotManager() {
+  Chunk* chunk = head_.next.load(std::memory_order_acquire);
+  while (chunk != nullptr) {
+    Chunk* next = chunk->next.load(std::memory_order_relaxed);
+    delete chunk;
+    chunk = next;
   }
-  return ts;
 }
 
-void SnapshotManager::Unpin(uint64_t ts) {
-  {
-    std::lock_guard lock(mu_);
-    auto it = pins_.find(ts);
-    if (it != pins_.end() && --it->second == 0) pins_.erase(it);
-    const uint64_t next = pins_.empty()
-                              ? visible_clock_.load(std::memory_order_seq_cst)
-                              : pins_.begin()->first;
-    if (next > watermark_.load(std::memory_order_relaxed)) {
-      watermark_.store(next, std::memory_order_release);
+SnapshotManager::Slot* SnapshotManager::ClaimSlot() {
+  auto try_claim = [](Slot* slot) {
+    uint64_t expected = kSlotFree;
+    return slot->ts.load(std::memory_order_relaxed) == kSlotFree &&
+           slot->ts.compare_exchange_strong(expected, kSlotClaimed,
+                                            std::memory_order_acquire,
+                                            std::memory_order_relaxed);
+  };
+  auto claimed = [this](Slot* slot, size_t index) {
+    tl_slot_hint = index;
+    // Raise the high-water mark before the marker store (see the class
+    // comment): a scan that misses the raise read the clock first.
+    size_t used = slots_used_.load(std::memory_order_seq_cst);
+    while (used <= index &&
+           !slots_used_.compare_exchange_weak(used, index + 1,
+                                              std::memory_order_seq_cst)) {
     }
+    return slot;
+  };
+  // Fast path: this thread's previous slot, free unless this is a
+  // nested pin.
+  const size_t hint = tl_slot_hint;
+  Chunk* chunk = &head_;
+  for (size_t c = hint / kChunkSlots; c > 0 && chunk != nullptr; --c) {
+    chunk = chunk->next.load(std::memory_order_acquire);
   }
-  // Decrement after the recompute so a concurrent publisher cannot see
-  // count==0 while the recompute still reads a stale clock.
-  pin_count_.fetch_sub(1, std::memory_order_seq_cst);
+  if (chunk != nullptr && try_claim(&chunk->slots[hint % kChunkSlots])) {
+    return claimed(&chunk->slots[hint % kChunkSlots], hint);
+  }
+  // Slow path: the first free slot in the chain, growing it when full.
+  size_t index = 0;
+  for (chunk = &head_;;) {
+    for (Slot& slot : chunk->slots) {
+      if (try_claim(&slot)) return claimed(&slot, index);
+      ++index;
+    }
+    Chunk* next = chunk->next.load(std::memory_order_acquire);
+    if (next == nullptr) {
+      auto* fresh = new Chunk();
+      if (chunk->next.compare_exchange_strong(next, fresh,
+                                              std::memory_order_acq_rel)) {
+        next = fresh;
+      } else {
+        delete fresh;  // Another pinner linked one first; use it.
+      }
+    }
+    chunk = next;
+  }
+}
+
+SnapshotManager::PinHandle SnapshotManager::Pin() {
+  Slot* slot = ClaimSlot();
+  // The marker holds any concurrent AdvanceWatermark at or below the
+  // clock value read next — see the class comment.
+  slot->ts.store(kSlotPinning, std::memory_order_seq_cst);
+  const uint64_t ts = visible_clock_.load(std::memory_order_seq_cst);
+  if (pin_hook_ != nullptr) pin_hook_(pin_hook_arg_);
+  slot->ts.store(ts, std::memory_order_seq_cst);
+  return PinHandle{slot, ts};
+}
+
+void SnapshotManager::Unpin(PinHandle pin) {
+  // Release: this pin's reads happen-before a scan that sees the slot
+  // free and lets GC reclaim what they read.
+  pin.slot->ts.store(kSlotFree, std::memory_order_release);
+  // Rescan only when this pin may have been holding the watermark and the
+  // clock has moved past it; otherwise a rescan cannot raise it (a
+  // read-only steady state never scans).
+  const uint64_t w = watermark_.load(std::memory_order_acquire);
+  if (pin.ts <= w && visible_clock_.load(std::memory_order_acquire) > w) {
+    AdvanceWatermark();
+  }
+}
+
+uint64_t SnapshotManager::AdvanceWatermark() {
+  uint64_t low = visible_clock_.load(std::memory_order_seq_cst);
+  const size_t used = slots_used_.load(std::memory_order_seq_cst);
+  const Chunk* chunk = &head_;
+  for (size_t i = 0; i < used; ++i) {
+    if (i > 0 && i % kChunkSlots == 0) {
+      chunk = chunk->next.load(std::memory_order_acquire);
+    }
+    low = std::min(low,
+                   chunk->slots[i % kChunkSlots].ts.load(
+                       std::memory_order_seq_cst));
+  }
+  // Monotone: a concurrent scan may have stored a newer bound already.
+  uint64_t cur = watermark_.load(std::memory_order_relaxed);
+  while (cur < low &&
+         !watermark_.compare_exchange_weak(cur, low,
+                                           std::memory_order_release,
+                                           std::memory_order_relaxed)) {
+  }
+  return std::max(cur, low);
 }
 
 void SnapshotManager::PublishCommitTs(uint64_t ts) {
@@ -49,16 +127,6 @@ void SnapshotManager::PublishCommitTs(uint64_t ts) {
     std::this_thread::yield();
   }
   visible_clock_.store(ts, std::memory_order_seq_cst);
-  if (pin_count_.load(std::memory_order_seq_cst) == 0) {
-    // No pinned snapshot: the watermark tracks the clock. Monotone CAS —
-    // a concurrent Pin/Unpin recompute under mu_ may race this store and
-    // either order leaves watermark <= every pinned ts.
-    uint64_t cur = watermark_.load(std::memory_order_relaxed);
-    while (cur < ts &&
-           !watermark_.compare_exchange_weak(cur, ts,
-                                             std::memory_order_release)) {
-    }
-  }
 }
 
 void SnapshotManager::WaitForAllocatedCommits() const {

@@ -3,8 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <cstddef>
 
 #include "mvcc/version.h"
 
@@ -19,13 +18,33 @@ namespace bullfrog::mvcc {
 /// its predecessor). A reader's snapshot is simply a load of
 /// visible_clock_, which guarantees that every commit <= that value has
 /// finished stamping — a snapshot can never observe commit N+1's rows
-/// while missing commit N's (no torn snapshots).
+/// while missing commit N's (no torn snapshots). A transaction that wrote
+/// nothing commits without a timestamp: it has nothing to publish.
 ///
-/// Watermark. `watermark_` is a conservative lower bound on every pinned
-/// snapshot (and equals the visible clock when nothing is pinned). GC may
-/// reclaim any version that is shadowed by a newer version with
-/// commit_ts <= watermark. The pin/advance race is closed with a counter
-/// handshake (see Pin()).
+/// Pin slots. Pinned snapshots live in cache-line-padded slots, one per
+/// open pin, in a chain of fixed-size chunks that only grows. A thread
+/// reuses the slot it claimed last, so a pin touches no line another
+/// thread writes; a nested pin on the same thread (a statement's lazy-pull
+/// transaction, a checkpoint PinGuard) claims a slot of its own. A slot
+/// holds kSlotFree, kSlotClaimed (owned, not yet counted), kSlotPinning
+/// (a marker below every timestamp) or the pinned timestamp.
+///
+/// Watermark. `watermark_` is a lower bound on every pinned timestamp and
+/// only moves forward. AdvanceWatermark reads the clock first, then every
+/// slot below the high-water mark, and raises the watermark to the
+/// minimum. Pin claims a slot, raises the high-water mark, stores the
+/// marker, and only then reads the clock. All four steps and the scan's
+/// loads are seq_cst, so in their single total order a scan either
+///  - reads the marker or the timestamp: the minimum is <= the pin; or
+///  - reads the slot as not yet marked (or lies below the high-water
+///    mark before the raise): that read precedes the marker store, so the
+///    scan's clock read precedes the pin's clock read, and the clock never
+///    moves back. The minimum is <= that clock reading <= the pin.
+/// Either way watermark <= every pinned ts, and because later pins read a
+/// clock at least as new, the bound stays true. GC may reclaim any version
+/// shadowed by a newer version with commit_ts <= watermark. The watermark
+/// moves at Unpin (only when the leaving pin may have been holding it and
+/// the clock has moved past it) and on every GC sweep.
 ///
 /// Checkpoint barrier. Commit timestamps are allocated *before* the
 /// durable WAL append (see AllocateCommitTs), so any transaction whose
@@ -37,10 +56,22 @@ namespace bullfrog::mvcc {
 /// visible ts covers every commit below O. No counters, no substitution
 /// races: the clock itself is the barrier.
 class SnapshotManager {
+ private:
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> ts{UINT64_MAX};
+  };
+
  public:
   SnapshotManager() = default;
+  ~SnapshotManager();
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
+
+  /// A pinned snapshot: its timestamp and the slot that holds it.
+  struct PinHandle {
+    Slot* slot = nullptr;
+    uint64_t ts = 0;
+  };
 
   /// --- reader side -----------------------------------------------------
 
@@ -49,33 +80,26 @@ class SnapshotManager {
     return visible_clock_.load(std::memory_order_acquire);
   }
 
-  /// Pins a snapshot at the current visible timestamp and returns it.
-  /// While pinned, the watermark will not advance past the returned ts,
-  /// so every version the snapshot can see survives GC. Balance with
-  /// Unpin(ts).
-  ///
-  /// Race with a concurrent publisher advancing the watermark: the pin
-  /// count is raised (seq_cst) *before* the snapshot ts is read. If the
-  /// publisher's count check saw the raised count it leaves the watermark
-  /// alone; if it did not, its visible_clock_ store precedes our ts read,
-  /// so the pinned ts is >= the watermark it stored. Either way
-  /// watermark <= every pinned ts.
-  uint64_t Pin();
-  void Unpin(uint64_t ts);
+  /// Pins a snapshot at the current visible timestamp. While pinned, the
+  /// watermark stays at or below the returned ts, so every version the
+  /// snapshot can see survives GC. Balance with Unpin(handle); O(1) both
+  /// ways unless this thread already holds a pin.
+  PinHandle Pin();
+  void Unpin(PinHandle pin);
 
   /// RAII pin for a snapshot read outside any transaction (the checkpoint
   /// capture); transactions are pinned by TransactionManager::Begin.
   class PinGuard {
    public:
-    explicit PinGuard(SnapshotManager* mgr) : mgr_(mgr), ts_(mgr->Pin()) {}
-    ~PinGuard() { mgr_->Unpin(ts_); }
+    explicit PinGuard(SnapshotManager* mgr) : mgr_(mgr), pin_(mgr->Pin()) {}
+    ~PinGuard() { mgr_->Unpin(pin_); }
     PinGuard(const PinGuard&) = delete;
     PinGuard& operator=(const PinGuard&) = delete;
-    uint64_t ts() const { return ts_; }
+    uint64_t ts() const { return pin_.ts; }
 
    private:
     SnapshotManager* mgr_;
-    uint64_t ts_;
+    PinHandle pin_;
   };
 
   /// --- committer side --------------------------------------------------
@@ -109,16 +133,46 @@ class SnapshotManager {
   /// Stable pointer for tables' inline chain pruning.
   const std::atomic<uint64_t>* watermark_source() const { return &watermark_; }
 
- private:
-  std::atomic<uint64_t> next_ts_{kBootstrapTs + 1};
-  std::atomic<uint64_t> visible_clock_{kBootstrapTs};
-  std::atomic<uint64_t> watermark_{kBootstrapTs};
+  /// Raises the watermark to min(clock, every pinned ts) and returns it.
+  /// Called by the GC sweeper before each pass and by Unpin.
+  uint64_t AdvanceWatermark();
 
-  // Pinned snapshots: ts -> pin count. Guarded by mu_; pin_count_ is the
-  // lock-free summary publishers consult before advancing the watermark.
-  std::atomic<uint64_t> pin_count_{0};
-  mutable std::mutex mu_;
-  std::map<uint64_t, uint64_t> pins_;
+  /// Test hook: runs inside Pin after the clock read, before the pinned
+  /// timestamp replaces the marker — the window the marker protects. Set
+  /// before concurrent use; null (the default) in production.
+  void SetPinHookForTesting(void (*hook)(void*), void* arg) {
+    pin_hook_ = hook;
+    pin_hook_arg_ = arg;
+  }
+
+ private:
+  static constexpr uint64_t kSlotFree = UINT64_MAX;
+  /// Owned by a pinner that has not stored its marker yet; scans ignore
+  /// it (see the class comment for why that is safe).
+  static constexpr uint64_t kSlotClaimed = UINT64_MAX - 1;
+  /// Below every timestamp (kBootstrapTs >= 1): holds the watermark down
+  /// while the pinner reads the clock.
+  static constexpr uint64_t kSlotPinning = 0;
+  static constexpr size_t kChunkSlots = 64;
+
+  struct Chunk {
+    Slot slots[kChunkSlots];
+    std::atomic<Chunk*> next{nullptr};
+  };
+
+  /// Claims a free slot (this thread's last one when free) and raises the
+  /// high-water mark over it; grows the chain when every slot is taken.
+  Slot* ClaimSlot();
+
+  std::atomic<uint64_t> next_ts_{kBootstrapTs + 1};
+  alignas(64) std::atomic<uint64_t> visible_clock_{kBootstrapTs};
+  alignas(64) std::atomic<uint64_t> watermark_{kBootstrapTs};
+  /// Slots [0, slots_used_) have been claimed at least once; scans stop
+  /// there.
+  alignas(64) std::atomic<size_t> slots_used_{0};
+  void (*pin_hook_)(void*) = nullptr;
+  void* pin_hook_arg_ = nullptr;
+  Chunk head_;
 };
 
 }  // namespace bullfrog::mvcc

@@ -77,7 +77,12 @@ const char* StageName(Stage s) {
 }
 
 TraceContext::TraceContext(uint64_t id, std::string sql)
-    : id_(id), sql_(std::move(sql)), start_ns_(Clock::NowNanos()) {}
+    : id_(id), sql_(std::move(sql)) {
+  // Room for a statement's usual spans, allocated before the clock
+  // starts so recording them never grows the vector mid-trace.
+  spans_.reserve(8);
+  start_ns_ = Clock::NowNanos();
+}
 
 void TraceContext::AddStage(Stage s, int64_t ns, uint64_t count) {
   int i = static_cast<int>(s);
@@ -193,12 +198,20 @@ ScopedSpan::ScopedSpan(const char* name, Stage stage)
   start_abs_ = Clock::NowNanos();
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (trace_ == nullptr) return;
-  int64_t dur = Clock::NowNanos() - start_abs_;
+ScopedSpan::ScopedSpan(const char* name, Stage stage, int64_t start_abs_ns)
+    : ScopedSpan(name, stage) {
+  if (trace_ != nullptr && start_abs_ns > 0) start_abs_ = start_abs_ns;
+}
+
+int64_t ScopedSpan::Close() {
+  if (trace_ == nullptr) return 0;
+  const int64_t end = Clock::NowNanos();
+  const int64_t dur = end - start_abs_;
   trace_->RecordSpan(name_, start_abs_, dur, std::move(detail_), depth_);
   if (stage_ != Stage::kNumStages) trace_->AddStage(stage_, dur, 1);
   --g_tls.depth;
+  trace_ = nullptr;
+  return end;
 }
 
 TraceSampler::TraceSampler() : every_(EnvInt64("BF_TRACE_SAMPLE", 0)) {}

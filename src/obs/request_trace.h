@@ -111,7 +111,7 @@ class TraceContext {
  private:
   const uint64_t id_;
   std::string sql_;
-  const int64_t start_ns_;  // Clock::NowNanos() at construction.
+  int64_t start_ns_ = 0;  // Clock::NowNanos() at construction.
   std::atomic<int64_t> total_ns_{-1};
   std::atomic<int64_t> stage_ns_[static_cast<int>(Stage::kNumStages)] = {};
   std::atomic<uint64_t> stage_count_[static_cast<int>(Stage::kNumStages)] = {};
@@ -149,9 +149,17 @@ class TraceBinding {
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, Stage stage = Stage::kNumStages);
-  ~ScopedSpan();
+  /// Starts at `start_abs_ns` (a Clock::NowNanos() value) instead of now:
+  /// pass the previous phase's Close() so consecutive phases leave no
+  /// unattributed gap between them.
+  ScopedSpan(const char* name, Stage stage, int64_t start_abs_ns);
+  ~ScopedSpan() { Close(); }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+  /// Ends and records the span now (idempotent) and returns its end time
+  /// (0 when not tracing).
+  int64_t Close();
 
   bool active() const { return trace_ != nullptr; }
   /// Replaces the span's detail string (shown in the rendered tree).

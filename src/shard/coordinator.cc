@@ -126,7 +126,9 @@ Status MigrationCoordinator::Submit(
                               sql::ParseSqlScript(sql));
           BF_ASSIGN_OR_RETURN(MigrationPlan plan,
                               sql::CompileMigration(parsed, &db->catalog()));
-          BF_RETURN_NOT_OK(ValidatePlan(plan));
+          // Against this shard's catalog: the entry may auto-start while
+          // another shard is still a hop behind (or ahead) in the train.
+          BF_RETURN_NOT_OK(ValidatePlan(plan, db->catalog()));
           plan.source_script = sql;
           return plan;
         },
@@ -140,7 +142,7 @@ Status MigrationCoordinator::Submit(
   State prior;
   BF_RETURN_NOT_OK(Admit(&prior));
 
-  Status valid = ValidatePlan(plan_factory());
+  Status valid = ValidatePlan(plan_factory(), shards_[0]->catalog());
   if (!valid.ok()) {
     RestoreState(prior);  // Nothing was submitted anywhere.
     return valid;
@@ -268,10 +270,11 @@ Status MigrationCoordinator::ValidatePartitionPreservation(
   // plan's provenance (CompileMigration only reads input schemas).
   auto plan = sql::CompileMigration(*stmts, &shards_[0]->catalog());
   if (!plan.ok()) return plan.status();
-  return ValidatePlan(*plan);
+  return ValidatePlan(*plan, shards_[0]->catalog());
 }
 
-Status MigrationCoordinator::ValidatePlan(const MigrationPlan& plan) const {
+Status MigrationCoordinator::ValidatePlan(const MigrationPlan& plan,
+                                          const Catalog& catalog) const {
   if (shards_.size() <= 1) return Status::OK();
 
   // Output-table name -> its first-PK-column (the post-migration routing
@@ -291,7 +294,7 @@ Status MigrationCoordinator::ValidatePlan(const MigrationPlan& plan) const {
     // PK-less tables is whole-row hash — no column identifies the shard,
     // so no output can be proven co-located).
     for (const std::string& input : stmt.input_tables) {
-      if (!PartitionKeyOf(shards_[0]->catalog(), input)) {
+      if (!PartitionKeyOf(catalog, input)) {
         return Status::Unsupported(
             "sharded migration: input table '" + input +
             "' has no partition key (primary key required)");
@@ -303,7 +306,7 @@ Status MigrationCoordinator::ValidatePlan(const MigrationPlan& plan) const {
       // stay wherever their inputs were — nothing to prove.
       if (!out_col) continue;
       for (const std::string& input : stmt.input_tables) {
-        auto in_key = PartitionKeyOf(shards_[0]->catalog(), input);
+        auto in_key = PartitionKeyOf(catalog, input);
         auto source = stmt.provenance.SourceIn(*out_col, input);
         if (!source || *source != in_key->column) {
           return Status::Unsupported(

@@ -135,8 +135,9 @@ class MigrationCoordinator {
   Status Admit(State* prior);
   /// Puts back the state Admit replaced: the submit touched no shard.
   void RestoreState(State prior);
-  /// The §co-partitioning rule, checked against a compiled plan.
-  Status ValidatePlan(const MigrationPlan& plan) const;
+  /// The §co-partitioning rule, checked against a compiled plan whose
+  /// input schemas are read from `catalog`.
+  Status ValidatePlan(const MigrationPlan& plan, const Catalog& catalog) const;
   Status ValidatePartitionPreservation(const std::string& script) const;
   /// Runs submit_one(shard) on every shard in parallel, then moves to
   /// kDraining (all accepted) or kFailed (any rejection, first returned).

@@ -158,15 +158,15 @@ Result<SqlEngine::QueryResult> SqlEngine::Execute(const std::string& sql) {
 
 Result<SqlEngine::QueryResult> SqlEngine::ExecuteWithSpans(
     const std::string& sql) {
-  Statement stmt;
-  {
-    obs::ScopedSpan span("parse", obs::Stage::kParse);
-    auto parsed = ParseSql(sql);
-    if (!parsed.ok()) return parsed.status();
-    stmt = std::move(parsed).value();
-  }
+  obs::ScopedSpan parse_span("parse", obs::Stage::kParse);
+  Result<Statement> parsed = ParseSql(sql);
+  if (!parsed.ok()) return parsed.status();
+  // Execute starts the instant parse ends, so the parse span's own
+  // bookkeeping and the hand-off below are attributed; the statement is
+  // destroyed inside the span too.
+  obs::ScopedSpan span("execute", obs::Stage::kExecute, parse_span.Close());
+  const Statement stmt = std::move(parsed).value();
   current_sql_ = sql;
-  obs::ScopedSpan span("execute", obs::Stage::kExecute);
   return ExecuteStatement(stmt);
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "mvcc/snapshot.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
 #include "txn/lock_manager.h"
@@ -39,9 +40,9 @@ class Transaction {
 
   /// Snapshot timestamp for MVCC reads: the visible clock at Begin,
   /// pinned against GC while the transaction is active.
-  uint64_t begin_ts() const { return begin_ts_; }
+  uint64_t begin_ts() const { return pin_.ts; }
   /// True from Begin until commit/abort releases the begin pin.
-  bool pinned() const { return pinned_; }
+  bool pinned() const { return pin_.slot != nullptr; }
 
   /// Registers fn to run after a successful commit (in registration order).
   void OnCommit(std::function<void()> fn) {
@@ -67,8 +68,8 @@ class Transaction {
 
   uint64_t id_;
   TxnState state_ = TxnState::kActive;
-  uint64_t begin_ts_ = 0;
-  bool pinned_ = false;  ///< begin_ts_ is pinned in the SnapshotManager.
+  /// The begin snapshot; `slot` is null once commit/abort unpinned it.
+  mvcc::SnapshotManager::PinHandle pin_;
   std::vector<UndoRecord> undo_;
   std::vector<LockKey> locks_;
   std::vector<LogRecord> redo_;

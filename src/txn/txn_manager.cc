@@ -10,8 +10,7 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
   auto txn = std::make_unique<Transaction>(id);
   // Pin the begin timestamp so GC cannot reclaim any version this
   // transaction may still read; released at commit/abort.
-  txn->begin_ts_ = snapshots_.Pin();
-  txn->pinned_ = true;
+  txn->pin_ = snapshots_.Pin();
   return txn;
 }
 
@@ -95,8 +94,8 @@ Status TransactionManager::Read(Transaction* txn, Table* table, RowId rid,
   if (!for_update) {
     // Lock-free snapshot read: resolve the version chain at the begin
     // timestamp (plus our own uncommitted writes).
-    assert(txn->pinned_);
-    return table->ReadAt(rid, mvcc::ReadView{txn->begin_ts_, txn->id()},
+    assert(txn->pinned());
+    return table->ReadAt(rid, mvcc::ReadView{txn->begin_ts(), txn->id()},
                          out);
   }
   BF_RETURN_NOT_OK(LockRow(txn, table, rid));
@@ -149,37 +148,40 @@ Status TransactionManager::Commit(Transaction* txn, CommitTicket* ticket) {
   if (txn->state() != TxnState::kActive) {
     return Status::InvalidArgument("commit of non-active transaction");
   }
-  // Allocate the commit timestamp *before* the durable append: the
-  // checkpoint barrier depends on "records at a WAL offset below O imply
-  // a timestamp at or below the allocation clock read after O"
-  // (SnapshotManager::WaitForAllocatedCommits). Every allocated ts must
-  // be published, so the failure path below publishes too.
-  const uint64_t commit_ts = snapshots_.AllocateCommitTs();
-  // Durable-first: the append blocks until the records (plus commit
-  // record) are on disk — through the group-commit writer when one is
-  // running. A failed write/sync means the commit never happened: fill
-  // the timestamp hole (no version was stamped, so the ts commits
-  // nothing), roll the transaction back, and surface the sink's error.
-  Status durable = redo_.AppendCommitted(txn->id(), std::move(txn->redo_),
-                                         ticket);
-  txn->redo_.clear();
-  if (!durable.ok()) {
+  if (txn->undo_.empty() && txn->redo_.empty()) {
+    // Read-only (possibly FOR UPDATE locks only): nothing to stamp, log
+    // or publish, so no commit timestamp either.
+    if (ticket != nullptr) *ticket = CommitTicket{};
+  } else {
+    // Allocate the commit timestamp *before* the durable append: the
+    // checkpoint barrier depends on "records at a WAL offset below O
+    // imply a timestamp at or below the allocation clock read after O"
+    // (SnapshotManager::WaitForAllocatedCommits). Every allocated ts
+    // must be published, so the failure path below publishes too.
+    const uint64_t commit_ts = snapshots_.AllocateCommitTs();
+    // Durable-first: the append blocks until the records (plus commit
+    // record) are on disk — through the group-commit writer when one is
+    // running. A failed write/sync means the commit never happened: fill
+    // the timestamp hole (no version was stamped, so the ts commits
+    // nothing), roll the transaction back, and surface the sink's error.
+    Status durable = redo_.AppendCommitted(txn->id(), std::move(txn->redo_),
+                                           ticket);
+    txn->redo_.clear();
+    if (!durable.ok()) {
+      snapshots_.PublishCommitTs(commit_ts);
+      RollbackActive(txn);
+      return durable;
+    }
+    // Stamp every installed version with the allocated commit timestamp,
+    // then publish it in allocation order — still under our row locks,
+    // so a snapshot acquired at ts >= ours sees all our writes and one
+    // below sees none.
+    for (const auto& u : txn->undo_) {
+      u.version->commit_ts.store(commit_ts, std::memory_order_release);
+    }
     snapshots_.PublishCommitTs(commit_ts);
-    RollbackActive(txn);
-    return durable;
   }
-  // Stamp every installed version with the allocated commit timestamp,
-  // then publish it in allocation order — still under our row locks, so
-  // a snapshot acquired at ts >= ours sees all our writes and one below
-  // sees none.
-  for (const auto& u : txn->undo_) {
-    u.version->commit_ts.store(commit_ts, std::memory_order_release);
-  }
-  snapshots_.PublishCommitTs(commit_ts);
-  if (txn->pinned_) {
-    snapshots_.Unpin(txn->begin_ts_);
-    txn->pinned_ = false;
-  }
+  UnpinBegin(txn);
   txn->undo_.clear();
   txn->state_ = TxnState::kCommitted;
   locks_.ReleaseAll(txn->id(), txn->locks_);
@@ -199,6 +201,12 @@ Status TransactionManager::Abort(Transaction* txn) {
   return Status::OK();
 }
 
+void TransactionManager::UnpinBegin(Transaction* txn) {
+  if (txn->pin_.slot == nullptr) return;
+  snapshots_.Unpin(txn->pin_);
+  txn->pin_.slot = nullptr;
+}
+
 void TransactionManager::RollbackActive(Transaction* txn) {
   // Undo in reverse order: unlink each pending version from its chain.
   // Exclusive locks on the touched rows are still held, so the unlinks
@@ -209,10 +217,7 @@ void TransactionManager::RollbackActive(Transaction* txn) {
   txn->undo_.clear();
   txn->redo_.clear();
   txn->state_ = TxnState::kAborted;
-  if (txn->pinned_) {
-    snapshots_.Unpin(txn->begin_ts_);
-    txn->pinned_ = false;
-  }
+  UnpinBegin(txn);
   // §3.5: abort hooks (tracker resets) run after rollback completes but
   // before locks are released, so a waiting worker that observes the reset
   // will also be able to read consistent pre-rollback data.

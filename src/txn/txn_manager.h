@@ -110,6 +110,8 @@ class TransactionManager {
   /// Shared rollback machinery: undo in reverse, abort hooks, lock
   /// release. Used by Abort and by Commit when the durable append fails.
   void RollbackActive(Transaction* txn);
+  /// Releases the begin pin (idempotent); begin_ts() stays readable.
+  void UnpinBegin(Transaction* txn);
 
   LockManager locks_;
   RedoLog redo_;

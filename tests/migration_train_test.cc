@@ -104,8 +104,41 @@ TEST(MigrationTrainTest, OverlappingSubmitQueuesAndAutoStarts) {
   sql::SqlEngine engine(&db);
   SeedTable(&engine, "t0", 64);
 
-  ASSERT_TRUE(
-      engine.SubmitMigrationScript(HopScript("t0", "t1"), Lazy(true)).ok());
+  // The first hop's row transform is held until the second submit has
+  // queued, so the hop cannot finish (and unblock the second submit)
+  // between the two calls.
+  std::atomic<bool> release{false};
+  struct ReleaseOnExit {
+    std::atomic<bool>* release;
+    ~ReleaseOnExit() { release->store(true); }
+  } release_on_exit{&release};
+  const std::string first = HopScript("t0", "t1");
+  auto parsed = sql::ParseSqlScript(first);
+  ASSERT_TRUE(parsed.ok());
+  auto footprint = sql::MigrationScriptFootprint(*parsed);
+  ASSERT_TRUE(footprint.ok());
+  ASSERT_TRUE(db.controller()
+                  .SubmitScript(
+                      footprint->name, first, footprint->tables,
+                      [&]() -> Result<MigrationPlan> {
+                        BF_ASSIGN_OR_RETURN(auto stmts,
+                                            sql::ParseSqlScript(first));
+                        BF_ASSIGN_OR_RETURN(
+                            MigrationPlan plan,
+                            sql::CompileMigration(stmts, &db.catalog()));
+                        plan.source_script = first;
+                        for (MigrationStatement& stmt : plan.statements) {
+                          stmt.row_transform =
+                              [inner = stmt.row_transform,
+                               &release](const Tuple& in) {
+                                while (!release.load()) Clock::SleepMillis(1);
+                                return inner(in);
+                              };
+                        }
+                        return plan;
+                      },
+                      Lazy(true))
+                  .ok());
   // t1 -> t2 overlaps the in-flight t0 -> t1 hop (and t1 does not even
   // exist yet): the submit parks on the train instead of failing.
   const Status queued =
@@ -114,6 +147,7 @@ TEST(MigrationTrainTest, OverlappingSubmitQueuesAndAutoStarts) {
   EXPECT_NE(queued.message().find("position 1"), std::string::npos)
       << queued.ToString();
   EXPECT_EQ(db.controller().QueuedMigrations(), 1u);
+  release.store(true);
 
   // No operator action: the queued hop starts when its predecessor
   // completes and the whole chain drains.

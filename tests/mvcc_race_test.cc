@@ -334,6 +334,77 @@ TEST(MvccRaceTest, OneBeginPinCoversEveryStatementAcrossGcSweeps) {
   EXPECT_GT(db.version_gc().versions_freed(), 0u);
 }
 
+// Pin's marker: a reader that has read the clock but not yet stored its
+// timestamp in its slot must already hold the watermark down. The hook
+// parks the reader in exactly that window while another thread commits a
+// newer version, advances the watermark and sweeps.
+thread_local bool tl_park_in_pin = false;
+
+TEST(MvccRaceTest, PinMarkerHoldsTheWatermarkBeforeTheTimestampLands) {
+  Database db;
+  SeedAccounts(&db);
+  Table* table = db.catalog().FindTable("accounts");
+  RowId rid = 0;
+  {
+    auto s = db.BeginSession({"accounts"});
+    auto rows = db.Select(&s, "accounts", Eq(Col("id"), LitInt(0)));
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 1u);
+    rid = rows->front().first;
+    ASSERT_TRUE(db.Commit(&s).ok());
+  }
+  struct Park {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+  } park;
+  mvcc::SnapshotManager& snaps = db.txns().snapshots();
+  snaps.SetPinHookForTesting(
+      [](void* arg) {
+        if (!tl_park_in_pin) return;
+        auto* p = static_cast<Park*>(arg);
+        p->entered.store(true);
+        while (!p->release.load()) std::this_thread::yield();
+      },
+      &park);
+
+  Status read_status;
+  int64_t balance = -1;
+  std::thread reader([&] {
+    tl_park_in_pin = true;
+    auto s = db.BeginSession({"accounts"});
+    tl_park_in_pin = false;
+    Tuple row;
+    read_status = db.txns().Read(s.txn(), table, rid, &row);
+    if (read_status.ok()) balance = row[1].AsInt();
+    (void)db.Commit(&s);
+  });
+  Stopwatch sw;
+  while (!park.entered.load() && sw.ElapsedMillis() < 30000) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(park.entered.load());
+  const uint64_t reader_clock = snaps.visible();
+  {
+    auto s = db.BeginSession({"accounts"});
+    ASSERT_TRUE(db.Update(&s, "accounts", Eq(Col("id"), LitInt(0)),
+                          [](const Tuple& t) {
+                            Tuple u = t;
+                            u[1] = Value::Int(t[1].AsInt() + 1);
+                            return u;
+                          })
+                    .ok());
+    ASSERT_TRUE(db.Commit(&s).ok());
+  }
+  EXPECT_LE(snaps.AdvanceWatermark(), reader_clock);
+  db.version_gc().SweepOnce();
+  park.release.store(true);
+  reader.join();
+  snaps.SetPinHookForTesting(nullptr, nullptr);
+  ASSERT_TRUE(read_status.ok()) << "begin-ts version was reclaimed: "
+                                << read_status;
+  EXPECT_EQ(balance, kInitialBalance);
+}
+
 TEST(MvccRaceTest, SnapshotReadersVsLiveLazyMigration) {
   Database db;
   sql::SqlEngine engine(&db);

@@ -253,6 +253,71 @@ void BumpAge(Database* db, int id, int64_t age) {
 
 // The sweeper's cost follows writes, not heap size: a pass visits only
 // the slots the write path left multi-version, and each only once.
+TEST_F(MvccTest, ReadOnlyCommitLeavesTheCommitClockAlone) {
+  mvcc::SnapshotManager& snaps = db_.txns().snapshots();
+  const uint64_t before = snaps.visible();
+  {
+    auto s = db_.BeginSession({"users"});
+    auto rows = db_.Select(&s, "users", Eq(Col("id"), LitInt(3)));
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 1u);
+    ASSERT_TRUE(db_.Commit(&s).ok());
+  }
+  // Nothing written, nothing published.
+  EXPECT_EQ(snaps.visible(), before);
+  {
+    auto s = db_.BeginSession({"users"});
+    ASSERT_TRUE(db_.Update(&s, "users", Eq(Col("id"), LitInt(3)),
+                           [](const Tuple& t) {
+                             Tuple u = t;
+                             u[2] = Value::Int(33);
+                             return u;
+                           })
+                    .ok());
+    ASSERT_TRUE(db_.Commit(&s).ok());
+  }
+  EXPECT_EQ(snaps.visible(), before + 1);
+}
+
+TEST_F(MvccTest, EveryOpenPinHoldsTheWatermarkAcrossSlotChunks) {
+  mvcc::SnapshotManager& snaps = db_.txns().snapshots();
+  auto bump = [&] {
+    auto s = db_.BeginSession({"users"});
+    ASSERT_TRUE(db_.Update(&s, "users", Eq(Col("id"), LitInt(1)),
+                           [](const Tuple& t) {
+                             Tuple u = t;
+                             u[2] = Value::Int(t[2].AsInt() + 1);
+                             return u;
+                           })
+                    .ok());
+    ASSERT_TRUE(db_.Commit(&s).ok());
+  };
+  // More transactions open at once on this thread than one slot chunk
+  // holds, each pinned one commit after the previous.
+  constexpr int kOpen = 100;
+  std::vector<std::unique_ptr<Transaction>> open;
+  for (int i = 0; i < kOpen; ++i) {
+    open.push_back(db_.txns().Begin());
+    bump();
+  }
+  for (int i = 1; i < kOpen; ++i) {
+    ASSERT_EQ(open[i]->begin_ts(), open[i - 1]->begin_ts() + 1);
+  }
+  // A nested pin on the same thread takes a slot of its own.
+  auto nested = std::make_unique<mvcc::SnapshotManager::PinGuard>(&snaps);
+  EXPECT_EQ(nested->ts(), snaps.visible());
+  // Releasing the oldest pin hands the watermark to the next oldest —
+  // including the pins that live in the second chunk.
+  for (int i = 0; i < kOpen; ++i) {
+    EXPECT_EQ(snaps.AdvanceWatermark(), open[i]->begin_ts()) << "pin " << i;
+    ASSERT_TRUE(db_.txns().Commit(open[i].get()).ok());
+  }
+  bump();
+  EXPECT_EQ(snaps.AdvanceWatermark(), nested->ts());
+  nested.reset();
+  EXPECT_EQ(snaps.AdvanceWatermark(), snaps.visible());
+}
+
 TEST_F(MvccTest, GcVisitsOnlyWrittenRows) {
   db_.version_gc().Stop();  // Passes below are the only ones.
   ASSERT_TRUE(db_.CreateTable(SchemaBuilder("big")

@@ -56,11 +56,16 @@ TEST(ShardRaceTest, ConcurrentSubmitAdmitsExactlyOne) {
   constexpr int kRacers = 8;
   std::atomic<int> ok_count{0};
   std::atomic<int> busy_count{0};
+  std::atomic<int> ready{0};
   std::vector<std::thread> racers;
   racers.reserve(kRacers);
   for (int t = 0; t < kRacers; ++t) {
-    racers.emplace_back([&db, &ok_count, &busy_count, &slow] {
+    racers.emplace_back([&db, &ok_count, &busy_count, &slow, &ready] {
       Session s(&db);
+      // Submit together: on a loaded host a racer still starting up
+      // could otherwise arrive after the winner's whole drain.
+      ready.fetch_add(1);
+      while (ready.load() < kRacers) std::this_thread::yield();
       const Status st = s.SubmitMigrationScript(
           "CREATE TABLE kv2 PRIMARY KEY (id) AS "
           "SELECT id, val, val + 1 AS inc FROM kv; DROP TABLE kv;",
