@@ -3,28 +3,84 @@
 #include <algorithm>
 
 namespace bullfrog {
+namespace {
+
+/// Slots a stripe allocates on its first insert.
+constexpr size_t kInitialSlots = 8;
+
+}  // namespace
 
 HashIndex::HashIndex(std::string name, std::vector<size_t> key_columns,
-                     bool unique, size_t stripes)
-    : Index(std::move(name), std::move(key_columns), unique),
-      shards_(stripes) {}
+                     bool unique)
+    : Index(std::move(name), std::move(key_columns), unique) {}
+
+size_t HashIndex::Stripe::Find(uint64_t hash, const Tuple& key) const {
+  const size_t mask = slots.size() - 1;
+  for (size_t i = (hash >> kStripeBits) & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots[i];
+    if (s.hash == 0 || (s.hash == hash && s.key == key)) return i;
+  }
+}
+
+const HashIndex::Slot* HashIndex::Stripe::Get(uint64_t hash,
+                                              const Tuple& key) const {
+  if (slots.empty()) return nullptr;
+  const Slot& s = slots[Find(hash, key)];
+  return s.hash == 0 ? nullptr : &s;
+}
+
+void HashIndex::Stripe::Add(uint64_t hash, Tuple key, RowId rid) {
+  if (4 * (keys + 1) > 3 * slots.size()) {
+    std::vector<Slot> old = std::move(slots);
+    slots = std::vector<Slot>(std::max(kInitialSlots, 2 * old.size()));
+    const size_t mask = slots.size() - 1;
+    for (Slot& s : old) {
+      if (s.hash == 0) continue;
+      size_t i = (s.hash >> kStripeBits) & mask;
+      while (slots[i].hash != 0) i = (i + 1) & mask;
+      slots[i] = std::move(s);
+    }
+  }
+  Slot& s = slots[Find(hash, key)];
+  s.hash = hash;
+  s.first = rid;
+  s.key = std::move(key);
+  ++keys;
+  ++entries;
+}
+
+void HashIndex::Stripe::Remove(size_t i) {
+  const size_t mask = slots.size() - 1;
+  for (size_t j = (i + 1) & mask; slots[j].hash != 0; j = (j + 1) & mask) {
+    // Slot j may fill the hole at i only if i lies on its probe path,
+    // i.e. its home is no closer to j than i is.
+    const size_t home = (slots[j].hash >> kStripeBits) & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots[i] = std::move(slots[j]);
+      i = j;
+    }
+  }
+  slots[i] = Slot{};
+  --keys;
+}
 
 Status HashIndex::Insert(Tuple key, RowId rid) {
-  const uint64_t h = key.Hash();
-  Shard& s = ShardFor(h);
+  const uint64_t h = HashOf(key);
+  Stripe& s = StripeFor(h);
   std::unique_lock lock(s.mu);
-  auto it = s.map.find(Probe{&key, h});
-  if (it == s.map.end()) {
-    s.map.emplace(HashedKey{std::move(key), h}, Group{rid, {}});
-  } else if (unique()) {
-    if (it->second.first != rid) {
+  Slot* slot = s.Get(h, key);
+  if (slot == nullptr) {
+    s.Add(h, std::move(key), rid);
+    return Status::OK();
+  }
+  if (unique()) {
+    if (slot->first != rid) {
       return Status::AlreadyExists("duplicate key " + key.ToString() +
                                    " in unique index '" + name() + "'");
     }
     return Status::OK();  // Idempotent re-insert of the same entry.
-  } else {
-    it->second.rest.push_back(rid);
   }
+  slot->rest.push_back(rid);
   ++s.entries;
   return Status::OK();
 }
@@ -33,49 +89,46 @@ Result<bool> HashIndex::TryReserve(Tuple key, RowId rid, RowId* existing) {
   if (!unique()) {
     return Status::Unsupported("TryReserve requires a unique index");
   }
-  const uint64_t h = key.Hash();
-  Shard& s = ShardFor(h);
+  const uint64_t h = HashOf(key);
+  Stripe& s = StripeFor(h);
   std::unique_lock lock(s.mu);
-  auto it = s.map.find(Probe{&key, h});
-  if (it != s.map.end()) {
-    if (existing != nullptr) *existing = it->second.first;
+  if (const Slot* slot = s.Get(h, key)) {
+    if (existing != nullptr) *existing = slot->first;
     return false;
   }
-  s.map.emplace(HashedKey{std::move(key), h}, Group{rid, {}});
-  ++s.entries;
+  s.Add(h, std::move(key), rid);
   return true;
 }
 
 void HashIndex::Erase(const Tuple& key, RowId rid) {
-  const uint64_t h = key.Hash();
-  Shard& s = ShardFor(h);
+  const uint64_t h = HashOf(key);
+  Stripe& s = StripeFor(h);
   std::unique_lock lock(s.mu);
-  auto it = s.map.find(Probe{&key, h});
-  if (it == s.map.end()) return;
-  Group& g = it->second;
-  if (g.first == rid) {
-    if (g.rest.empty()) {
-      s.map.erase(it);
+  Slot* slot = s.Get(h, key);
+  if (slot == nullptr) return;
+  if (slot->first == rid) {
+    if (slot->rest.empty()) {
+      s.Remove(slot - s.slots.data());
     } else {
-      g.first = g.rest.front();
-      g.rest.erase(g.rest.begin());
+      slot->first = slot->rest.front();
+      slot->rest.erase(slot->rest.begin());
     }
   } else {
-    auto pos = std::find(g.rest.begin(), g.rest.end(), rid);
-    if (pos == g.rest.end()) return;
-    g.rest.erase(pos);
+    auto pos = std::find(slot->rest.begin(), slot->rest.end(), rid);
+    if (pos == slot->rest.end()) return;
+    slot->rest.erase(pos);
   }
   --s.entries;
 }
 
 void HashIndex::Lookup(const Tuple& key, std::vector<RowId>* out) const {
-  const uint64_t h = key.Hash();
-  const Shard& s = ShardFor(h);
+  const uint64_t h = HashOf(key);
+  const Stripe& s = StripeFor(h);
   std::shared_lock lock(s.mu);
-  auto it = s.map.find(Probe{&key, h});
-  if (it == s.map.end()) return;
-  out->push_back(it->second.first);
-  out->insert(out->end(), it->second.rest.begin(), it->second.rest.end());
+  const Slot* slot = s.Get(h, key);
+  if (slot == nullptr) return;
+  out->push_back(slot->first);
+  out->insert(out->end(), slot->rest.begin(), slot->rest.end());
 }
 
 Status HashIndex::RangeScan(
@@ -86,7 +139,7 @@ Status HashIndex::RangeScan(
 
 size_t HashIndex::size() const {
   size_t total = 0;
-  for (const Shard& s : shards_) {
+  for (const Stripe& s : stripes_) {
     std::shared_lock lock(s.mu);
     total += s.entries;
   }

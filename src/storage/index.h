@@ -1,12 +1,13 @@
 #ifndef BULLFROG_STORAGE_INDEX_H_
 #define BULLFROG_STORAGE_INDEX_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -106,15 +107,17 @@ class Index {
   bool unique_;
 };
 
-/// Hash index partitioned into `stripes` shards, each guarded by its own
-/// latch. A shard maps each distinct key to its group of rids, in insertion
-/// order; the first rid lives inline, so a unique (or single-rid) key costs
-/// one map node and no further allocation. One hash computation per call
-/// picks the shard and the bucket.
+/// Hash index partitioned into kStripes stripes, each guarded by its own
+/// latch. A stripe is a flat open-addressing table (linear probing, power-
+/// of-two size, at most 3/4 full). Each slot stores its key's hash, so a
+/// probe compares keys only on a full-hash match and growth never rehashes
+/// a key; erase shifts later slots back, so there are no tombstones. A
+/// slot holds its key's rids in insertion order: the first inline, any
+/// further ones in `rest`, so a unique (or single-rid) key allocates
+/// nothing beyond its key.
 class HashIndex : public Index {
  public:
-  HashIndex(std::string name, std::vector<size_t> key_columns, bool unique,
-            size_t stripes = 64);
+  HashIndex(std::string name, std::vector<size_t> key_columns, bool unique);
 
   IndexKind kind() const override { return IndexKind::kHash; }
 
@@ -128,51 +131,49 @@ class HashIndex : public Index {
   size_t size() const override;
 
  private:
-  /// A stored key with its hash, so rehashing never recomputes it.
-  struct HashedKey {
+  /// The low hash bits pick the stripe; the bits above them the home slot.
+  static constexpr unsigned kStripeBits = 6;
+  static constexpr size_t kStripes = size_t{1} << kStripeBits;
+  /// Key hashes are stored with this bit set, so a 0 hash marks a free slot.
+  static constexpr uint64_t kUsedBit = uint64_t{1} << 63;
+
+  struct Slot {
+    uint64_t hash = 0;  // Tagged key hash; 0 = free.
+    RowId first = kInvalidRowId;
     Tuple key;
-    uint64_t hash;
-  };
-  /// Heterogeneous probe: looks a key up without copying it.
-  struct Probe {
-    const Tuple* key;
-    uint64_t hash;
-  };
-  // noexcept + cheap: the map need not cache a second copy of the hash.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(const HashedKey& k) const noexcept { return k.hash; }
-    size_t operator()(const Probe& p) const noexcept { return p.hash; }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const HashedKey& a, const HashedKey& b) const {
-      return a.hash == b.hash && a.key == b.key;
-    }
-    bool operator()(const Probe& a, const HashedKey& b) const {
-      return a.hash == b.hash && *a.key == b.key;
-    }
-    bool operator()(const HashedKey& a, const Probe& b) const {
-      return a.hash == b.hash && a.key == *b.key;
-    }
-  };
-  /// The rids of one key: `first` inline, any further ones in `rest`.
-  struct Group {
-    RowId first;
     std::vector<RowId> rest;
   };
-  struct Shard {
+
+  struct Stripe {
     mutable std::shared_mutex mu;
-    std::unordered_map<HashedKey, Group, KeyHash, KeyEq> map;
-    size_t entries = 0;  // (key, rid) pairs, for size().
+    std::vector<Slot> slots;  // Empty, or a power-of-two count.
+    size_t keys = 0;          // Occupied slots.
+    size_t entries = 0;       // (key, rid) pairs, for size().
+
+    /// Index of the slot holding `key`, or of the free slot ending its
+    /// probe sequence. Requires a non-empty table.
+    size_t Find(uint64_t hash, const Tuple& key) const;
+    /// The key's slot if present, else nullptr.
+    const Slot* Get(uint64_t hash, const Tuple& key) const;
+    Slot* Get(uint64_t hash, const Tuple& key) {
+      return const_cast<Slot*>(std::as_const(*this).Get(hash, key));
+    }
+    /// Adds an absent key with its first rid, growing first if the new
+    /// key would take the table past 3/4 full.
+    void Add(uint64_t hash, Tuple key, RowId rid);
+    /// Frees slot i and shifts later members of its cluster back over it.
+    void Remove(size_t i);
   };
 
-  Shard& ShardFor(uint64_t hash) { return shards_[hash % shards_.size()]; }
-  const Shard& ShardFor(uint64_t hash) const {
-    return shards_[hash % shards_.size()];
+  static uint64_t HashOf(const Tuple& key) { return key.Hash() | kUsedBit; }
+  Stripe& StripeFor(uint64_t hash) {
+    return stripes_[hash & (kStripes - 1)];
+  }
+  const Stripe& StripeFor(uint64_t hash) const {
+    return stripes_[hash & (kStripes - 1)];
   }
 
-  std::vector<Shard> shards_;
+  std::array<Stripe, kStripes> stripes_;
 };
 
 /// Ordered index backed by a B+-tree (storage/btree.h) under one

@@ -1,6 +1,7 @@
 #include "txn/lock_manager.h"
 
 #include <chrono>
+#include <optional>
 
 #include "common/clock.h"
 #include "obs/request_trace.h"
@@ -19,12 +20,11 @@ Status LockManager::Acquire(uint64_t txn_id, const LockKey& key,
                             int64_t timeout_ms) {
   Shard& shard = ShardFor(key);
   std::unique_lock lock(shard.mu);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-
-  // Wait-time accounting starts only once the request actually blocks;
-  // the uncontended grant path never reads the clock. Both sinks —
-  // the histogram and the request's trace (if any) — share one timer.
+  // The deadline and the wait-time accounting both start only once the
+  // request actually blocks; the uncontended grant path never reads the
+  // clock. Both wait sinks — the histogram and the request's trace (if
+  // any) — share one timer.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   obs::TraceContext* trace = obs::CurrentTrace();
   int64_t wait_start_ns = -1;
   auto record_wait = [&] {
@@ -56,8 +56,12 @@ Status LockManager::Acquire(uint64_t txn_id, const LockKey& key,
     if ((wait_hist_ != nullptr || trace != nullptr) && wait_start_ns < 0) {
       wait_start_ns = Clock::NowNanos();
     }
+    if (!deadline) {
+      deadline = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(timeout_ms);
+    }
     ++state.waiters;
-    const bool ok = shard.cv.wait_until(lock, deadline) !=
+    const bool ok = shard.cv.wait_until(lock, *deadline) !=
                     std::cv_status::timeout;
     // `state` may have been rehashed; re-find.
     auto it = shard.locks.find(key);
@@ -68,7 +72,7 @@ Status LockManager::Acquire(uint64_t txn_id, const LockKey& key,
         shard.locks.erase(it);
       }
     }
-    if (!ok && std::chrono::steady_clock::now() >= deadline) {
+    if (!ok && std::chrono::steady_clock::now() >= *deadline) {
       record_wait();
       return Status::TimedOut("lock wait timed out");
     }
@@ -85,8 +89,12 @@ void LockManager::ReleaseAll(uint64_t txn_id,
     // it already released (and possibly re-granted to a waiter).
     if (it == shard.locks.end() || it->second.holder != txn_id) continue;
     it->second.holder = kNoHolder;
-    if (it->second.waiters == 0) shard.locks.erase(it);
-    shard.cv.notify_all();
+    // Only this key's waiters care about its release.
+    if (it->second.waiters == 0) {
+      shard.locks.erase(it);
+    } else {
+      shard.cv.notify_all();
+    }
   }
 }
 

@@ -1,9 +1,12 @@
-// Concurrency stress for the ordered-index range probe and its latch order:
-// RangeScan runs its callback under the index's shared latch, and a
-// Delivery-style callback reads the row (taking the slot latch) inside it.
-// Writers take slot latches and index latches strictly one after the
-// other, never nested, so the nesting is deadlock-free. Run under TSan in
-// CI; any data race or lock-order inversion fails the test there.
+// Concurrency stress for the storage indexes, run under TSan in CI; any
+// data race or lock-order inversion fails the tests there.
+//
+// Ordered index: RangeScan runs its callback under the index's shared
+// latch, and a Delivery-style callback reads the row (taking the slot
+// latch) inside it. Writers take slot latches and index latches strictly
+// one after the other, never nested, so the nesting is deadlock-free.
+//
+// Hash index: probes race stripe growth and backward-shift erase.
 
 #include <atomic>
 #include <thread>
@@ -120,6 +123,68 @@ TEST(StorageRaceTest, RangeScanWithReadsRacesInsertAndDelete) {
   EXPECT_EQ(t.NumLiveRows(), live);
   EXPECT_EQ(ordered.size(), live);
   EXPECT_EQ(t.FindIndex("pk_new_order")->size(), live);
+}
+
+// Hash-index probes racing stripe growth and backward-shift erase: writers
+// insert and then erase churn keys, so every stripe doubles repeatedly and
+// erases shift the fixed keys' slots around while readers probe them.
+// Every lookup of a fixed key must return exactly that key's rids.
+TEST(StorageRaceTest, HashIndexProbesRaceGrowthAndErase) {
+  HashIndex idx("h", {0}, /*unique=*/false);
+  constexpr int64_t kFixed = 256;
+  auto fixed_rids = [](int64_t k) {
+    std::vector<RowId> rids;
+    for (int64_t r = 0; r <= k % 3; ++r) rids.push_back(k * 10 + r);
+    return rids;
+  };
+  size_t fixed_entries = 0;
+  for (int64_t k = 0; k < kFixed; ++k) {
+    for (RowId rid : fixed_rids(k)) {
+      ASSERT_TRUE(idx.Insert(Tuple{Value::Int(k)}, rid).ok());
+      ++fixed_entries;
+    }
+  }
+
+  constexpr int kWriters = 2;
+  constexpr int64_t kChurn = 6000;  // Keys per writer per round.
+  constexpr int kRounds = 2;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> lookups{0};
+  std::atomic<int64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const int64_t base = (w + 1) * 1'000'000;
+      for (int round = 0; round < kRounds; ++round) {
+        for (int64_t k = base; k < base + kChurn; ++k) {
+          EXPECT_TRUE(idx.Insert(Tuple{Value::Int(k)}, k).ok());
+        }
+        for (int64_t k = base; k < base + kChurn; ++k) {
+          idx.Erase(Tuple{Value::Int(k)}, k);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      std::vector<RowId> got;
+      while (!stop.load()) {
+        for (int64_t k = 0; k < kFixed; ++k) {
+          got.clear();
+          idx.Lookup(Tuple{Value::Int(k)}, &got);
+          if (got != fixed_rids(k)) wrong.fetch_add(1);
+          lookups.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  stop = true;
+  for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(lookups.load(), 0);
+  EXPECT_EQ(idx.size(), fixed_entries);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -256,6 +261,130 @@ TEST(HashIndexTest, UniqueReinsertIsIdempotent) {
   EXPECT_TRUE(idx.Insert(Tuple{Value::Int(3)}, 31).IsAlreadyExists());
   EXPECT_EQ(LookupAll(idx, 3), (std::vector<RowId>{30}));
   EXPECT_EQ(idx.size(), 1u);
+}
+
+// Seeded random Insert/TryReserve/Erase/Lookup traffic checked against a
+// std::map model: exact rid order, AlreadyExists, idempotent re-insert
+// and size(). Enough distinct keys that every stripe doubles several
+// times, and erases land inside clusters that wrap the table's end, so a
+// hole the erase fails to close hides the keys probed past it.
+struct TupleLess {
+  bool operator()(const Tuple& a, const Tuple& b) const {
+    return a.values() < b.values();
+  }
+};
+
+void RunAgainstModel(bool unique, bool string_keys, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "unique=" << unique
+                                  << " string_keys=" << string_keys
+                                  << " seed=" << seed);
+  constexpr int kKeys = 6000;
+  constexpr int kOps = 30000;
+  HashIndex idx("h", {0}, unique);
+  std::map<Tuple, std::vector<RowId>, TupleLess> model;
+  size_t model_entries = 0;
+  std::mt19937_64 rng(seed);
+  auto key_of = [&](int k) {
+    return string_keys ? Tuple{Value::Str("key-" + std::to_string(k))}
+                       : Tuple{Value::Int(k)};
+  };
+  auto check_all = [&] {
+    for (int k = 0; k < kKeys; ++k) {
+      const Tuple key = key_of(k);
+      std::vector<RowId> got;
+      idx.Lookup(key, &got);
+      auto it = model.find(key);
+      const std::vector<RowId> want =
+          it == model.end() ? std::vector<RowId>{} : it->second;
+      ASSERT_EQ(got, want) << "key " << key.ToString();
+    }
+    ASSERT_EQ(idx.size(), model_entries);
+  };
+  auto erase_from_model = [&](const Tuple& key, RowId rid) {
+    auto it = model.find(key);
+    if (it == model.end()) return;
+    auto pos = std::find(it->second.begin(), it->second.end(), rid);
+    if (pos == it->second.end()) return;
+    it->second.erase(pos);
+    --model_entries;
+    if (it->second.empty()) model.erase(it);
+  };
+
+  for (int op = 0; op < kOps; ++op) {
+    // The first half mostly inserts (growth), the second mostly erases.
+    const int insert_pct = op < kOps / 2 ? 70 : 35;
+    const Tuple key = key_of(static_cast<int>(rng() % kKeys));
+    const RowId rid = rng() % 4;
+    auto it = model.find(key);
+    const int dice = static_cast<int>(rng() % 100);
+    if (dice < insert_pct) {
+      if (unique && dice % 2 == 0) {
+        RowId existing = kInvalidRowId;
+        auto reserved = idx.TryReserve(key, rid, &existing);
+        ASSERT_TRUE(reserved.ok());
+        ASSERT_EQ(*reserved, it == model.end());
+        if (it == model.end()) {
+          model[key] = {rid};
+          ++model_entries;
+        } else {
+          ASSERT_EQ(existing, it->second.front());
+        }
+        continue;
+      }
+      const Status s = idx.Insert(key, rid);
+      if (!unique || it == model.end()) {
+        ASSERT_TRUE(s.ok());
+        model[key].push_back(rid);
+        ++model_entries;
+      } else if (it->second.front() == rid) {
+        ASSERT_TRUE(s.ok());  // Idempotent re-insert.
+      } else {
+        ASSERT_TRUE(s.IsAlreadyExists());
+      }
+    } else if (dice < 90) {
+      // Usually erase a rid the key holds; sometimes one it does not.
+      const RowId victim = it != model.end() && rng() % 4 != 0
+                               ? it->second[rng() % it->second.size()]
+                               : rid;
+      idx.Erase(key, victim);
+      erase_from_model(key, victim);
+    } else {
+      std::vector<RowId> got;
+      idx.Lookup(key, &got);
+      ASSERT_EQ(got, it == model.end() ? std::vector<RowId>{} : it->second);
+    }
+    ASSERT_EQ(idx.size(), model_entries);
+    if (op % 2000 == 1999) {
+      ASSERT_NO_FATAL_FAILURE(check_all());
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(check_all());
+
+  // Drain every entry in random order: the table empties completely.
+  std::vector<std::pair<Tuple, RowId>> left;
+  for (const auto& [key, rids] : model) {
+    for (RowId r : rids) left.emplace_back(key, r);
+  }
+  std::shuffle(left.begin(), left.end(), rng);
+  for (size_t i = 0; i < left.size(); ++i) {
+    idx.Erase(left[i].first, left[i].second);
+    erase_from_model(left[i].first, left[i].second);
+    if (i % 1000 == 999) {
+      ASSERT_NO_FATAL_FAILURE(check_all());
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(check_all());
+  EXPECT_EQ(idx.size(), 0u);
+}
+
+TEST(HashIndexTest, RandomOpsMatchModel) {
+  uint64_t seed = 1;
+  for (bool unique : {false, true}) {
+    for (bool string_keys : {false, true}) {
+      RunAgainstModel(unique, string_keys, seed++);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TableSchema TestSchema() {
