@@ -21,8 +21,8 @@
 //
 // --rate=0 (default) runs closed-loop to discover max throughput.
 // --wal=PATH attaches a file sink to the in-process server's redo log so
-// commits pay real durability costs (honors BF_WAL_FSYNC / the
-// BF_GROUP_COMMIT_* knobs); --update-pct sets the write fraction
+// commits pay real durability costs through the group-commit writer
+// (honors BF_WAL_FSYNC); --update-pct sets the write fraction
 // (default 25), the lever for making the run fsync-bound.
 // --shards=N runs the in-process server in shared-nothing sharded mode
 // (N engine shards behind the router); with --wal=PATH the path is a
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   std::atomic<uint64_t> ticket{0};
   std::atomic<uint64_t> commits{0}, errors{0}, retries{0};
   std::atomic<bool> migrated{false};
-  LatencyHistogram latency;
+  obs::Histogram latency(CdfLatencyBounds());
   ThroughputTimeline timeline(/*max_seconds=*/3600, /*bucket_s=*/0.25);
   const Stopwatch run;
 
@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
         const Stopwatch op;
         auto r = c.Query(sql);
         if (r.ok()) {
-          latency.RecordNanos(op.ElapsedNanos());
+          latency.ObserveNanos(op.ElapsedNanos());
           const double t = run.ElapsedSeconds();
           timeline.Record(t);
           commits.fetch_add(1, std::memory_order_relaxed);

@@ -163,8 +163,8 @@ int main(int argc, char** argv) {
   std::atomic<uint64_t> ticket{0};
   std::atomic<uint64_t> writes{0}, reads{0}, errors{0}, retries{0};
   std::atomic<bool> migrated{false};
-  LatencyHistogram lag_hist;
-  LatencyHistogram read_hist;
+  obs::Histogram lag_hist(CdfLatencyBounds());
+  obs::Histogram read_hist(CdfLatencyBounds());
   ThroughputTimeline read_timeline(/*max_seconds=*/3600, /*bucket_s=*/0.25);
   const Stopwatch run;
 
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
         auto r = c.Query("SELECT * FROM " + target + " WHERE id = " +
                          std::to_string(id));
         if (r.ok()) {
-          read_hist.RecordNanos(op.ElapsedNanos());
+          read_hist.ObserveNanos(op.ElapsedNanos());
           read_timeline.Record(run.ElapsedSeconds());
           reads.fetch_add(1, std::memory_order_relaxed);
         } else if (r.status().IsRetryable() ||
@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
       const uint64_t target_offset =
           std::strtoull(text->c_str() + 7, nullptr, 10);
       if (replica.WaitApplied(target_offset, /*timeout_ms=*/10000)) {
-        lag_hist.RecordNanos(op.ElapsedNanos());
+        lag_hist.ObserveNanos(op.ElapsedNanos());
       } else {
         errors.fetch_add(1);
       }

@@ -105,7 +105,7 @@ int main() {
               static_cast<unsigned long long>(report.retries),
               static_cast<unsigned long long>(report.failures));
   std::printf("NewOrder p50=%.2f ms p99=%.2f ms\n",
-              report.latency[0]->QuantileSeconds(0.5) * 1000,
-              report.latency[0]->QuantileSeconds(0.99) * 1000);
+              report.latency[0]->Quantile(0.5) * 1000,
+              report.latency[0]->Quantile(0.99) * 1000);
   return 0;
 }

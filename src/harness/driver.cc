@@ -11,7 +11,7 @@ OpenLoopDriver::OpenLoopDriver(Options options, WorkFn work)
   if (options_.labels.empty()) options_.labels = {"all"};
   latency_.reserve(options_.labels.size());
   for (size_t i = 0; i < options_.labels.size(); ++i) {
-    latency_.push_back(std::make_unique<LatencyHistogram>());
+    latency_.push_back(std::make_unique<obs::Histogram>(CdfLatencyBounds()));
   }
 }
 
@@ -94,7 +94,7 @@ void OpenLoopDriver::RunOne(int worker_id, int64_t enqueue_ns) {
   const int64_t done_ns = Clock::NowNanos();
   committed_.fetch_add(1, std::memory_order_relaxed);
   if (label >= 0 && label < static_cast<int>(latency_.size())) {
-    latency_[static_cast<size_t>(label)]->RecordNanos(done_ns - enqueue_ns);
+    latency_[static_cast<size_t>(label)]->ObserveNanos(done_ns - enqueue_ns);
   }
   timeline_.Record(since_start_.ElapsedSeconds());
 }

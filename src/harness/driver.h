@@ -14,6 +14,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "harness/metrics.h"
+#include "obs/metrics.h"
 
 namespace bullfrog {
 
@@ -68,8 +69,9 @@ class OpenLoopDriver {
     /// Commit counts per timeline bucket (width = timeline_bucket_s).
     std::vector<uint64_t> per_second_commits;
     double timeline_bucket_s = 1.0;
-    /// One histogram per label (same order as Options::labels).
-    std::vector<std::unique_ptr<LatencyHistogram>> latency;
+    /// One histogram per label (same order as Options::labels), in
+    /// seconds over CdfLatencyBounds().
+    std::vector<std::unique_ptr<obs::Histogram>> latency;
     uint64_t committed = 0;
     uint64_t retries = 0;
     uint64_t failures = 0;  ///< Requests dropped after max_retries.
@@ -104,7 +106,7 @@ class OpenLoopDriver {
   uint64_t peak_queue_ = 0;
 
   ThroughputTimeline timeline_{3600, 0.25};
-  std::vector<std::unique_ptr<LatencyHistogram>> latency_;
+  std::vector<std::unique_ptr<obs::Histogram>> latency_;
   std::atomic<uint64_t> committed_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> failures_{0};

@@ -1,80 +1,17 @@
 #include "harness/metrics.h"
 
-#include <algorithm>
 #include <cmath>
+
+#include "obs/metrics.h"
 
 namespace bullfrog {
 
-LatencyHistogram::LatencyHistogram() : buckets_(kNumBuckets) {
-  Reset();
-}
-
-void LatencyHistogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-}
-
-int LatencyHistogram::BucketFor(int64_t ns) {
-  int64_t us = ns / 1000;
-  if (us < 1) us = 1;
-  // Decade = floor(log2(us)); sub-bucket = linear position within the
-  // decade.
-  int decade = 63 - __builtin_clzll(static_cast<uint64_t>(us));
-  if (decade >= kDecades) decade = kDecades - 1;
-  const int64_t base = int64_t{1} << decade;
-  int sub = static_cast<int>(((us - base) * kSubBuckets) / base);
-  if (sub >= kSubBuckets) sub = kSubBuckets - 1;
-  return decade * kSubBuckets + sub;
-}
-
-double LatencyHistogram::BucketUpperSeconds(int b) {
-  const int decade = b / kSubBuckets;
-  const int sub = b % kSubBuckets;
-  const double base = std::ldexp(1.0, decade);  // 2^decade microseconds.
-  const double upper_us = base + base * (sub + 1) / kSubBuckets;
-  return upper_us / 1e6;
-}
-
-void LatencyHistogram::RecordNanos(int64_t ns) {
-  buckets_[BucketFor(ns)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-double LatencyHistogram::QuantileSeconds(double q) const {
-  const uint64_t total = count();
-  if (total == 0) return 0;
-  const auto target = static_cast<uint64_t>(
-      q * static_cast<double>(total));
-  uint64_t cum = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    cum += buckets_[b].load(std::memory_order_relaxed);
-    if (cum > target) return BucketUpperSeconds(b);
-  }
-  return BucketUpperSeconds(kNumBuckets - 1);
-}
-
-std::vector<LatencyHistogram::CdfPoint> LatencyHistogram::Cdf() const {
-  std::vector<CdfPoint> out;
-  const uint64_t total = count();
-  if (total == 0) return out;
-  uint64_t cum = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    const uint64_t n = buckets_[b].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    cum += n;
-    out.push_back(CdfPoint{BucketUpperSeconds(b),
-                           static_cast<double>(cum) /
-                               static_cast<double>(total)});
-  }
-  return out;
-}
-
-void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
-  for (int b = 0; b < kNumBuckets; ++b) {
-    const uint64_t n = other.buckets_[b].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[b].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
+std::vector<double> CdfLatencyBounds() {
+  constexpr int kStepsPerDoubling = 16;
+  constexpr int kDoublings = 31;  // 2^0 .. 2^31 microseconds.
+  return obs::MetricsRegistry::ExponentialBounds(
+      1e-6, std::exp2(1.0 / kStepsPerDoubling),
+      kDoublings * kStepsPerDoubling + 1);
 }
 
 ThroughputTimeline::ThroughputTimeline(int max_seconds, double bucket_s)

@@ -3,55 +3,28 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace bullfrog {
 
-/// A lock-free log-bucketed latency histogram (HdrHistogram-lite):
-/// power-of-two decades with 16 linear sub-buckets each, covering
-/// 1 us .. ~2000 s. Thread-safe recording via relaxed atomics.
-class LatencyHistogram {
- public:
-  LatencyHistogram();
-
-  void RecordNanos(int64_t ns);
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
-  /// Returns the latency (seconds) at quantile q in [0, 1].
-  double QuantileSeconds(double q) const;
-
-  /// CDF points (latency_seconds, cumulative_fraction), one per non-empty
-  /// bucket — the format of the paper's Figures 4/6/8.
-  struct CdfPoint {
-    double latency_s;
-    double fraction;
-  };
-  std::vector<CdfPoint> Cdf() const;
-
-  void Reset();
-
-  /// Merges counts from another histogram.
-  void MergeFrom(const LatencyHistogram& other);
-
- private:
-  static constexpr int kSubBuckets = 16;
-  static constexpr int kDecades = 31;  // 2^0 .. 2^30 microseconds.
-  static constexpr int kNumBuckets = kDecades * kSubBuckets;
-
-  static int BucketFor(int64_t ns);
-  static double BucketUpperSeconds(int b);
-
-  std::vector<std::atomic<uint64_t>> buckets_;
-  std::atomic<uint64_t> count_{0};
-};
+/// Bucket upper bounds (seconds) for the benches' latency histograms
+/// (obs::Histogram): 16 exponential steps per power of two from 1 us to
+/// 2^31 us (~36 min) — the resolution behind the latency CDFs of the
+/// paper's Figures 4/6/8, and fine enough that an interpolated quantile
+/// lands within 1/16 of a power of two of the exact one.
+std::vector<double> CdfLatencyBounds();
 
 /// Commit counts per time bucket since Start — the throughput timelines
 /// of Figures 3/5/7/9-12. The bucket width is configurable: the paper
 /// plots per-second points at PostgreSQL speeds; this in-memory engine
 /// migrates orders of magnitude faster, so sub-second buckets keep the
 /// dip shapes visible. Thread-safe.
+///
+/// Deliberately separate from obs::TimeseriesSampler: this type counts
+/// completions pushed into it by the driver's workers and owns no
+/// thread, while the sampler polls registered callbacks on its own
+/// thread into a bounded ring. One type serving both would branch on
+/// which caller it serves.
 class ThroughputTimeline {
  public:
   explicit ThroughputTimeline(int max_seconds = 3600,

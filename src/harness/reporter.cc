@@ -1,5 +1,6 @@
 #include "harness/reporter.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace bullfrog {
@@ -26,12 +27,20 @@ void PrintMarker(const std::string& name, double seconds) {
 }
 
 void PrintLatencyCdf(const std::string& series_name,
-                     const LatencyHistogram& histogram) {
+                     const obs::Histogram& histogram) {
   std::printf("# latency CDF: %s (latency_s cumulative_fraction)\n",
               series_name.c_str());
-  for (const auto& p : histogram.Cdf()) {
-    std::printf("%s %.6f %.4f\n", series_name.c_str(), p.latency_s,
-                p.fraction);
+  const std::vector<double>& bounds = histogram.bounds();
+  const uint64_t total = histogram.count();
+  if (total == 0 || bounds.empty()) return;
+  uint64_t cum = 0;
+  for (size_t b = 0; b <= bounds.size(); ++b) {
+    const uint64_t n = histogram.BucketCount(b);
+    if (n == 0) continue;
+    cum += n;
+    std::printf("%s %.6f %.4f\n", series_name.c_str(),
+                bounds[std::min(b, bounds.size() - 1)],
+                static_cast<double>(cum) / static_cast<double>(total));
   }
 }
 
@@ -40,10 +49,9 @@ void PrintSummary(const std::string& series_name,
   double p50 = 0, p99 = 0;
   if (label_index >= 0 &&
       label_index < static_cast<int>(report.latency.size())) {
-    p50 = report.latency[static_cast<size_t>(label_index)]->QuantileSeconds(
-        0.5);
-    p99 = report.latency[static_cast<size_t>(label_index)]->QuantileSeconds(
-        0.99);
+    const obs::Histogram& h = *report.latency[static_cast<size_t>(label_index)];
+    p50 = h.Quantile(0.5);
+    p99 = h.Quantile(0.99);
   }
   std::printf(
       "# summary %s: committed=%llu tps=%.1f retries=%llu failures=%llu "
@@ -59,14 +67,14 @@ void PrintSummary(const std::string& series_name,
 }
 
 std::string RenderLatencySummary(const std::string& label,
-                                 const LatencyHistogram& histogram) {
+                                 const obs::Histogram& histogram) {
   char line[192];
   std::snprintf(line, sizeof(line),
                 "%s: count=%llu p50=%.6fs p90=%.6fs p99=%.6fs", label.c_str(),
                 static_cast<unsigned long long>(histogram.count()),
-                histogram.QuantileSeconds(0.5),
-                histogram.QuantileSeconds(0.9),
-                histogram.QuantileSeconds(0.99));
+                histogram.Quantile(0.5),
+                histogram.Quantile(0.9),
+                histogram.Quantile(0.99));
   return line;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "harness/driver.h"
+#include "obs/metrics.h"
 
 namespace bullfrog {
 
@@ -21,9 +22,11 @@ void PrintThroughputSeries(const std::string& series_name,
 /// Prints milestone markers (migration start, end, background start...).
 void PrintMarker(const std::string& name, double seconds);
 
-/// Prints a latency CDF: "latency_s cumulative_fraction" rows.
+/// Prints a latency CDF: "latency_s cumulative_fraction" rows, one per
+/// non-empty bucket at its upper bound (the +Inf bucket at the last
+/// finite bound).
 void PrintLatencyCdf(const std::string& series_name,
-                     const LatencyHistogram& histogram);
+                     const obs::Histogram& histogram);
 
 /// Prints the summary line (commits, tps, p50/p99) for a run.
 void PrintSummary(const std::string& series_name,
@@ -32,7 +35,7 @@ void PrintSummary(const std::string& series_name,
 /// Renders "label: count=N p50=..s p90=..s p99=..s" for a histogram —
 /// the per-opcode latency lines of the server's ADMIN report.
 std::string RenderLatencySummary(const std::string& label,
-                                 const LatencyHistogram& histogram);
+                                 const obs::Histogram& histogram);
 
 }  // namespace bullfrog
 

@@ -240,9 +240,7 @@ uint64_t TraceSampler::NextTraceId() {
   return x == 0 ? 1 : x;
 }
 
-ProfileStore::ProfileStore()
-    : ProfileStore(64, static_cast<size_t>(std::max<int64_t>(
-                           1, EnvInt64("BF_SLOWLOG_K", 16)))) {}
+ProfileStore::ProfileStore() : ProfileStore(64, 16) {}
 
 ProfileStore::ProfileStore(size_t recent_capacity, size_t slow_k)
     : recent_capacity_(std::max<size_t>(recent_capacity, 1)),

@@ -200,10 +200,10 @@ class TraceSampler {
 
 /// Bounded store of finished traces: a ring of the most recent ones
 /// (ADMIN profile) plus the K slowest by end-to-end latency
-/// (ADMIN slowlog; K from BF_SLOWLOG_K, default 16).
+/// (ADMIN slowlog; K = 16 by default).
 class ProfileStore {
  public:
-  /// Reads BF_SLOWLOG_K for the slowlog bound.
+  /// 64 recent traces, 16 slowest.
   ProfileStore();
   ProfileStore(size_t recent_capacity, size_t slow_k);
 

@@ -223,7 +223,6 @@ Status WalDir::RotateSegment(Database* db) {
   std::error_code ec;
   fs::remove(tmp, ec);
   BF_RETURN_NOT_OK(writer->Open(tmp.string()));
-  if (batcher_ != nullptr) writer->set_batcher(batcher_);
   const size_t at = db->txns().redo_log().SwapSink(
       [writer](const std::vector<LogRecord>& batch) {
         return writer->Append(batch);

@@ -59,13 +59,6 @@ class WalDir {
   /// Attaches a sink writing committed batches to a fresh segment.
   Status StartLogging(Database* db);
 
-  /// Routes segment-writer syncs through a shared batcher (see
-  /// common/sync_batcher.h); a ShardedDatabase points every shard's
-  /// WalDir at one so concurrent shard commits share fsync rounds. Takes
-  /// effect from the next rotation — call before StartLogging. The
-  /// batcher must outlive this WalDir's writers.
-  void set_sync_batcher(SyncBatcher* batcher) { batcher_ = batcher; }
-
   /// Captures a checkpoint (kBusy while a non-embeddable migration is in
   /// flight, see CaptureCheckpoint), writes it as ckpt-<offset>.bf,
   /// rotates to a new segment, and garbage-collects segments and
@@ -80,7 +73,6 @@ class WalDir {
 
   std::string dir_;
   uint64_t base_ = 0;
-  SyncBatcher* batcher_ = nullptr;
   std::shared_ptr<LogFileWriter> writer_;
 };
 

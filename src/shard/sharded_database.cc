@@ -73,22 +73,12 @@ Status ShardedDatabase::OpenDurable(const std::string& dir) {
     }
   }
 
-  // One fsync executor multiplexes every shard's segment writer:
-  // concurrent shard commits coalesce into shared sync rounds instead of
-  // issuing one fdatasync per shard per commit. BF_SHARD_SYNC_BATCH=0
-  // reverts to private per-writer syncs; a single shard gains nothing
-  // from batching, so it stays private too.
-  if (shards_.size() > 1 && EnvInt64("BF_SHARD_SYNC_BATCH", 1) != 0) {
-    sync_batcher_ = std::make_unique<SyncBatcher>();
-  }
-
   // Recover the shards in parallel — each segment directory is
   // self-contained, so N recoveries are independent replay loops.
   std::vector<std::unique_ptr<replication::WalDir>> dirs(shards_.size());
   std::vector<Status> results(shards_.size(), Status::OK());
   RunOnShards([&](size_t i) {
     auto wal = std::make_unique<replication::WalDir>();
-    if (sync_batcher_ != nullptr) wal->set_sync_batcher(sync_batcher_.get());
     Database* db = shards_[i].get();
     Status st = wal->Open(dir + "/shard-" + std::to_string(i));
     if (st.ok()) st = wal->Recover(db);

@@ -3,12 +3,12 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "bullfrog/database.h"
 #include "common/status.h"
-#include "common/sync_batcher.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "obs/timeseries.h"
@@ -119,9 +119,6 @@ class ShardedDatabase {
   obs::ProfileStore profiles_;
   std::vector<std::unique_ptr<Database>> shards_;
   std::vector<std::unique_ptr<Executor>> executors_;
-  // Declared before wal_dirs_: the shards' segment writers hold a raw
-  // pointer to the batcher, so it must be destroyed after them.
-  std::unique_ptr<SyncBatcher> sync_batcher_;
   std::vector<std::unique_ptr<replication::WalDir>> wal_dirs_;
   std::unique_ptr<MigrationCoordinator> coordinator_;
   // Declared last: the sampler's background thread reads the coordinator

@@ -66,13 +66,7 @@ Status LogFileWriter::Append(const std::vector<LogRecord>& records) {
   if (std::fflush(file_) != 0) {
     return Status::Internal("fflush failed on log file");
   }
-  if (sync_) {
-    if (batcher_ != nullptr) {
-      BF_RETURN_NOT_OK(batcher_->Sync(file_));
-    } else {
-      BF_RETURN_NOT_OK(SyncFileHandle(file_));
-    }
-  }
+  if (sync_) BF_RETURN_NOT_OK(SyncFileHandle(file_));
   return Status::OK();
 }
 

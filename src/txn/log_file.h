@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "common/sync_batcher.h"
 #include "storage/value_codec.h"
 #include "txn/wal.h"
 
@@ -59,13 +58,6 @@ class LogFileWriter {
   /// Overrides the sync-on-append policy (tests/benches).
   void set_sync(bool sync) { sync_ = sync; }
 
-  /// Routes this writer's on-append syncs through a shared SyncBatcher
-  /// (common/sync_batcher.h) instead of a private fdatasync — the
-  /// per-shard WAL writers of a ShardedDatabase share one so concurrent
-  /// shard commits coalesce into one sync round. The batcher must
-  /// outlive this writer; pass nullptr to detach.
-  void set_batcher(SyncBatcher* batcher) { batcher_ = batcher; }
-
   void Close();
   bool is_open() const { return file_ != nullptr; }
 
@@ -73,7 +65,6 @@ class LogFileWriter {
   std::mutex mu_;
   std::FILE* file_ = nullptr;
   bool sync_ = true;  // Resolved against BF_WAL_FSYNC in Open().
-  SyncBatcher* batcher_ = nullptr;
 };
 
 /// Reads every record from a log file written by LogFileWriter. Returns

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/clock.h"
-#include "common/env.h"
 #include "obs/request_trace.h"
 
 namespace bullfrog {
@@ -15,6 +14,13 @@ namespace {
 Status AnnotateSinkFailure(const Status& st) {
   return Status(st.code(), "durable WAL append failed: " + st.message());
 }
+
+/// Most commits the writer drains into one sink call.
+constexpr size_t kMaxBatch = 128;
+
+/// Accumulation-window deadline: once the queue is non-empty, the longest
+/// the writer holds the sync open for more commits to arrive.
+constexpr int64_t kMaxWaitUs = 500;
 
 /// Accumulation-window tick: how long the writer waits for one more
 /// arrival before concluding the stream went dry.
@@ -46,28 +52,16 @@ Status RedoLog::RunSinkLocked(const std::vector<LogRecord>& records) {
   return st;
 }
 
-void RedoLog::ResolveKnobsAndStartWriter() {
-  // Called under sink_mu_. Knobs are sampled once per RedoLog so a
-  // long-lived process keeps consistent behavior even if the environment
-  // mutates underneath it.
-  if (!knobs_resolved_) {
-    knobs_resolved_ = true;
-    group_commit_ = EnvInt64("BF_GROUP_COMMIT", 1) != 0;
-    int64_t batch = EnvInt64("BF_GROUP_COMMIT_MAX_BATCH", 128);
-    max_batch_ = batch > 0 ? static_cast<size_t>(batch) : 1;
-    int64_t wait = EnvInt64("BF_GROUP_COMMIT_MAX_WAIT_US", 500);
-    max_wait_us_ = wait > 0 ? wait : 0;
-  }
-  if (group_commit_ && !writer_.joinable()) {
-    std::lock_guard lock(queue_mu_);
-    if (!stop_) writer_ = std::thread([this] { WriterLoop(); });
-  }
+void RedoLog::StartWriterLocked() {
+  if (writer_.joinable()) return;
+  std::lock_guard lock(queue_mu_);
+  if (!stop_) writer_ = std::thread([this] { WriterLoop(); });
 }
 
 void RedoLog::SetSink(Sink sink) {
   std::lock_guard sink_lock(sink_mu_);
   sink_ = std::move(sink);
-  if (sink_) ResolveKnobsAndStartWriter();
+  if (sink_) StartWriterLocked();
 }
 
 size_t RedoLog::SwapSink(Sink sink) {
@@ -78,7 +72,7 @@ size_t RedoLog::SwapSink(Sink sink) {
   std::lock_guard sink_lock(sink_mu_);
   std::lock_guard lock(mu_);
   sink_ = std::move(sink);
-  if (sink_) ResolveKnobsAndStartWriter();
+  if (sink_) StartWriterLocked();
   return records_.size();
 }
 
@@ -121,20 +115,12 @@ Status RedoLog::AppendCommitted(uint64_t txn_id,
   commit.op = LogOp::kCommit;
   records.push_back(std::move(commit));
 
-  bool use_writer;
   bool has_sink;
   {
     std::lock_guard sink_lock(sink_mu_);
     has_sink = sink_ != nullptr;
-    use_writer = sink_ && group_commit_;
   }
-  if (!use_writer) {
-    if (!has_sink) return SyncAppend(std::move(records), ticket);
-    // Sink without group commit: the fwrite+fdatasync happens on this
-    // thread — attribute it like the group-commit wait below.
-    obs::ScopedSpan span("wal_sync", obs::Stage::kWalSync);
-    return SyncAppend(std::move(records), ticket);
-  }
+  if (!has_sink) return SyncAppend(std::move(records), ticket);
 
   Pending pending;
   pending.records = std::move(records);
@@ -177,7 +163,7 @@ void RedoLog::WriterLoop() {
       std::unique_lock lock(queue_mu_);
       queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ && drained.
-      if (max_wait_us_ > 0 && queue_.size() < max_batch_ && !stop_) {
+      if (queue_.size() < kMaxBatch && !stop_) {
         // Adaptive accumulation: on hardware where fdatasync burns CPU,
         // the "batches form during the previous sync" assumption fails —
         // the sync starves the very committers that would fill the next
@@ -185,16 +171,16 @@ void RedoLog::WriterLoop() {
         // arriving, and fire the moment an entire tick adds nothing (a
         // lone committer pays one tick, far less than the sync itself).
         const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(max_wait_us_);
+                              std::chrono::microseconds(kMaxWaitUs);
         size_t last = queue_.size();
-        while (!stop_ && queue_.size() < max_batch_ &&
+        while (!stop_ && queue_.size() < kMaxBatch &&
                std::chrono::steady_clock::now() < deadline) {
           queue_cv_.wait_for(lock, std::chrono::microseconds(kGrowTickUs));
           if (queue_.size() == last) break;  // Arrival stream went dry.
           last = queue_.size();
         }
       }
-      while (!queue_.empty() && batch.size() < max_batch_) {
+      while (!queue_.empty() && batch.size() < kMaxBatch) {
         batch.push_back(queue_.front());
         queue_.pop_front();
       }

@@ -80,15 +80,15 @@ struct CommitTicket {
 /// durability sink (e.g. a LogFileWriter), with a group-commit writer in
 /// front of the sink.
 ///
-/// Commit path (sink attached, group commit enabled — the default):
-/// committing transactions enqueue their records and block on a
-/// per-commit latch; a dedicated writer thread drains the queue, hands
-/// the whole batch to the sink in one call (one fwrite + one fdatasync in
-/// LogFileWriter), publishes the records to the in-memory log, and
-/// releases the acks strictly in LSN order. The sink's Status is
-/// propagated to every waiter in the batch: a failed write/sync aborts
-/// those commits instead of acking them, and the failed records are never
-/// published (not visible to ReadFrom/Replay, never shipped to replicas).
+/// Commit path (sink attached): committing transactions enqueue their
+/// records and block on a per-commit latch; a dedicated writer thread
+/// drains the queue, hands the whole batch to the sink in one call (one
+/// fwrite + one fdatasync in LogFileWriter), publishes the records to the
+/// in-memory log, and releases the acks strictly in LSN order. The sink's
+/// Status is propagated to every waiter in the batch: a failed write/sync
+/// aborts those commits instead of acking them, and the failed records are
+/// never published (not visible to ReadFrom/Replay, never shipped to
+/// replicas).
 ///
 /// Reader isolation: the sink is invoked WITHOUT holding the log mutex,
 /// so ReadFrom / Replay / size readers (replication tails, recovery,
@@ -96,18 +96,10 @@ struct CommitTicket {
 /// after they are durable — the in-memory log is always a prefix of the
 /// durable log, never ahead of it.
 ///
-/// Knobs (read once per RedoLog when the first sink is attached):
-///   BF_GROUP_COMMIT=0          disable the writer thread; every commit
-///                              runs the sink synchronously (status still
-///                              propagated — the pre-group-commit bug of
-///                              acking a failed fsync stays fixed)
-///   BF_GROUP_COMMIT_MAX_BATCH  max commits drained per sink call
-///                              (default 128)
-///   BF_GROUP_COMMIT_MAX_WAIT_US extra time the writer waits for more
-///                              commits to accumulate once the queue is
-///                              non-empty (default 500; 0 disables the
-///                              window — batches then form only while the
-///                              previous fsync is in flight)
+/// The writer drains at most 128 commits per sink call and, once the
+/// queue is non-empty, waits up to 500 µs for more to accumulate (see
+/// kMaxBatch / kMaxWaitUs in wal.cc). With no sink attached (the
+/// in-memory engine) a commit publishes synchronously on its own thread.
 class RedoLog {
  public:
   RedoLog() = default;
@@ -199,11 +191,11 @@ class RedoLog {
   /// release acks in LSN order.
   void WriterLoop();
   void ProcessBatch(const std::vector<Pending*>& batch);
-  /// Synchronous append (no writer thread): sink, publish, ack. Used when
-  /// group commit is disabled and as the shutdown-race fallback.
+  /// Synchronous append (no writer thread): sink, publish, ack. Used with
+  /// no sink attached and as the shutdown-race fallback.
   Status SyncAppend(std::vector<LogRecord> records, CommitTicket* ticket);
-  /// Starts the writer thread if configured and not yet running.
-  void ResolveKnobsAndStartWriter();
+  /// Starts the writer thread if not yet running (called under sink_mu_).
+  void StartWriterLocked();
 
   // Lock order (when nested): sink_mu_ -> mu_. queue_mu_ and ack_mu_ are
   // leaves, never held across a sink call or while taking the others.
@@ -213,10 +205,6 @@ class RedoLog {
 
   std::mutex sink_mu_;  // sink_ identity + serialization of sink calls.
   Sink sink_;
-  bool knobs_resolved_ = false;
-  bool group_commit_ = true;
-  size_t max_batch_ = 128;
-  int64_t max_wait_us_ = 0;
 
   std::mutex queue_mu_;  // queue_ + writer lifecycle.
   std::condition_variable queue_cv_;

@@ -1,57 +1,97 @@
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <random>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
 #include "harness/driver.h"
 #include "harness/metrics.h"
+#include "harness/reporter.h"
+#include "obs/metrics.h"
 
 namespace bullfrog {
 namespace {
 
-TEST(LatencyHistogramTest, QuantilesOrderedAndBracketing) {
-  LatencyHistogram h;
+obs::Histogram CdfHistogram() { return obs::Histogram(CdfLatencyBounds()); }
+
+TEST(CdfLatencyTest, QuantilesOrderedAndBracketing) {
+  obs::Histogram h = CdfHistogram();
   // 1000 samples at ~1ms, 10 at ~100ms.
-  for (int i = 0; i < 1000; ++i) h.RecordNanos(1'000'000);
-  for (int i = 0; i < 10; ++i) h.RecordNanos(100'000'000);
+  for (int i = 0; i < 1000; ++i) h.ObserveNanos(1'000'000);
+  for (int i = 0; i < 10; ++i) h.ObserveNanos(100'000'000);
   EXPECT_EQ(h.count(), 1010u);
-  const double p50 = h.QuantileSeconds(0.5);
-  const double p999 = h.QuantileSeconds(0.999);
+  const double p50 = h.Quantile(0.5);
+  const double p999 = h.Quantile(0.999);
   EXPECT_GT(p50, 0.0005);
   EXPECT_LT(p50, 0.002);
   EXPECT_GT(p999, 0.05);
   EXPECT_LE(p50, p999);
 }
 
-TEST(LatencyHistogramTest, CdfIsMonotonicAndEndsAtOne) {
-  LatencyHistogram h;
+TEST(CdfLatencyTest, CdfIsMonotonicAndEndsAtOne) {
+  obs::Histogram h = CdfHistogram();
   for (int i = 1; i <= 100; ++i) {
-    h.RecordNanos(static_cast<int64_t>(i) * 500'000);
+    h.ObserveNanos(static_cast<int64_t>(i) * 500'000);
   }
-  auto cdf = h.Cdf();
+  testing::internal::CaptureStdout();
+  PrintLatencyCdf("s", h);
+  std::istringstream out(testing::internal::GetCapturedStdout());
+  std::string line;
+  std::getline(out, line);  // "# latency CDF: ..." header.
+  std::vector<std::pair<double, double>> cdf;
+  std::string name;
+  double latency_s, fraction;
+  while (out >> name >> latency_s >> fraction) {
+    cdf.emplace_back(latency_s, fraction);
+  }
   ASSERT_FALSE(cdf.empty());
   for (size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].fraction, cdf[i].fraction);
-    EXPECT_LT(cdf[i - 1].latency_s, cdf[i].latency_s);
+    EXPECT_LE(cdf[i - 1].second, cdf[i].second);
+    EXPECT_LT(cdf[i - 1].first, cdf[i].first);
   }
-  EXPECT_DOUBLE_EQ(cdf.back().fraction, 1.0);
+  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
 }
 
-TEST(LatencyHistogramTest, MergeAddsCounts) {
-  LatencyHistogram a, b;
-  a.RecordNanos(1'000'000);
-  b.RecordNanos(1'000'000);
-  b.RecordNanos(2'000'000);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), 3u);
-}
-
-TEST(LatencyHistogramTest, ExtremeValuesClamped) {
-  LatencyHistogram h;
-  h.RecordNanos(1);                    // Below 1us.
-  h.RecordNanos(int64_t{1} << 62);     // Absurdly large.
+TEST(CdfLatencyTest, ExtremeValuesClamped) {
+  obs::Histogram h = CdfHistogram();
+  h.ObserveNanos(1);                    // Below 1us.
+  h.ObserveNanos(int64_t{1} << 62);     // Absurdly large.
   EXPECT_EQ(h.count(), 2u);
-  EXPECT_GT(h.QuantileSeconds(0.99), 0.0);
+  EXPECT_GT(h.Quantile(0.99), 0.0);
+}
+
+// The layout keeps 16 bounds per power of two across 1 us .. >= 1000 s,
+// so p50/p99/p99.9 of a sample spanning 10 us .. 100 ms land within
+// 1/16 of a power of two of the exact order statistics.
+TEST(CdfLatencyTest, QuantilesWithinASixteenthOfAPowerOfTwo) {
+  const std::vector<double> bounds = CdfLatencyBounds();
+  EXPECT_DOUBLE_EQ(bounds.front(), 1e-6);
+  EXPECT_GE(bounds.back(), 1000.0);
+  EXPECT_EQ(std::count_if(bounds.begin(), bounds.end(),
+                          [](double b) { return b >= 1e-3 && b < 2e-3; }),
+            16);
+
+  obs::Histogram h(bounds);
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> exponent(-5.0, -1.0);
+  std::vector<double> sample(20000);
+  for (double& v : sample) {
+    v = std::pow(10.0, exponent(rng));
+    h.Observe(v);
+  }
+  std::sort(sample.begin(), sample.end());
+  for (double q : {0.5, 0.99, 0.999}) {
+    const double exact =
+        sample[static_cast<size_t>(q * static_cast<double>(sample.size()))];
+    EXPECT_LE(std::abs(std::log2(h.Quantile(q) / exact)), 1.0 / 16 + 1e-9)
+        << "q=" << q << " exact=" << exact << " est=" << h.Quantile(q);
+  }
 }
 
 TEST(ThroughputTimelineTest, BucketsBySecond) {
@@ -177,7 +217,7 @@ TEST(OpenLoopDriverTest, QueueBuildsWhenWorkersSaturated) {
   EXPECT_GT(depth, 10u);  // Backlog accumulated.
   EXPECT_GT(report.peak_queue, 10u);
   // Queueing delay shows up in latency (paper's saturation behaviour).
-  EXPECT_GT(report.latency[0]->QuantileSeconds(0.9), 0.05);
+  EXPECT_GT(report.latency[0]->Quantile(0.9), 0.05);
 }
 
 TEST(OpenLoopDriverTest, PerLabelLatencySeparated) {
@@ -198,8 +238,8 @@ TEST(OpenLoopDriverTest, PerLabelLatencySeparated) {
   ASSERT_EQ(report.latency.size(), 2u);
   EXPECT_GT(report.latency[0]->count(), 0u);
   EXPECT_GT(report.latency[1]->count(), 0u);
-  EXPECT_LT(report.latency[0]->QuantileSeconds(0.5),
-            report.latency[1]->QuantileSeconds(0.5));
+  EXPECT_LT(report.latency[0]->Quantile(0.5),
+            report.latency[1]->Quantile(0.5));
 }
 
 }  // namespace
