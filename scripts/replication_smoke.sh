@@ -267,7 +267,7 @@ echo "CREATE TABLE crashy (id INT PRIMARY KEY, v INT);" |
 # Stream acked single-row INSERTs through the group-commit WAL, then
 # pull the plug mid-load: every "(1 affected)" was fsynced pre-ack.
 ( for i in $(seq 1 2000); do echo "INSERT INTO crashy VALUES ($i, $i);"; done ) |
-  stdbuf -oL "$SHELL_BIN" --connect "$CADDR" >"$ACKS" 2>&1 &
+  "$SHELL_BIN" --connect "$CADDR" >"$ACKS" 2>&1 &
 LOADER_PID=$!
 for _ in $(seq 1 600); do
   A=$(grep -c "(1 affected)" "$ACKS" || true)

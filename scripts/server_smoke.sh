@@ -147,10 +147,11 @@ echo "CREATE TABLE crashy (id INT PRIMARY KEY, v INT);" |
   "$SHELL_BIN" --connect "$DADDR" >/dev/null 2>&1
 
 # Stream sequential single-row INSERTs; each "(1 affected)" the shell
-# prints is a durably acked commit. Line-buffer the shell's output so we
-# can watch the ack count live and pull the plug mid-stream.
+# prints is a durably acked commit. The shell flushes stdout before it
+# reads each statement (no stdbuf: its LD_PRELOAD breaks ASan builds), so
+# we can watch the ack count live and pull the plug mid-stream.
 ( for i in $(seq 1 2000); do echo "INSERT INTO crashy VALUES ($i, $i);"; done ) |
-  stdbuf -oL "$SHELL_BIN" --connect "$DADDR" >"$ACKS" 2>&1 &
+  "$SHELL_BIN" --connect "$DADDR" >"$ACKS" 2>&1 &
 LOADER_PID=$!
 for _ in $(seq 1 600); do
   A=$(grep -c "(1 affected)" "$ACKS" || true)

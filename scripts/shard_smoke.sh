@@ -195,7 +195,7 @@ run_sql "$DADDR" "CREATE TABLE crashy (id INT PRIMARY KEY, v INT);" >/dev/null
 # Sequential single-row INSERTs: every "(1 affected)" is a durably acked
 # commit on some shard's WAL. Pull the plug mid-stream.
 ( for i in $(seq 1 2000); do echo "INSERT INTO crashy VALUES ($i, $i);"; done ) |
-  stdbuf -oL "$SHELL_BIN" --connect "$DADDR" >"$ACKS" 2>&1 &
+  "$SHELL_BIN" --connect "$DADDR" >"$ACKS" 2>&1 &
 LOADER_PID=$!
 for _ in $(seq 1 600); do
   A=$(grep -c "(1 affected)" "$ACKS" || true)

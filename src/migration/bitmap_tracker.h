@@ -81,7 +81,6 @@ class BitmapTracker final : public MigrationTracker {
   /// background migrator to find remaining work.
   uint64_t NextUnmigrated(uint64_t from, bool include_locked = false) const;
 
-  // TrackerRecoveryTarget:
   void MarkMigratedFromLog(const Tuple& unit_key) override;
 
  private:

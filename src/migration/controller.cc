@@ -7,7 +7,6 @@
 #include "migration/eager.h"
 #include "migration/replication_log.h"
 #include "query/scan.h"
-#include "txn/recovery.h"
 
 namespace bullfrog {
 
@@ -424,6 +423,8 @@ Status MigrationController::StartReserved(PendingMigration e,
     state->ddl_logged = e.ddl_logged;
     state->plan = std::move(*plan);
     state->opts = e.opts;
+    state->replaying.store(e.opts.replicated_replay,
+                           std::memory_order_release);
     for (size_t i = 0; i < state->plan.statements.size(); ++i) {
       for (const std::string& out : state->plan.statements[i].output_tables) {
         state->by_output.emplace(out, i);
@@ -652,7 +653,9 @@ Status MigrationController::SubmitLazy(
       m->BindTracing(tracer_, TraceNameOf(*state));
       state->stmt_migrators.push_back(std::move(m));
     }
-    if (state->opts.enable_background && !state->opts.replicated_replay) {
+    // A replaying entry gets its worker too, left unstarted until
+    // TakeOwnership: nothing of a published state is assigned later.
+    if (state->opts.enable_background) {
       std::vector<StatementMigrator*> raw;
       for (auto& m : state->stmt_migrators) raw.push_back(m.get());
       state->background = std::make_unique<BackgroundMigrator>(
@@ -670,7 +673,10 @@ Status MigrationController::SubmitLazy(
                       "new schema live");
     }
   }
-  if (state->background != nullptr) state->background->Start();
+  if (state->background != nullptr &&
+      !state->replaying.load(std::memory_order_acquire)) {
+    state->background->Start();
+  }
   return Status::OK();
 }
 
@@ -797,7 +803,7 @@ void MigrationController::OnMigrationComplete(ActiveState* state) {
     (void)catalog_->DropTable(name);
   }
   if (!state->plan.source_script.empty() &&
-      !state->opts.replicated_replay) {
+      !state->replaying.load(std::memory_order_acquire)) {
     std::string blob;
     EncodeMigrateCompleteBlob(&blob, state->plan.name,
                               state->plan.retire_tables);
@@ -865,7 +871,7 @@ Status MigrationController::PrepareRead(const Views& views,
   if (state->opts.strategy != MigrationStrategy::kLazy) return Status::OK();
   // On a replica, data moves only via the replicated log: migrating
   // locally would assign rids the primary will later assign differently.
-  if (state->opts.replicated_replay) return Status::OK();
+  if (state->replaying.load(std::memory_order_acquire)) return Status::OK();
   StatementMigrator* m = MigratorFor(*state, table);
   if (m == nullptr || m->IsComplete()) return Status::OK();
   Status s = m->MigrateForPredicate(pred);
@@ -887,7 +893,7 @@ Status MigrationController::PrepareInsert(const Views& views,
     return Status::OK();
   }
   if (state->opts.strategy != MigrationStrategy::kLazy) return Status::OK();
-  if (state->opts.replicated_replay) return Status::OK();
+  if (state->replaying.load(std::memory_order_acquire)) return Status::OK();
   StatementMigrator* m = MigratorFor(*state, table);
   if (m == nullptr || m->IsComplete()) return Status::OK();
 
@@ -1124,7 +1130,9 @@ std::string MigrationController::StatusReport() const {
           static_cast<unsigned long long>(s.txn_aborts.load()));
       out += line;
     }
-    if (state->background != nullptr) {
+    // A replaying entry's worker exists but is not this node's to run.
+    if (state->background != nullptr &&
+        !state->replaying.load(std::memory_order_acquire)) {
       const BackgroundMigrator& bg = *state->background;
       std::snprintf(line, sizeof(line),
                     "  background: started=%d finished=%d gave_up=%d "
@@ -1229,7 +1237,7 @@ Status MigrationController::StartQueuedMigration(
 bool MigrationController::ShouldForwardReads(const std::string& table) const {
   const RoutingRef routing = routing_.Load();
   ActiveState* state = StateForTable(*routing, table);
-  if (state == nullptr || !state->opts.replicated_replay ||
+  if (state == nullptr || !state->replaying.load(std::memory_order_acquire) ||
       state->opts.strategy != MigrationStrategy::kLazy ||
       state->complete.load(std::memory_order_acquire)) {
     return false;
@@ -1279,107 +1287,32 @@ Status MigrationController::DescribeTrainForCheckpoint(
   return Status::OK();
 }
 
-Status MigrationController::RecoverFromRedoLog() {
-  std::vector<std::shared_ptr<ActiveState>> old_states;
-  bool queue_empty;
+Status MigrationController::TakeOwnership() {
+  std::vector<std::shared_ptr<ActiveState>> owned;
   {
     std::lock_guard lock(mu_);
-    old_states = states_;
-    queue_empty = queue_.empty();
-  }
-  if (old_states.empty() && queue_empty) {
-    return Status::InvalidArgument("no migration");
-  }
-  for (const auto& old : old_states) {
-    if (!old->complete.load(std::memory_order_acquire) &&
-        old->opts.strategy != MigrationStrategy::kLazy) {
-      return Status::Unsupported("recovery applies to lazy migrations");
+    for (const auto& state : states_) {
+      if (state->complete.load(std::memory_order_acquire)) continue;
+      if (state->opts.strategy != MigrationStrategy::kLazy) {
+        return Status::Unsupported("recovery applies to lazy migrations");
+      }
+      owned.push_back(state);
     }
-  }
-  // Stop the old background workers before rebuilding: their completion
-  // callbacks reference the states being replaced.
-  for (const auto& old : old_states) {
-    if (old->background != nullptr) old->background->Stop();
-  }
-
-  // §3.5: the tracking structures are volatile and must be reinitialized
-  // after a crash. Build an entirely new state per incomplete entry
-  // around fresh trackers and publish the lot; in-flight readers finish
-  // on the pre-recovery snapshots they already hold (published states
-  // are never mutated in place).
-  std::vector<std::shared_ptr<ActiveState>> rebuilt;
-  std::unordered_map<std::string, TrackerRecoveryTarget*> targets;
-  for (const auto& old : old_states) {
-    if (old->complete.load(std::memory_order_acquire)) {
-      rebuilt.push_back(old);  // Completed entries carry over untouched.
-      continue;
-    }
-    auto fresh = std::make_shared<ActiveState>();
-    fresh->name = old->name;
-    fresh->table_set = old->table_set;
-    fresh->ddl_logged = old->ddl_logged;
-    fresh->plan = old->plan;
-    fresh->opts = old->opts;
-    // Recovery hands the migration back to this node: after the trackers
-    // are rebuilt below, lazy and background migration run locally again
-    // (a primary restarting from its WAL replays in replicated_replay
-    // mode first, then calls this to resume as the migration's owner).
-    fresh->opts.replicated_replay = false;
-    fresh->by_output = old->by_output;
-    fresh->since_submit = old->since_submit;
-    fresh->complete_s.store(old->complete_s.load(std::memory_order_acquire),
-                            std::memory_order_relaxed);
-
-    // Capture the frozen boundaries, then rebuild trackers from scratch —
-    // exactly what a restart after a crash would do.
-    std::vector<std::vector<uint64_t>> boundaries;
-    for (const auto& m : old->stmt_migrators) {
-      boundaries.push_back(m->boundaries());
-    }
-    for (size_t i = 0; i < fresh->plan.statements.size(); ++i) {
-      BF_ASSIGN_OR_RETURN(
-          std::unique_ptr<StatementMigrator> m,
-          MakeStatementMigrator(catalog_, txns_, fresh->plan.statements[i],
-                                fresh->opts.lazy, &boundaries[i]));
-      m->BindTracing(tracer_, TraceNameOf(*fresh));
-      fresh->stmt_migrators.push_back(std::move(m));
-    }
-    for (const auto& m : fresh->stmt_migrators) {
-      if (m->tracker() != nullptr) targets[m->tracker()->id()] = m->tracker();
-    }
-    if (fresh->opts.enable_background) {
-      std::vector<StatementMigrator*> raw;
-      for (auto& m : fresh->stmt_migrators) raw.push_back(m.get());
-      fresh->background = std::make_unique<BackgroundMigrator>(
-          std::move(raw), fresh->opts.lazy,
-          [this, s = fresh.get()] { OnMigrationComplete(s); });
-      fresh->background->BindObservability(registry_, tracer_,
-                                           TraceNameOf(*fresh));
-    }
-    rebuilt.push_back(std::move(fresh));
-  }
-
-  // Replay committed migration marks from the redo log (one pass covers
-  // every rebuilt entry's trackers).
-  RecoverTrackerState(txns_->redo_log(), targets);
-
-  {
-    std::lock_guard lock(mu_);
-    states_ = rebuilt;
-    RepublishLocked();
+    if (owned.empty() && queue_.empty()) return Status::OK();
     // Queued entries are handed back too: they auto-start locally once
     // their predecessors complete (their "migrate" records are already
     // durable, so the start path logs only the migrate_start marker).
     for (auto& e : queue_) e.opts.replicated_replay = false;
-    RecomputeActiveLocked();
   }
-  for (const auto& s : rebuilt) {
-    if (s->complete.load(std::memory_order_acquire)) continue;
+  // The WAL replay already re-marked these trackers from every committed
+  // kMigrationMark; this node only resumes moving the rest.
+  for (const auto& state : owned) {
+    state->replaying.store(false, std::memory_order_release);
     if (tracer_ != nullptr) {
-      tracer_->Record(obs::TraceEventKind::kRecovery, TraceNameOf(*s),
-                      "trackers rebuilt from redo log");
+      tracer_->Record(obs::TraceEventKind::kRecovery, TraceNameOf(*state),
+                      "ownership after WAL replay");
     }
-    if (s->background != nullptr) s->background->Start();
+    if (state->background != nullptr) state->background->Start();
   }
   // Predecessors may have completed pre-crash: the queue may hold
   // immediately startable entries.

@@ -49,10 +49,10 @@ namespace bullfrog {
 /// `shared_ptr<ActiveState>`. The statement path never takes `mu_`: it
 /// resolves tables against a published RoutingView (output table ->
 /// incomplete entry, the incomplete multistep entry, the eager gates),
-/// which owns the states it names, so a concurrent Submit, completion,
-/// prune or RecoverFromRedoLog can never free a state out from under an
-/// in-flight request. Status paths copy the train under `mu_`. See
-/// DESIGN.md "Threading & lifetime model".
+/// which owns the states it names, so a concurrent Submit, completion or
+/// prune can never free a state out from under an in-flight request.
+/// Status paths copy the train under `mu_`. See DESIGN.md "Threading &
+/// lifetime model".
 class MigrationController {
  public:
   struct SubmitOptions {
@@ -78,7 +78,8 @@ class MigrationController {
     /// state advances only via ApplyReplicatedMark /
     /// CompleteReplicatedMigration. A replayed entry that queues also
     /// stays parked until its "migrate_start" record arrives (see
-    /// StartQueuedMigration) instead of auto-starting.
+    /// StartQueuedMigration) instead of auto-starting. TakeOwnership ends
+    /// replay mode on a restarting primary.
     bool replicated_replay = false;
     /// Set when this submit rebuilds a migration from a checkpoint whose
     /// catalog is already post-switch (outputs created, inputs retired):
@@ -306,16 +307,18 @@ class MigrationController {
   /// outputs include `table`. Same lifetime caveat as migrators().
   StatementMigrator* FindMigratorForOutput(const std::string& table) const;
 
-  /// --- recovery (§3.5 extension) ---------------------------------------
+  /// --- recovery (§3.5) --------------------------------------------------
 
-  /// Simulates a post-crash restart of the migration machinery: rebuilds
-  /// fresh trackers for every incomplete lazy train entry and repopulates
-  /// them from the redo log's committed migration marks; queued entries
-  /// are handed back to this node (their replicated_replay flag is
-  /// cleared so they auto-start normally). Background threads are
-  /// restarted. Publishes new state snapshots; in-flight readers keep
-  /// using the pre-recovery snapshots they already hold.
-  Status RecoverFromRedoLog();
+  /// Called by a restarting primary once its WAL replay is done. Replay
+  /// submitted every migration in replicated_replay mode and re-marked its
+  /// trackers at each committed kMigrationMark (LogApplier ->
+  /// ApplyReplicatedMark) — the §3.5 REDO scan. This hands those same
+  /// trackers back to this node: every incomplete lazy entry leaves replay
+  /// mode (lazy request paths on) and starts its background migrator, and
+  /// queued entries auto-start normally. Builds no state and reads no log.
+  /// OK (and a no-op) when nothing is incomplete; Unsupported when an
+  /// incomplete entry is eager or multistep.
+  Status TakeOwnership();
 
   /// --- replication (live replay on a replica) --------------------------
 
@@ -360,12 +363,11 @@ class MigrationController {
 
  private:
   /// Per-migration state. Immutable once published through `states_`
-  /// except for the `complete` / `complete_s` atomics: any structural
-  /// change (recovery) builds and publishes a *new* ActiveState instead
-  /// of mutating the visible one. Member order matters for teardown:
-  /// `background` and `multistep` are declared after `stmt_migrators` so
-  /// their destructors join worker threads before the migrators those
-  /// threads use are destroyed.
+  /// except for the `complete` / `complete_s` / `replaying` atomics (and
+  /// the thread-safe migrators and workers it owns). Member order matters
+  /// for teardown: `background` and `multistep` are declared after
+  /// `stmt_migrators` so their destructors join worker threads before the
+  /// migrators those threads use are destroyed.
   struct ActiveState {
     /// Train identity: the plan name (or first output for unnamed
     /// plans). Unique among in-flight entries — duplicate submits are
@@ -386,6 +388,11 @@ class MigrationController {
     Stopwatch since_submit;
     std::atomic<bool> complete{false};
     std::atomic<double> complete_s{-1.0};
+    /// opts.replicated_replay as of now: set at submit, cleared only by
+    /// TakeOwnership. While set, the statement path migrates nothing and
+    /// the background migrator (built whenever opts.enable_background)
+    /// stays unstarted.
+    std::atomic<bool> replaying{false};
     /// Output table name -> statement index.
     std::unordered_map<std::string, size_t> by_output;
   };

@@ -68,7 +68,6 @@ class HashTracker final : public MigrationTracker {
     return migrated_count_.load(std::memory_order_acquire);
   }
 
-  // TrackerRecoveryTarget:
   void MarkMigratedFromLog(const Tuple& unit_key) override;
 
  private:

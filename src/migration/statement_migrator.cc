@@ -1126,20 +1126,12 @@ double JoinMigrator::Progress() const {
 
 Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     Catalog* catalog, TransactionManager* txns, MigrationStatement stmt,
-    const LazyConfig& config, const std::vector<uint64_t>* boundaries) {
+    const LazyConfig& config) {
   if (stmt.input_tables.empty() || stmt.output_tables.empty()) {
     return Status::InvalidArgument("statement '" + stmt.name +
                                    "' needs input and output tables");
   }
   auto boundary_of = [&](size_t input_index) -> Result<uint64_t> {
-    if (boundaries != nullptr) {
-      if (input_index >= boundaries->size()) {
-        return Status::InvalidArgument("missing boundary for input " +
-                                       std::to_string(input_index) +
-                                       " of statement '" + stmt.name + "'");
-      }
-      return (*boundaries)[input_index];
-    }
     BF_ASSIGN_OR_RETURN(Table * t,
                         catalog->RequireReadable(stmt.input_tables[input_index]));
     return t->NumAllocatedRows();

@@ -55,15 +55,12 @@ class StatementMigrator {
   /// True once all data of this statement is physically migrated.
   virtual bool IsComplete() const = 0;
 
-  /// The tracker, for recovery wiring; may be null (Fig 9 no-tracking
-  /// ablation).
+  /// The tracker, for replayed-mark wiring; may be null (Fig 9
+  /// no-tracking ablation).
   virtual MigrationTracker* tracker() = 0;
 
   /// Fraction of units migrated (approximate; for progress reporting).
   virtual double Progress() const = 0;
-
-  /// Frozen per-input-table row boundaries (for recovery re-creation).
-  virtual std::vector<uint64_t> boundaries() const = 0;
 
   /// Attaches the migration lifecycle tracer (may be null). `name`
   /// identifies this migration in trace events (output table name). The
@@ -158,9 +155,6 @@ class ProjectionMigrator final : public StatementMigrator {
   bool IsComplete() const override;
   MigrationTracker* tracker() override { return tracker_.get(); }
   double Progress() const override;
-  std::vector<uint64_t> boundaries() const override {
-    return {tracker_->num_rows()};
-  }
 
   BitmapTracker* bitmap() { return tracker_.get(); }
 
@@ -195,9 +189,6 @@ class AggregateMigrator final : public StatementMigrator {
   bool IsComplete() const override;
   MigrationTracker* tracker() override { return tracker_.get(); }
   double Progress() const override;
-  std::vector<uint64_t> boundaries() const override {
-    return {input_boundary_};
-  }
 
   HashTracker* hashmap() { return tracker_.get(); }
 
@@ -239,9 +230,6 @@ class JoinMigrator final : public StatementMigrator {
   bool IsComplete() const override;
   MigrationTracker* tracker() override;
   double Progress() const override;
-  std::vector<uint64_t> boundaries() const override {
-    return {left_boundary_, right_boundary_};
-  }
 
   /// Migrates one explicit join-key class (kHashJoinKey policy).
   Status MigrateJoinKey(const Value& key);
@@ -280,18 +268,13 @@ class JoinMigrator final : public StatementMigrator {
   std::atomic<bool> found_in_pass_{false};
 };
 
-/// Factory: builds the right migrator for a statement.
-///
-/// `boundaries` optionally pins the per-input-table row boundaries (the
-/// frozen migration domain, one entry per input table). When null, each
-/// boundary defaults to the input table's current NumAllocatedRows — the
-/// right value at submit time. Recovery passes the boundaries captured at
-/// the original submit, so post-switch inserts into still-active inputs
-/// are not re-migrated.
+/// Factory: builds the right migrator for a statement. Each input table's
+/// row boundary (the frozen migration domain) is its current
+/// NumAllocatedRows, so call it at the logical switch: a WAL replay
+/// re-submits at the same log position and freezes the same domain.
 Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     Catalog* catalog, TransactionManager* txns, MigrationStatement stmt,
-    const LazyConfig& config,
-    const std::vector<uint64_t>* boundaries = nullptr);
+    const LazyConfig& config);
 
 }  // namespace bullfrog
 

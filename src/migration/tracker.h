@@ -5,7 +5,6 @@
 #include <string>
 
 #include "storage/tuple.h"
-#include "txn/recovery.h"
 
 namespace bullfrog {
 
@@ -19,17 +18,24 @@ enum class AcquireResult : uint8_t {
 
 /// Common behaviour of the two migration status trackers (§3.3 bitmap,
 /// §3.4 hashmap). A unit is identified by a Tuple key: a single Int cell
-/// (the granule index) for bitmaps, the group key for hashmaps. Both
-/// trackers are recovery targets for the §3.5 REDO-scan extension.
-class MigrationTracker : public TrackerRecoveryTarget {
+/// (the granule index) for bitmaps, the group key for hashmaps.
+class MigrationTracker {
  public:
-  ~MigrationTracker() override = default;
+  virtual ~MigrationTracker() = default;
 
   /// A stable identifier used in migration-mark redo records.
   virtual const std::string& id() const = 0;
 
   /// Number of units currently in migrated state.
   virtual uint64_t MigratedCount() const = 0;
+
+  /// §3.5: "for each tuple (or group) that is found in a committed
+  /// migration transaction, the corresponding status is set to [0 1] in
+  /// the bitmap or migrated in the hashmap." Re-applies one committed
+  /// kMigrationMark record (LogApplier -> ApplyReplicatedMark, on a
+  /// replica or during WAL replay at restart). Idempotent; out-of-range or
+  /// malformed keys are ignored.
+  virtual void MarkMigratedFromLog(const Tuple& unit_key) = 0;
 };
 
 }  // namespace bullfrog

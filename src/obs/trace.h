@@ -30,7 +30,7 @@ enum class TraceEventKind : uint8_t {
   kBackgroundStart,  // Background migrator began sweeping.
   kChunk,            // Background chunk progress breadcrumb (throttled).
   kComplete,         // All granules migrated; old tables dropped.
-  kRecovery,         // Migration state rebuilt from the redo log.
+  kRecovery,         // Restarted primary took over a replayed migration.
 };
 
 const char* TraceEventKindName(TraceEventKind kind);

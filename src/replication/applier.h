@@ -24,8 +24,9 @@ namespace bullfrog::replication {
 /// MigrationController::ApplyReplicatedMark.
 ///
 /// Records are buffered per transaction and applied at the kCommit
-/// boundary, mirroring txn/recovery.cc: a shipped log only contains
-/// committed batches today, but the applier must not rely on that.
+/// boundary: a shipped log only contains committed batches today, but the
+/// applier must not rely on that. This is also the §3.5 recovery scan —
+/// the only code that applies a kMigrationMark to a tracker.
 class LogApplier {
  public:
   /// `append_to_local_log`: when true every consumed batch is also

@@ -66,9 +66,9 @@ Status CaptureCheckpoint(Database* db, std::string* out,
 /// covered offset by construction. When the blob embeds a live migration,
 /// it is re-submitted against the restored (already-switched) catalog
 /// with replicated_replay + resume_after_switch; a primary restart then
-/// takes ownership via RecoverFromRedoLog, a replica keeps forwarding
-/// reads until the replicated completion arrives. Returns the embedded
-/// wal_offset.
+/// calls TakeOwnership after the WAL suffix replay, a replica keeps
+/// forwarding reads until the replicated completion arrives. Returns the
+/// embedded wal_offset.
 Status LoadCheckpoint(Database* db, const std::string& blob,
                       uint64_t* wal_offset);
 

@@ -50,10 +50,11 @@ class WalDir {
   /// LogApplier, repopulating both the tables and the in-memory redo log
   /// (so in-memory offsets line up: global = base() + index).
   ///
-  /// If the replayed suffix leaves a lazy migration incomplete, call
-  /// db->controller().RecoverFromRedoLog() afterwards when this node is a
-  /// primary: replay submits with replicated_replay set, and a primary
-  /// must own its migration again (trackers, background threads).
+  /// Replay submits migrations with replicated_replay set and re-marks
+  /// their trackers at each committed kMigrationMark, so the trackers come
+  /// back as §3.5 asks. A primary then calls
+  /// db->controller().TakeOwnership() to run the migration itself again
+  /// (lazy pulls, background threads).
   Status Recover(Database* db);
 
   /// Attaches a sink writing committed batches to a fresh segment.

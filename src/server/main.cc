@@ -188,13 +188,10 @@ int main(int argc, char** argv) {
     wal = std::make_unique<bullfrog::replication::WalDir>();
     bullfrog::Status st = wal->Open(data_dir);
     if (st.ok()) st = wal->Recover(&db);
-    if (st.ok() && db.controller().HasActiveMigration() &&
-        !db.controller().IsComplete()) {
-      // The WAL suffix replayed an unfinished lazy migration in replica
-      // mode; this node is the primary again, so rebuild the trackers
-      // with local ownership (background threads, lazy request paths).
-      st = db.controller().RecoverFromRedoLog();
-    }
+    // Replay left any unfinished lazy migration in replica mode with its
+    // trackers rebuilt; this node is the primary again, so it takes the
+    // migration over (background threads, lazy request paths).
+    if (st.ok()) st = db.controller().TakeOwnership();
     if (st.ok()) st = wal->StartLogging(&db);
     if (!st.ok()) {
       std::fprintf(stderr, "recovery failed: %s\n", st.ToString().c_str());

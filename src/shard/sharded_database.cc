@@ -82,12 +82,9 @@ Status ShardedDatabase::OpenDurable(const std::string& dir) {
     Database* db = shards_[i].get();
     Status st = wal->Open(dir + "/shard-" + std::to_string(i));
     if (st.ok()) st = wal->Recover(db);
-    if (st.ok() && db->controller().HasActiveMigration() &&
-        !db->controller().IsComplete()) {
-      // This shard crashed mid lazy migration: re-own it locally
-      // (trackers rebuilt from the shard's own migration marks).
-      st = db->controller().RecoverFromRedoLog();
-    }
+    // A shard that crashed mid lazy migration re-owns it locally, on the
+    // trackers its own replayed migration marks rebuilt.
+    if (st.ok()) st = db->controller().TakeOwnership();
     if (st.ok()) st = wal->StartLogging(db);
     results[i] = st;
     dirs[i] = std::move(wal);

@@ -62,8 +62,8 @@ class ShardedDatabase {
   ///
   /// Call on an empty ShardedDatabase before any DDL or traffic: each
   /// shard recovers its own segment independently (checkpoint + WAL
-  /// suffix, then RecoverFromRedoLog if that shard's lazy migration was
-  /// mid-flight at the crash) and then starts logging.
+  /// suffix, then TakeOwnership of any lazy migration that was mid-flight
+  /// at the crash) and then starts logging.
   Status OpenDurable(const std::string& dir);
 
   /// Checkpoints every shard (kBusy if a migration is draining).

@@ -25,9 +25,9 @@ bool DecodeLogRecord(codec::ByteReader* reader, LogRecord* record);
 
 /// Appends redo records to a binary log file. Attach one to a RedoLog
 /// (RedoLog::SetSink) to make commits durable; after a process restart,
-/// ReadLogFile + RecoverTrackerState rebuild the migration trackers —
-/// completing the §3.5 story across real crashes, not just in-process
-/// reinitialization.
+/// ReadLogFile feeds the WAL replay (replication::WalDir::Recover), whose
+/// LogApplier rebuilds tables and migration trackers alike — the §3.5
+/// story across real crashes.
 ///
 /// Format (little-endian, per record):
 ///   u64 txn_id | u8 op | u32 table_len | table bytes | u64 rid |

@@ -257,11 +257,6 @@ void RedoLog::AppendRaw(std::vector<LogRecord> records) {
   grow_cv_.notify_all();
 }
 
-void RedoLog::Replay(const std::function<void(const LogRecord&)>& fn) const {
-  std::lock_guard lock(mu_);
-  for (const LogRecord& r : records_) fn(r);
-}
-
 size_t RedoLog::ReadFrom(size_t from, size_t limit,
                          std::vector<LogRecord>* out) const {
   std::lock_guard lock(mu_);

@@ -28,16 +28,16 @@ enum class LogOp : uint8_t {
   /// scanned during recovery, for each tuple (or group) found in a
   /// committed migration transaction, the corresponding status is set to
   /// [0 1] / migrated". The original prototype left this unimplemented;
-  /// this reproduction implements it (see txn/recovery.h).
+  /// this reproduction implements it in replication::LogApplier.
   kMigrationMark,
   kCommit,
   /// A replicated DDL event (CREATE TABLE / CREATE INDEX / migration
   /// submit / migration completion). `table` carries the DDL kind string
   /// ("create_table", "create_index", "migrate", "migrate_complete") and
   /// the single Str value in `after` carries a kind-specific blob (see
-  /// catalog/schema_codec.h and migration/replication_log.h). Single-node
-  /// recovery (txn/recovery.cc) ignores these; the replication applier
-  /// (src/replication/applier.cc) replays them against the catalog.
+  /// catalog/schema_codec.h and migration/replication_log.h). The
+  /// replication applier (src/replication/applier.cc) replays them against
+  /// the catalog, on a replica and at restart alike.
   kDdl,
 };
 
@@ -87,12 +87,11 @@ struct CommitTicket {
 /// in-memory log, and releases the acks strictly in LSN order. The sink's
 /// Status is propagated to every waiter in the batch: a failed write/sync
 /// aborts those commits instead of acking them, and the failed records are
-/// never published (not visible to ReadFrom/Replay, never shipped to
-/// replicas).
+/// never published (not visible to ReadFrom, never shipped to replicas).
 ///
 /// Reader isolation: the sink is invoked WITHOUT holding the log mutex,
-/// so ReadFrom / Replay / size readers (replication tails, recovery,
-/// ADMIN offset) never wait on an fsync. Records become visible only
+/// so ReadFrom / size readers (replication tails, checkpoints, ADMIN
+/// offset) never wait on an fsync. Records become visible only
 /// after they are durable — the in-memory log is always a prefix of the
 /// durable log, never ahead of it.
 ///
@@ -133,9 +132,6 @@ class RedoLog {
 
   /// Bulk-loads records (e.g. read back from a log file after a restart).
   void AppendRaw(std::vector<LogRecord> records);
-
-  /// Invokes fn on every record, in append order.
-  void Replay(const std::function<void(const LogRecord&)>& fn) const;
 
   /// Copies up to `limit` records starting at record offset `from` into
   /// *out (cleared first) and returns the current log size. Used by the

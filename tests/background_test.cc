@@ -169,7 +169,6 @@ class FailingMigrator final : public StatementMigrator {
   bool IsComplete() const override { return false; }
   MigrationTracker* tracker() override { return nullptr; }
   double Progress() const override { return 0.0; }
-  std::vector<uint64_t> boundaries() const override { return {}; }
 
   std::atomic<int> calls{0};
 

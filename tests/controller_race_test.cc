@@ -9,16 +9,20 @@
 // left.
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bullfrog/database.h"
 #include "catalog/catalog.h"
 #include "common/clock.h"
 #include "migration/controller.h"
 #include "query/expr.h"
+#include "replication/applier.h"
+#include "sql/engine.h"
 #include "txn/txn_manager.h"
 
 namespace bullfrog {
@@ -151,21 +155,47 @@ TEST(ControllerRaceTest, ReadersSurviveRepeatedSubmits) {
   EXPECT_TRUE(controller.background_error().ok());
 }
 
-/// RecoverFromRedoLog republishes a brand-new state (fresh trackers and
-/// migrators) while readers hold and use the old snapshot.
-TEST(ControllerRaceTest, RecoveryRepublishesUnderReaders) {
-  Catalog catalog;
-  TransactionManager txns;
-  MigrationController controller(&catalog, &txns);
+/// A restarted primary takes over a replayed mid-flight migration while
+/// readers hammer the statement and status paths. The handoff flips the
+/// published state's replay flag in place and starts its background
+/// worker; the migration then completes with every row exactly once.
+TEST(ControllerRaceTest, OwnershipHandoffUnderReaders) {
+  Database a;
+  sql::SqlEngine engine(&a);
+  ASSERT_TRUE(
+      engine.Execute("CREATE TABLE src (id INT PRIMARY KEY, v INT)").ok());
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(engine
+                    .Execute("INSERT INTO src VALUES (" + std::to_string(i) +
+                             ", " + std::to_string(i) + ")")
+                    .ok());
+  }
+  MigrationController::SubmitOptions opts;
+  opts.enable_background = false;
+  ASSERT_TRUE(engine
+                  .SubmitMigrationScript(
+                      "CREATE TABLE dst PRIMARY KEY (id) AS "
+                      "SELECT id, v FROM src; DROP TABLE src;",
+                      opts)
+                  .ok());
+  // Pull every fourth row on the primary so the replay carries marks.
+  for (int k = 0; k < kRows; k += 4) {
+    ASSERT_TRUE(
+        a.controller().PrepareRead("dst", Eq(Col("id"), LitInt(k))).ok());
+  }
 
-  LoadSource(&catalog, 0);
-
-  auto opts = FastLazyOpts();
-  // Give client-side PrepareRead traffic a head start over background.
-  opts.lazy.background_start_delay_ms = 5;
-  ASSERT_TRUE(controller.Submit(CopyPlan(0), opts).ok());
+  // Restart: replay the primary's log into a fresh node, mid-migration.
+  Database b;
+  std::vector<LogRecord> records;
+  a.txns().redo_log().ReadFrom(0, SIZE_MAX, &records);
+  replication::LogApplier applier(&b, /*append_to_local_log=*/true);
+  ASSERT_TRUE(applier.Apply(std::move(records)).ok());
+  ASSERT_TRUE(b.controller().HasActiveMigration());
+  ASSERT_FALSE(b.controller().IsComplete());
+  MigrationController& controller = b.controller();
 
   std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&, r] {
@@ -173,26 +203,29 @@ TEST(ControllerRaceTest, RecoveryRepublishesUnderReaders) {
       while (!done.load(std::memory_order_acquire)) {
         rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
         const auto key = static_cast<int64_t>(rng % kRows);
-        (void)controller.PrepareRead(DstName(0),
-                                     Eq(Col("id"), LitInt(key)));
+        Status s = controller.PrepareRead("dst", Eq(Col("id"), LitInt(key)));
+        if (!s.ok()) {
+          errors.fetch_add(1);
+          ADD_FAILURE() << "PrepareRead: " << s.ToString();
+        }
         (void)controller.Progress();
-        (void)controller.timeline();
         (void)controller.migrators();
+        (void)controller.StatusReport();
       }
     });
   }
 
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(controller.RecoverFromRedoLog().ok());
-    Clock::SleepMillis(2);
-  }
+  Clock::SleepMillis(2);
+  EXPECT_TRUE(controller.TakeOwnership().ok());
   WaitComplete(&controller);
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
-  Table* t = catalog.FindTable(DstName(0));
+  EXPECT_EQ(errors.load(), 0);
+  Table* t = b.catalog().FindTable("dst");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->NumLiveRows(), static_cast<uint64_t>(kRows));
+  EXPECT_TRUE(controller.background_error().ok());
 }
 
 /// Concurrent Submits: exactly one wins per round; the rest observe

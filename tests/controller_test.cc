@@ -1,12 +1,15 @@
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "bullfrog/database.h"
 #include "catalog/catalog.h"
 #include "common/clock.h"
 #include "migration/controller.h"
 #include "query/scan.h"
+#include "replication/applier.h"
 #include "txn/txn_manager.h"
 
 namespace bullfrog {
@@ -30,7 +33,11 @@ class ControllerTest : public ::testing::Test {
 
   void SetUp() override {
     controller_ = std::make_unique<MigrationController>(&catalog_, &txns_);
-    auto src = catalog_.CreateTable(SchemaBuilder("src")
+    CreateSource(&catalog_);
+  }
+
+  static void CreateSource(Catalog* catalog) {
+    auto src = catalog->CreateTable(SchemaBuilder("src")
                                         .AddColumn("id", ValueType::kInt64,
                                                    false)
                                         .AddColumn("grp", ValueType::kInt64)
@@ -350,26 +357,54 @@ TEST_F(ControllerTest, ForeignKeyIntoMigratingParentForcesMigration) {
   EXPECT_GE(CountRows("out_b"), 1u);
 }
 
-TEST_F(ControllerTest, RecoverFromRedoLogRestoresTrackerState) {
+TEST_F(ControllerTest, TakeOwnershipKeepsReplayedTrackers) {
   ASSERT_TRUE(controller_->Submit(SplitPlan(), LazyOpts(false)).ok());
-  // Migrate a couple of units, then "crash": rebuild trackers from the
-  // redo log (§3.5 extension).
+  // Migrate a couple of units, then "crash".
   ASSERT_TRUE(
       controller_->PrepareRead("out_a", Eq(Col("id"), LitInt(1))).ok());
   ASSERT_TRUE(
       controller_->PrepareRead("out_a", Eq(Col("id"), LitInt(2))).ok());
   EXPECT_EQ(CountRows("out_a"), 2u);
-  ASSERT_TRUE(controller_->RecoverFromRedoLog().ok());
-  // The recovered tracker remembers both units: preparing the same reads
-  // must not duplicate-migrate (the PK would reject it).
-  ASSERT_TRUE(
-      controller_->PrepareRead("out_a", Eq(Col("id"), LitInt(1))).ok());
-  ASSERT_TRUE(
-      controller_->PrepareRead("out_a", Eq(Col("id"), LitInt(2))).ok());
-  EXPECT_EQ(CountRows("out_a"), 2u);
-  auto migrators = controller_->migrators();
+
+  // Restart: a fresh node with the same source rows. SplitPlan has no
+  // script, so no "migrate" record is logged; the node re-submits it in
+  // replay mode where that record would sit (before every migration
+  // commit), then replays the primary's log — whose committed marks
+  // re-mark the tracker (§3.5) — and takes the migration over.
+  Database b;
+  CreateSource(&b.catalog());
+  auto replay = LazyOpts(false);
+  replay.replicated_replay = true;
+  ASSERT_TRUE(b.controller().Submit(SplitPlan(), replay).ok());
+  std::vector<LogRecord> records;
+  txns_.redo_log().ReadFrom(0, SIZE_MAX, &records);
+  replication::LogApplier applier(&b, /*append_to_local_log=*/true);
+  ASSERT_TRUE(applier.Apply(std::move(records)).ok());
+  ASSERT_TRUE(b.controller().TakeOwnership().ok());
+
+  auto migrators = b.controller().migrators();
   ASSERT_EQ(migrators.size(), 1u);
   EXPECT_EQ(migrators[0]->tracker()->MigratedCount(), 2u);
+  Table* out_a = b.catalog().FindTable("out_a");
+  ASSERT_NE(out_a, nullptr);
+  EXPECT_EQ(out_a->NumLiveRows(), 2u);
+  // The replayed tracker remembers both units: preparing the same reads
+  // must not duplicate-migrate (the PK would reject it)...
+  ASSERT_TRUE(
+      b.controller().PrepareRead("out_a", Eq(Col("id"), LitInt(1))).ok());
+  ASSERT_TRUE(
+      b.controller().PrepareRead("out_a", Eq(Col("id"), LitInt(2))).ok());
+  EXPECT_EQ(out_a->NumLiveRows(), 2u);
+  // ...while the node now migrates the rest itself.
+  ASSERT_TRUE(
+      b.controller().PrepareRead("out_a", Eq(Col("id"), LitInt(3))).ok());
+  EXPECT_EQ(out_a->NumLiveRows(), 3u);
+  EXPECT_EQ(migrators[0]->tracker()->MigratedCount(), 3u);
+}
+
+TEST_F(ControllerTest, TakeOwnershipWithoutMigrationIsNoOp) {
+  EXPECT_TRUE(controller_->TakeOwnership().ok());
+  EXPECT_FALSE(controller_->HasActiveMigration());
 }
 
 TEST_F(ControllerTest, SynchronousUniqueValidationRejectsDoomedMigration) {

@@ -255,7 +255,7 @@ TEST(MigrationTrainTest, ChainedHopsReadThroughAndConvergeInOrder) {
 
 // Satellite: kill -9 with a started hop plus two queued scripts in the
 // WAL. Replay must restore the queue in submit order and the train must
-// still converge after recovery hands ownership back to this node.
+// still converge after TakeOwnership hands it back to this node.
 TEST(MigrationTrainTest, CrashWithQueuedScriptsReplaysTrainInOrder) {
   const std::string dir = ::testing::TempDir() + "bf_train_crash_" +
                           std::to_string(Clock::NowMicros());
@@ -294,9 +294,9 @@ TEST(MigrationTrainTest, CrashWithQueuedScriptsReplaysTrainInOrder) {
   EXPECT_EQ(b.controller().ActiveMigrations(), 1u);
   EXPECT_EQ(b.controller().QueuedMigrations(), 2u);
 
-  // This node is the primary again: rebuild trackers and resume local
-  // (lazy + background) migration, exactly like bullfrog_serverd does.
-  ASSERT_TRUE(b.controller().RecoverFromRedoLog().ok());
+  // This node is the primary again: keep the replayed trackers and resume
+  // local (lazy + background) migration, exactly like bullfrog_serverd.
+  ASSERT_TRUE(b.controller().TakeOwnership().ok());
   ASSERT_TRUE(wal.StartLogging(&b).ok());
 
   ASSERT_TRUE(WaitComplete(&b.controller()));

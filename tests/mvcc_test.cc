@@ -520,13 +520,14 @@ TEST(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
   }
   MustExec(&engine, "INSERT INTO kv2 VALUES (500, 'fresh')");
 
-  // Ship the WAL suffix past the checkpoint offset, then let the restored
-  // node own its half-done migration again (restart-as-primary path).
+  // Ship the WAL suffix past the checkpoint offset (its marks re-mark the
+  // restored trackers), then let the restored node own its half-done
+  // migration again (restart-as-primary path).
   std::vector<LogRecord> suffix;
   a.txns().redo_log().ReadFrom(wal_offset, SIZE_MAX, &suffix);
   replication::LogApplier applier(&b, /*append_to_local_log=*/true);
   ASSERT_TRUE(applier.Apply(std::move(suffix)).ok());
-  ASSERT_TRUE(b.controller().RecoverFromRedoLog().ok());
+  ASSERT_TRUE(b.controller().TakeOwnership().ok());
 
   // Full scans pull every remaining granule on both sides. The pulls are
   // deterministic (same frozen source rids, same granule order), so the

@@ -1,12 +1,15 @@
 // Replication subsystem tests: checkpoint round-trips, checkpoint-aware
 // WAL-directory recovery (identical output with and without a checkpoint,
-// plus segment GC), idempotent replicated tracker marks safe against a
-// concurrently completing migration, and the end-to-end acceptance test:
+// plus segment GC), a restart keeping the trackers its replay rebuilt,
+// the applier's commit boundary, idempotent replicated tracker marks safe
+// against a concurrently completing migration, and the end-to-end
+// acceptance test:
 // clients read from a live replica while the primary runs a wire-driven
 // lazy migration to completion, then both sides converge byte-for-byte.
 
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,6 +290,84 @@ TEST(WalDirTest, RestartAfterCheckpointAndCheckpointAgain) {
   fs::remove_all(dir);
 }
 
+/// §3.5 on the restart path: a primary pulls kPulls granules of a lazy
+/// migration (checkpointing after kBeforeCkpt of them when `checkpoint`)
+/// and dies. WAL replay alone rebuilds the tracker: its MigratedCount is
+/// the primary's, less the marks the checkpoint absorbed (those rows are
+/// in the checkpoint already, and the ON CONFLICT dedup covers their
+/// re-pull). TakeOwnership keeps that tracker, and a full scan then
+/// returns every row exactly once.
+void RestartKeepsReplayedTrackers(bool checkpoint) {
+  SCOPED_TRACE(checkpoint ? "mid-pull checkpoint" : "no checkpoint");
+  constexpr int kRows = 100;
+  constexpr uint64_t kPulls = 50;
+  constexpr uint64_t kBeforeCkpt = 20;
+  const std::string dir = FreshDir(checkpoint ? "own_ckpt" : "own_plain");
+  {
+    Database a;
+    WalDir wal;
+    ASSERT_TRUE(wal.Open(dir).ok());
+    ASSERT_TRUE(wal.StartLogging(&a).ok());
+    sql::SqlEngine engine(&a);
+    MustExec(&engine, "CREATE TABLE src (id INT PRIMARY KEY, v INT)");
+    for (int i = 0; i < kRows; ++i) {
+      MustExec(&engine, "INSERT INTO src VALUES (" + std::to_string(i) +
+                            ", " + std::to_string(i * 3) + ")");
+    }
+    MigrationController::SubmitOptions opts;
+    opts.enable_background = false;
+    ASSERT_TRUE(engine
+                    .SubmitMigrationScript(
+                        "CREATE TABLE dst PRIMARY KEY (id) AS "
+                        "SELECT id, v FROM src; DROP TABLE src;",
+                        opts)
+                    .ok());
+    for (uint64_t k = 0; k < kPulls; ++k) {
+      if (checkpoint && k == kBeforeCkpt) {
+        ASSERT_TRUE(wal.Checkpoint(&a).ok());
+      }
+      ASSERT_TRUE(a.controller()
+                      .PrepareRead("dst", Eq(Col("id"), LitInt(
+                                                  static_cast<int64_t>(k))))
+                      .ok());
+    }
+    auto migrators = a.controller().migrators();
+    ASSERT_EQ(migrators.size(), 1u);
+    ASSERT_EQ(migrators[0]->tracker()->MigratedCount(), kPulls);
+  }  // kill -9: only the WAL directory survives.
+
+  Database b;
+  WalDir wal;
+  ASSERT_TRUE(wal.Open(dir).ok());
+  ASSERT_TRUE(wal.Recover(&b).ok());
+  const uint64_t expected = checkpoint ? kPulls - kBeforeCkpt : kPulls;
+  auto migrators = b.controller().migrators();
+  ASSERT_EQ(migrators.size(), 1u);
+  EXPECT_EQ(migrators[0]->tracker()->MigratedCount(), expected);
+  ASSERT_TRUE(b.controller().TakeOwnership().ok());
+  ASSERT_TRUE(wal.StartLogging(&b).ok());
+  // Ownership changed no state: the same migrator and tracker carry on.
+  ASSERT_EQ(b.controller().migrators(), migrators);
+  EXPECT_EQ(migrators[0]->tracker()->MigratedCount(), expected);
+
+  auto s = b.BeginSession({"dst"});
+  auto rows = b.Select(&s, "dst", nullptr);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_TRUE(b.Commit(&s).ok());
+  std::set<int64_t> ids;
+  for (const auto& row : *rows) ids.insert(row.second[0].AsInt());
+  EXPECT_EQ(rows->size(), static_cast<size_t>(kRows));
+  EXPECT_EQ(ids.size(), static_cast<size_t>(kRows));
+  EXPECT_EQ(b.catalog().FindTable("dst")->NumLiveRows(),
+            static_cast<uint64_t>(kRows));
+  fs::remove_all(dir);
+}
+
+TEST(WalDirTest, RestartKeepsReplayedTrackers) {
+  RestartKeepsReplayedTrackers(/*checkpoint=*/false);
+  RestartKeepsReplayedTrackers(/*checkpoint=*/true);
+}
+
 void PlantFile(const std::string& dir, const std::string& name,
                const std::string& bytes) {
   std::FILE* f = std::fopen((fs::path(dir) / name).c_str(), "wb");
@@ -474,6 +555,66 @@ TEST(ReplicatedMarkTest, IdempotentAndSafeAfterCompletion) {
   }
   stop.store(true, std::memory_order_release);
   marker.join();
+}
+
+// Replay applies a transaction's records at its kCommit and not before —
+// the commit boundary §3.5 puts on the REDO scan: a migration mark and a
+// DML record for txn 7 change nothing until txn 7's commit arrives.
+TEST(LogApplierTest, RecordsApplyOnlyAtTheirCommit) {
+  Database db;
+  sql::SqlEngine engine(&db);
+  MustExec(&engine, "CREATE TABLE src (id INT PRIMARY KEY, v INT)");
+  for (int i = 0; i < 10; ++i) {
+    MustExec(&engine, "INSERT INTO src VALUES (" + std::to_string(i) + ", " +
+                          std::to_string(i * 7) + ")");
+  }
+  std::string blob;
+  EncodeMigrateBlob(&blob, MigrationStrategy::kLazy, /*granularity=*/1,
+                    "CREATE TABLE dst PRIMARY KEY (id) AS SELECT id, v FROM "
+                    "src; DROP TABLE src;");
+  LogRecord ddl_commit;
+  ddl_commit.op = LogOp::kCommit;
+  LogApplier applier(&db, /*append_to_local_log=*/false);
+  ASSERT_TRUE(
+      applier.Apply({MakeDdlRecord("migrate", blob), ddl_commit}).ok());
+  Table* dst = db.catalog().FindTable("dst");
+  ASSERT_NE(dst, nullptr);
+  auto migrators = db.controller().migrators();
+  ASSERT_EQ(migrators.size(), 1u);
+  MigrationTracker* tracker = migrators[0]->tracker();
+  // The replayed entry's background worker is built but not this node's
+  // to run: the status report shows none.
+  EXPECT_EQ(db.controller().StatusReport().find("background:"),
+            std::string::npos);
+
+  LogRecord mark;
+  mark.txn_id = 7;
+  mark.op = LogOp::kMigrationMark;
+  mark.table = "bitmap:populate_dst";
+  mark.after = Tuple{Value::Int(3)};
+  LogRecord insert;
+  insert.txn_id = 7;
+  insert.op = LogOp::kInsert;
+  insert.table = "dst";
+  insert.rid = 0;
+  insert.after = Tuple{Value::Int(3), Value::Int(21)};
+  ASSERT_TRUE(applier.Apply({mark, insert}).ok());
+  EXPECT_EQ(tracker->MigratedCount(), 0u);
+  EXPECT_EQ(dst->NumLiveRows(), 0u);
+  // Another transaction's commit does not release them.
+  LogRecord other_commit;
+  other_commit.txn_id = 8;
+  other_commit.op = LogOp::kCommit;
+  ASSERT_TRUE(applier.Apply({other_commit}).ok());
+  EXPECT_EQ(tracker->MigratedCount(), 0u);
+  EXPECT_EQ(dst->NumLiveRows(), 0u);
+
+  LogRecord commit;
+  commit.txn_id = 7;
+  commit.op = LogOp::kCommit;
+  ASSERT_TRUE(applier.Apply({commit}).ok());
+  EXPECT_EQ(tracker->MigratedCount(), 1u);
+  EXPECT_EQ(dst->NumLiveRows(), 1u);
 }
 
 // A replica started while the primary defers its checkpoint (a multistep

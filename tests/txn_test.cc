@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 
@@ -10,7 +11,6 @@
 #include "common/random.h"
 #include "storage/table.h"
 #include "txn/lock_manager.h"
-#include "txn/recovery.h"
 #include "txn/txn_manager.h"
 #include "txn/wal.h"
 
@@ -328,12 +328,14 @@ TEST(RedoLogTest, AppendAndReplayOrder) {
   r1.table = "t";
   r1.rid = 1;
   log.AppendCommitted(7, {r1});
+  std::vector<LogRecord> records;
+  log.ReadFrom(0, SIZE_MAX, &records);
   std::vector<LogOp> ops;
   std::vector<uint64_t> txns;
-  log.Replay([&](const LogRecord& r) {
+  for (const LogRecord& r : records) {
     ops.push_back(r.op);
     txns.push_back(r.txn_id);
-  });
+  }
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0], LogOp::kInsert);
   EXPECT_EQ(ops[1], LogOp::kCommit);
@@ -458,9 +460,6 @@ TEST(RedoLogTest, ReadersDoNotBlockWhileSinkIsSyncing) {
   EXPECT_EQ(log.ReadFrom(0, 100, &out), 0u);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(log.size(), 0u);
-  size_t replayed = 0;
-  log.Replay([&](const LogRecord&) { ++replayed; });
-  EXPECT_EQ(replayed, 0u);
 
   {
     std::lock_guard lock(gate_mu);
@@ -512,40 +511,6 @@ TEST(TxnManagerTest, FailedDurableAppendRollsBackInsteadOfAcking) {
   EXPECT_EQ(tm.num_aborted(), 2u);
 }
 
-class FakeTarget : public TrackerRecoveryTarget {
- public:
-  void MarkMigratedFromLog(const Tuple& unit_key) override {
-    keys.push_back(unit_key);
-  }
-  std::vector<Tuple> keys;
-};
-
-TEST(RecoveryTest, OnlyCommittedMarksApplied) {
-  RedoLog log;
-  LogRecord mark;
-  mark.op = LogOp::kMigrationMark;
-  mark.table = "tracker_a";
-  mark.after = Tuple{Value::Int(4)};
-  log.AppendCommitted(1, {mark});
-
-  FakeTarget target;
-  RecoverTrackerState(log, {{"tracker_a", &target}});
-  ASSERT_EQ(target.keys.size(), 1u);
-  EXPECT_EQ(target.keys[0][0].AsInt(), 4);
-}
-
-TEST(RecoveryTest, UnknownTrackerIdsSkipped) {
-  RedoLog log;
-  LogRecord mark;
-  mark.op = LogOp::kMigrationMark;
-  mark.table = "gone";
-  mark.after = Tuple{Value::Int(1)};
-  log.AppendCommitted(1, {mark});
-  FakeTarget target;
-  RecoverTrackerState(log, {{"other", &target}});
-  EXPECT_TRUE(target.keys.empty());
-}
-
 TEST(RecoveryTest, MigrationMarksRecordedOnlyOnCommit) {
   TransactionManager tm;
   // Aborted transaction: mark is buffered but never logged.
@@ -555,10 +520,17 @@ TEST(RecoveryTest, MigrationMarksRecordedOnlyOnCommit) {
   auto t2 = tm.Begin();
   tm.LogMigrationMark(t2.get(), "tr", Tuple{Value::Int(2)});
   ASSERT_TRUE(tm.Commit(t2.get()).ok());
-  FakeTarget target;
-  RecoverTrackerState(tm.redo_log(), {{"tr", &target}});
-  ASSERT_EQ(target.keys.size(), 1u);
-  EXPECT_EQ(target.keys[0][0].AsInt(), 2);
+  // Only t2's mark and commit reached the log.
+  std::vector<LogRecord> records;
+  tm.redo_log().ReadFrom(0, SIZE_MAX, &records);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].op, LogOp::kMigrationMark);
+  EXPECT_EQ(records[0].txn_id, t2->id());
+  EXPECT_EQ(records[0].table, "tr");
+  ASSERT_EQ(records[0].after.size(), 1u);
+  EXPECT_EQ(records[0].after[0].AsInt(), 2);
+  EXPECT_EQ(records[1].op, LogOp::kCommit);
+  EXPECT_EQ(records[1].txn_id, t2->id());
 }
 
 }  // namespace
