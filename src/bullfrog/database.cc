@@ -45,9 +45,11 @@ Database::Database() : controller_(&catalog_, &txns_) {
   txns_.BindMetrics(&metrics_);
   controller_.BindObservability(&metrics_, &tracer_);
   // Every table created from here on prunes its version chains inline
-  // against the snapshot watermark; the background sweeper mops up the
-  // rows the write path left multi-version and no longer touches.
-  catalog_.SetWatermarkSource(txns_.snapshots().watermark_source());
+  // against the snapshot watermark and retires unlinked versions against
+  // the visible clock; the background sweeper mops up the rows the write
+  // path left multi-version and no longer touches, and frees the retired
+  // versions the watermark has passed.
+  catalog_.SetSnapshots(&txns_.snapshots());
   version_gc_ =
       std::make_unique<mvcc::VersionGC>(&catalog_, &txns_.snapshots());
   version_gc_->BindMetrics(&metrics_);
@@ -151,12 +153,16 @@ Result<std::vector<std::pair<RowId, Tuple>>> Database::Select(
     // pull above so rows this statement itself migrated are visible; own
     // uncommitted writes are visible through the txn id in the view.
     //
-    // No statement pin: the transaction's begin pin covers the scan. GC
-    // frees a version only when a newer version with commit_ts <= the
-    // watermark shadows it, and watermark <= begin_ts (pinned) <= ts.
-    // The version visible at ts is the newest with commit_ts <= ts, so
-    // nothing with commit_ts <= ts shadows it and GC cannot free it, nor
-    // anything newer that the chain walk steps over on the way down.
+    // No statement pin: the transaction's begin pin covers the latch-free
+    // scan. Pruning frees a version at once only when a newer version
+    // with commit_ts <= the watermark shadows it, and watermark <=
+    // begin_ts (pinned) <= ts. The version visible at ts is the newest
+    // with commit_ts <= ts, so nothing with commit_ts <= ts shadows it and
+    // pruning cannot free it, nor anything newer that the chain walk steps
+    // over on the way down. A version unlinked while the walk may stand
+    // on it (mvcc::VisibleVersion) is freed only once the watermark passes
+    // the clock read after the unlink, and this begin pin is at or below
+    // that reading.
     Transaction* txn = session->txn();
     assert(txn->pinned());
     return CollectWhereAt(

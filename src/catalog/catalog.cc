@@ -27,9 +27,7 @@ Result<Table*> Catalog::CreateTable(TableSchema schema) {
   }
   CatalogView::Entry entry;
   entry.table = std::make_shared<Table>(std::move(schema));
-  if (watermark_source_ != nullptr) {
-    entry.table->SetWatermarkSource(watermark_source_);
-  }
+  if (snapshots_ != nullptr) entry.table->SetSnapshots(snapshots_);
   entry.state = TableState::kActive;
   entry.created_at_version = next->schema_version_;
   Table* raw = entry.table.get();

@@ -125,11 +125,11 @@ class Catalog {
   /// Names of all tables in the given state.
   std::vector<std::string> TablesInState(TableState s) const;
 
-  /// Wires every future table's inline version pruning to the snapshot
-  /// watermark (Table::SetWatermarkSource). Call before creating tables.
-  void SetWatermarkSource(const std::atomic<uint64_t>* source) {
+  /// Wires every future table's version reclamation to the snapshot
+  /// manager (Table::SetSnapshots). Call before creating tables.
+  void SetSnapshots(const mvcc::SnapshotManager* snapshots) {
     std::lock_guard lock(mu_);
-    watermark_source_ = source;
+    snapshots_ = snapshots;
   }
 
  private:
@@ -142,7 +142,7 @@ class Catalog {
 
   std::mutex mu_;  // Serializes writers (copy, change, publish).
   Published<CatalogView> view_;
-  const std::atomic<uint64_t>* watermark_source_ = nullptr;  // Under mu_.
+  const mvcc::SnapshotManager* snapshots_ = nullptr;  // Under mu_.
 };
 
 }  // namespace bullfrog

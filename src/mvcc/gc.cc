@@ -1,5 +1,6 @@
 #include "mvcc/gc.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace bullfrog::mvcc {
@@ -36,7 +37,8 @@ void VersionGC::SweepOnce() {
   const uint64_t watermark = snapshots_->AdvanceWatermark();
   uint64_t freed = 0;
   uint64_t visited = 0;
-  uint64_t max_chain = 0;
+  uint64_t pass_max_chain = 0;
+  uint64_t max_chain = 0;  // Tables' high-water marks too.
   // Retired tables still serve lazy-migration and snapshot reads, so
   // their chains are swept too; dropped tables are frozen (no writers)
   // and were swept on the way out. The held view keeps every table it
@@ -47,11 +49,16 @@ void VersionGC::SweepOnce() {
     const Table::PruneStats stats = entry.table->PruneVersions(watermark);
     freed += stats.freed;
     visited += stats.visited;
-    max_chain = std::max(max_chain, stats.max_chain);
+    pass_max_chain = std::max(pass_max_chain, stats.max_chain);
+    max_chain = std::max({max_chain, stats.max_chain,
+                          entry.table->max_chain()});
   }
   versions_freed_.fetch_add(freed, std::memory_order_relaxed);
   slots_visited_.fetch_add(visited, std::memory_order_relaxed);
-  last_max_chain_.store(max_chain, std::memory_order_relaxed);
+  last_max_chain_.store(pass_max_chain, std::memory_order_relaxed);
+  if (max_chain > max_chain_.load(std::memory_order_relaxed)) {
+    max_chain_.store(max_chain, std::memory_order_relaxed);
+  }
   passes_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -66,7 +73,7 @@ void VersionGC::BindMetrics(obs::MetricsRegistry* registry) {
     return static_cast<double>(slots_visited());
   });
   registry->SetCallback("bullfrog_mvcc_max_chain", "", [this] {
-    return static_cast<double>(last_max_chain());
+    return static_cast<double>(max_chain());
   });
   registry->SetCallback("bullfrog_mvcc_watermark", "", [this] {
     return static_cast<double>(snapshots_->watermark());

@@ -16,10 +16,11 @@ namespace bullfrog::mvcc {
 /// Background version-chain garbage collector: periodically advances the
 /// snapshot watermark (min of the visible clock and every pinned
 /// snapshot) and frees versions shadowed below it in every readable
-/// table. The write path
-/// prunes each chain it touches inline and queues the rows it leaves
-/// multi-version on its table's dirty list; a pass visits only those
-/// rows, so its cost follows the write rate, not the heap size.
+/// table, plus the retired versions (Table::Retire) whose stamp it has
+/// passed. The write path prunes each chain it touches
+/// inline and queues the rows it leaves multi-version on its table's
+/// dirty list; a pass visits only those rows, so its cost follows the
+/// write rate, not the heap size.
 class VersionGC {
  public:
   VersionGC(Catalog* catalog, SnapshotManager* snapshots)
@@ -39,8 +40,7 @@ class VersionGC {
   void SweepOnce();
 
   /// Exports bullfrog_mvcc_* series (versions freed, passes, slots
-  /// visited, the longest chain observed during the latest pass, current
-  /// watermark).
+  /// visited, the max_chain high-water mark, current watermark).
   void BindMetrics(obs::MetricsRegistry* registry);
 
   uint64_t versions_freed() const {
@@ -51,8 +51,14 @@ class VersionGC {
   uint64_t slots_visited() const {
     return slots_visited_.load(std::memory_order_relaxed);
   }
+  /// Longest chain the latest pass observed.
   uint64_t last_max_chain() const {
     return last_max_chain_.load(std::memory_order_relaxed);
+  }
+  /// Longest chain any prune walked, inline on the write path or in a
+  /// pass, as of the latest pass: a high-water mark, never lowered.
+  uint64_t max_chain() const {
+    return max_chain_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -65,6 +71,7 @@ class VersionGC {
   std::atomic<uint64_t> passes_{0};
   std::atomic<uint64_t> slots_visited_{0};
   std::atomic<uint64_t> last_max_chain_{0};
+  std::atomic<uint64_t> max_chain_{0};
 
   std::mutex mu_;
   std::condition_variable cv_;

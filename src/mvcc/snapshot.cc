@@ -85,17 +85,32 @@ void SnapshotManager::Unpin(PinHandle pin) {
   // Release: this pin's reads happen-before a scan that sees the slot
   // free and lets GC reclaim what they read.
   pin.slot->ts.store(kSlotFree, std::memory_order_release);
-  // Rescan only when this pin may have been holding the watermark and the
-  // clock has moved past it; otherwise a rescan cannot raise it (a
-  // read-only steady state never scans).
+  // Rescan when this pin may have been holding the watermark and the
+  // clock has moved past it, or when the clock has moved kScanEvery past
+  // the last scan (one unpinner claims that scan). Otherwise a rescan
+  // cannot raise it, or is not due: a read-only steady state never scans.
+  const uint64_t clock = visible_clock_.load(std::memory_order_acquire);
   const uint64_t w = watermark_.load(std::memory_order_acquire);
-  if (pin.ts <= w && visible_clock_.load(std::memory_order_acquire) > w) {
+  if (pin.ts <= w && clock > w) {
+    AdvanceWatermark();
+    return;
+  }
+  uint64_t last = last_scan_clock_.load(std::memory_order_relaxed);
+  if (clock >= last + kScanEvery &&
+      last_scan_clock_.compare_exchange_strong(last, clock,
+                                               std::memory_order_relaxed)) {
     AdvanceWatermark();
   }
 }
 
 uint64_t SnapshotManager::AdvanceWatermark() {
-  uint64_t low = visible_clock_.load(std::memory_order_seq_cst);
+  const uint64_t clock = visible_clock_.load(std::memory_order_seq_cst);
+  uint64_t last = last_scan_clock_.load(std::memory_order_relaxed);
+  while (last < clock &&
+         !last_scan_clock_.compare_exchange_weak(last, clock,
+                                                 std::memory_order_relaxed)) {
+  }
+  uint64_t low = clock;
   const size_t used = slots_used_.load(std::memory_order_seq_cst);
   const Chunk* chunk = &head_;
   for (size_t i = 0; i < used; ++i) {
@@ -107,11 +122,13 @@ uint64_t SnapshotManager::AdvanceWatermark() {
                        std::memory_order_seq_cst));
   }
   // Monotone: a concurrent scan may have stored a newer bound already.
-  uint64_t cur = watermark_.load(std::memory_order_relaxed);
+  // Acquire on every path: the caller frees what the returned bound
+  // allows, so it must see the unpins the storing scan saw.
+  uint64_t cur = watermark_.load(std::memory_order_acquire);
   while (cur < low &&
          !watermark_.compare_exchange_weak(cur, low,
-                                           std::memory_order_release,
-                                           std::memory_order_relaxed)) {
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
   }
   return std::max(cur, low);
 }

@@ -43,8 +43,14 @@ namespace bullfrog::mvcc {
 /// Either way watermark <= every pinned ts, and because later pins read a
 /// clock at least as new, the bound stays true. GC may reclaim any version
 /// shadowed by a newer version with commit_ts <= watermark. The watermark
-/// moves at Unpin (only when the leaving pin may have been holding it and
-/// the clock has moved past it) and on every GC sweep.
+/// moves on every GC sweep and at Unpin, which rescans when the leaving
+/// pin may have been holding it and the clock has moved past it, or when
+/// the clock has moved kScanEvery past the last scan's clock reading. The
+/// second rule keeps the watermark up with the clock when every live pin
+/// sits above it: a scan that met a pinner's marker leaves it behind, and
+/// no later unpin would otherwise be at or below it. It costs at most one
+/// scan per kScanEvery published commits; a read-only steady state never
+/// scans.
 ///
 /// Checkpoint barrier. Commit timestamps are allocated *before* the
 /// durable WAL append (see AllocateCommitTs), so any transaction whose
@@ -75,9 +81,10 @@ class SnapshotManager {
 
   /// --- reader side -----------------------------------------------------
 
-  /// Newest published commit timestamp (>= kBootstrapTs).
+  /// Newest published commit timestamp (>= kBootstrapTs). Seq_cst: a
+  /// table's retire stamp relies on it (see mvcc::VisibleVersion).
   uint64_t visible() const {
-    return visible_clock_.load(std::memory_order_acquire);
+    return visible_clock_.load(std::memory_order_seq_cst);
   }
 
   /// Pins a snapshot at the current visible timestamp. While pinned, the
@@ -127,11 +134,12 @@ class SnapshotManager {
 
   /// --- GC --------------------------------------------------------------
 
+  /// Commits an Unpin lets pass between rate-limited watermark scans.
+  static constexpr uint64_t kScanEvery = 64;
+
   uint64_t watermark() const {
     return watermark_.load(std::memory_order_acquire);
   }
-  /// Stable pointer for tables' inline chain pruning.
-  const std::atomic<uint64_t>* watermark_source() const { return &watermark_; }
 
   /// Raises the watermark to min(clock, every pinned ts) and returns it.
   /// Called by the GC sweeper before each pass and by Unpin.
@@ -167,6 +175,9 @@ class SnapshotManager {
   std::atomic<uint64_t> next_ts_{kBootstrapTs + 1};
   alignas(64) std::atomic<uint64_t> visible_clock_{kBootstrapTs};
   alignas(64) std::atomic<uint64_t> watermark_{kBootstrapTs};
+  /// Highest clock reading a watermark scan started from (or an Unpin
+  /// claimed for its scan); the rate limit's reference point.
+  std::atomic<uint64_t> last_scan_clock_{kBootstrapTs};
   /// Slots [0, slots_used_) have been claimed at least once; scans stop
   /// there.
   alignas(64) std::atomic<size_t> slots_used_{0};

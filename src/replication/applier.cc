@@ -46,6 +46,12 @@ Status LogApplier::Flush(uint64_t txn_id) {
         break;
     }
   }
+  // Replayed rows are non-transactional installs, and what they shadow is
+  // retired against the commit clock (Table::Retire). Move the clock once
+  // per applied transaction, as its commit did on the primary, so the
+  // watermark — and reclamation — keeps up on a replica too.
+  mvcc::SnapshotManager& snapshots = db_->txns().snapshots();
+  snapshots.PublishCommitTs(snapshots.AllocateCommitTs());
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bullfrog {
 
@@ -10,7 +11,7 @@ namespace {
 uint64_t FreeChain(mvcc::RowVersion* v) {
   uint64_t freed = 0;
   while (v != nullptr) {
-    mvcc::RowVersion* next = v->older;
+    mvcc::RowVersion* next = v->older.load(std::memory_order_relaxed);
     delete v;
     v = next;
     ++freed;
@@ -20,6 +21,22 @@ uint64_t FreeChain(mvcc::RowVersion* v) {
 
 bool HeadLive(const mvcc::RowVersion* head) {
   return head != nullptr && !head->deleted;
+}
+
+/// A transactional write may not stack on another transaction's pending
+/// version. The only one its row lock does not exclude is a fresh insert
+/// that the inserter has not locked yet (TransactionManager::Insert locks
+/// after the install): stacking on it would make the inserter's undo miss
+/// its head and leave the key doubly live.
+Status CheckNotPendingOther(const mvcc::RowVersion* head, uint64_t writer_txn,
+                            const std::string& table) {
+  if (writer_txn != 0 &&
+      head->commit_ts.load(std::memory_order_acquire) == mvcc::kPendingTs &&
+      head->writer_txn != writer_txn) {
+    return Status::TxnConflict("row in '" + table +
+                               "' holds another transaction's pending insert");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -42,11 +59,18 @@ Table::~Table() {
   const uint64_t limit = NumAllocatedRows();
   for (RowId rid = 0; rid < limit; ++rid) {
     RowSlot* slot = SlotFor(rid);
-    if (slot != nullptr) FreeChain(slot->head);
+    if (slot != nullptr) FreeChain(slot->locked_head());
   }
   for (auto& seg : segments_) {
     delete seg.load(std::memory_order_acquire);
   }
+  for (const RetiredEntry& entry : retired_) entry.Free();
+}
+
+uint64_t Table::RetiredEntry::Free() const {
+  if (!alone) return FreeChain(v);
+  delete v;
+  return 1;
 }
 
 Status Table::CreateIndex(const std::string& name,
@@ -154,36 +178,57 @@ std::pair<RowId, Table::RowSlot*> Table::AllocateSlot() {
   return {rid, &s->slots[off]};
 }
 
+const mvcc::RowVersion* Table::VisibleAt(const RowSlot* slot,
+                                         const mvcc::ReadView& view) const {
+  // The walk's contract (mvcc::VisibleVersion): a pin at or below view.ts,
+  // which the watermark never passes.
+  assert(view.ts != mvcc::kPendingTs);
+  assert(snapshots_ == nullptr || snapshots_->watermark() <= view.ts);
+  return mvcc::VisibleVersion(slot->head.load(std::memory_order_seq_cst),
+                              view);
+}
+
 mvcc::RowVersion* Table::InstallLocked(RowSlot* slot, Tuple data, bool deleted,
-                                       uint64_t writer_txn, bool* queue) {
+                                       uint64_t writer_txn,
+                                       Deferred* deferred) {
+  mvcc::RowVersion* head = slot->locked_head();
   auto* v = new mvcc::RowVersion;
   v->writer_txn = writer_txn;
   v->deleted = deleted;
   v->data = std::move(data);
-  v->older = slot->head;
+  v->older.store(head, std::memory_order_relaxed);
   if (writer_txn == 0) {
     // Non-transactional install: committed immediately. Inherit the
     // head's timestamp when it is newer than kBootstrapTs so the chain
     // stays ordered newest-ts-first (replay and bulk-load contexts only).
     uint64_t ts = mvcc::kBootstrapTs;
-    if (slot->head != nullptr) {
-      const uint64_t head_ts =
-          slot->head->commit_ts.load(std::memory_order_acquire);
+    if (head != nullptr) {
+      const uint64_t head_ts = head->commit_ts.load(std::memory_order_acquire);
       if (head_ts != mvcc::kPendingTs) ts = std::max(ts, head_ts);
     }
     v->commit_ts.store(ts, std::memory_order_release);
   }
-  slot->head = v;
-  if (watermark_source_ != nullptr) {
-    PruneChainLocked(slot,
-                     watermark_source_->load(std::memory_order_acquire));
+  // Release: a latch-free reader that loads v sees it whole. Seq_cst for
+  // a non-transactional install, whose prune retires what it shadows
+  // (see PruneChainLocked and Retire).
+  slot->head.store(v, writer_txn == 0 ? std::memory_order_seq_cst
+                                      : std::memory_order_release);
+  if (snapshots_ != nullptr) {
+    deferred->retired =
+        PruneChainLocked(slot, snapshots_->watermark()).retired;
   }
   // Chains only grow here, so queueing here is what lets the sweeper
   // visit just the written rows.
-  *queue = !slot->gc_pending && slot->head != nullptr &&
-           slot->head->older != nullptr;
-  if (*queue) slot->gc_pending = true;
+  head = slot->locked_head();
+  deferred->queue = !slot->gc_pending && head != nullptr &&
+                    head->older.load(std::memory_order_relaxed) != nullptr;
+  if (deferred->queue) slot->gc_pending = true;
   return v;
+}
+
+void Table::AfterLatch(RowId rid, const Deferred& deferred) {
+  if (deferred.queue) QueueForGc(rid);
+  if (deferred.retired != nullptr) Retire(deferred.retired, /*alone=*/false);
 }
 
 void Table::QueueForGc(RowId rid) {
@@ -191,46 +236,64 @@ void Table::QueueForGc(RowId rid) {
   gc_dirty_.push_back(rid);
 }
 
-uint64_t Table::PruneChainLocked(RowSlot* slot, uint64_t watermark,
-                                 uint64_t* chain_len) {
+void Table::Retire(mvcc::RowVersion* v, bool alone) {
+  RetiredEntry entry{0, v, alone};
+  if (snapshots_ == nullptr) {
+    entry.Free();
+    return;
+  }
+  // A reader that loaded v before its seq_cst unlink pinned at or below
+  // this seq_cst clock reading (mvcc::VisibleVersion), so once the
+  // watermark is above it, every such reader has unpinned.
+  entry.stamp = snapshots_->visible();
+  std::lock_guard lock(retire_mu_);
+  retired_.push_back(entry);
+}
+
+Table::Pruned Table::PruneChainLocked(RowSlot* slot, uint64_t watermark) {
   // Find the newest committed version at or below the watermark: every
   // snapshot still allowed to exist resolves to it or to something newer,
-  // so everything strictly older is dead. If that boundary version is
-  // itself a tombstone, it too is dead — a reader that would resolve to
-  // it sees "no row", which is exactly what an empty chain says.
+  // so everything strictly older is dead, and no walk goes past it — as
+  // long as the boundary was published through the commit clock. If that
+  // boundary version is itself a tombstone, it too is dead — a reader
+  // that would resolve to it sees "no row", which is exactly what an
+  // empty chain says — but a reader may be standing on it, so it is
+  // unlinked and handed back to be retired.
+  Pruned out;
   mvcc::RowVersion* prev = nullptr;
-  mvcc::RowVersion* v = slot->head;
-  uint64_t len = 0;
+  mvcc::RowVersion* v = slot->locked_head();
   while (v != nullptr) {
-    ++len;
+    ++out.chain;
     const uint64_t ts = v->commit_ts.load(std::memory_order_acquire);
     if (ts != mvcc::kPendingTs && ts <= watermark) break;
     prev = v;
-    v = v->older;
+    v = v->older.load(std::memory_order_relaxed);
   }
-  if (chain_len != nullptr) {
-    uint64_t total = len;
-    for (mvcc::RowVersion* r = v == nullptr ? nullptr : v->older; r != nullptr;
-         r = r->older) {
-      ++total;
+  if (v != nullptr) {
+    mvcc::RowVersion* dead = v->older.load(std::memory_order_relaxed);
+    // A non-transactional boundary (replica apply, replay) was never
+    // published through the clock, so a walker that loaded the head
+    // before it was installed may be below it: what it shadows is
+    // retired with it, not freed.
+    const bool published = v->writer_txn != 0;
+    if (dead != nullptr && published) {
+      v->older.store(nullptr, std::memory_order_relaxed);
+      out.freed = FreeChain(dead);
+      out.chain += out.freed;
     }
-    *chain_len = total;
-  }
-  uint64_t freed = 0;
-  if (v == nullptr) return 0;
-  if (v->deleted) {
-    // Cut the boundary tombstone out as well.
-    if (prev == nullptr) {
-      slot->head = nullptr;
-    } else {
-      prev->older = nullptr;
+    if (v->deleted) {
+      (prev == nullptr ? slot->head : prev->older)
+          .store(nullptr, std::memory_order_seq_cst);
+      out.retired = v;
+    } else if (dead != nullptr && !published) {
+      v->older.store(nullptr, std::memory_order_seq_cst);
+      out.retired = dead;
     }
-    freed = FreeChain(v);
-  } else if (v->older != nullptr) {
-    freed = FreeChain(v->older);
-    v->older = nullptr;
   }
-  return freed;
+  if (out.chain > max_chain_.load(std::memory_order_relaxed)) {
+    max_chain_.store(out.chain, std::memory_order_relaxed);
+  }
+  return out;
 }
 
 Table::PruneStats Table::PruneVersions(uint64_t watermark) {
@@ -246,19 +309,43 @@ Table::PruneStats Table::PruneVersions(uint64_t watermark) {
   size_t kept = 0;
   for (RowId rid : batch) {
     RowSlot* slot = SlotFor(rid);
-    uint64_t len = 0;
-    std::lock_guard latch(slot->latch);
-    stats.freed += PruneChainLocked(slot, watermark, &len);
-    stats.max_chain = std::max(stats.max_chain, len);
-    if (slot->head != nullptr && slot->head->older != nullptr) {
-      batch[kept++] = rid;
-    } else {
-      slot->gc_pending = false;
+    Pruned pruned;
+    {
+      std::lock_guard latch(slot->latch);
+      pruned = PruneChainLocked(slot, watermark);
+      mvcc::RowVersion* head = slot->locked_head();
+      if (head != nullptr &&
+          head->older.load(std::memory_order_relaxed) != nullptr) {
+        batch[kept++] = rid;
+      } else {
+        slot->gc_pending = false;
+      }
     }
+    stats.freed += pruned.freed;
+    stats.max_chain = std::max(stats.max_chain, pruned.chain);
+    if (pruned.retired != nullptr) Retire(pruned.retired, /*alone=*/false);
   }
   if (kept > 0) {
     std::lock_guard lock(gc_mu_);
     gc_dirty_.insert(gc_dirty_.end(), batch.begin(), batch.begin() + kept);
+  }
+  // Free the retired versions the watermark has passed; requeue the rest.
+  std::vector<RetiredEntry> retired;
+  {
+    std::lock_guard lock(retire_mu_);
+    retired.swap(retired_);
+  }
+  kept = 0;
+  for (const RetiredEntry& entry : retired) {
+    if (entry.stamp < watermark) {
+      stats.freed += entry.Free();
+    } else {
+      retired[kept++] = entry;
+    }
+  }
+  if (kept > 0) {
+    std::lock_guard lock(retire_mu_);
+    retired_.insert(retired_.end(), retired.begin(), retired.begin() + kept);
   }
   if (NumLiveRows() > 0) {
     stats.max_chain = std::max<uint64_t>(stats.max_chain, 1);
@@ -321,14 +408,14 @@ Result<InsertOutcome> Table::Insert(const Tuple& row, OnConflict policy,
     // trivially "migrated").
     return InsertOutcome{existing, false};
   }
-  bool queue = false;
+  Deferred deferred;
   {
     std::lock_guard latch(slot->latch);
     mvcc::RowVersion* v = InstallLocked(slot, row, /*deleted=*/false,
-                                        writer_txn, &queue);
+                                        writer_txn, &deferred);
     if (installed != nullptr) *installed = v;
   }
-  if (queue) QueueForGc(rid);
+  AfterLatch(rid, deferred);
   live_rows_.fetch_add(1, std::memory_order_relaxed);
   return InsertOutcome{rid, true};
 }
@@ -340,11 +427,12 @@ Status Table::Read(RowId rid, Tuple* out) const {
                             " out of range in '" + schema_.name() + "'");
   }
   std::lock_guard latch(slot->latch);
-  if (!HeadLive(slot->head)) {
+  const mvcc::RowVersion* head = slot->locked_head();
+  if (!HeadLive(head)) {
     return Status::NotFound("rid " + std::to_string(rid) + " deleted in '" +
                             schema_.name() + "'");
   }
-  *out = slot->head->data;
+  *out = head->data;
   return Status::OK();
 }
 
@@ -354,8 +442,7 @@ Status Table::ReadAt(RowId rid, const mvcc::ReadView& view, Tuple* out) const {
     return Status::NotFound("rid " + std::to_string(rid) +
                             " out of range in '" + schema_.name() + "'");
   }
-  std::lock_guard latch(slot->latch);
-  const mvcc::RowVersion* v = mvcc::VisibleVersion(slot->head, view);
+  const mvcc::RowVersion* v = VisibleAt(slot, view);
   if (v == nullptr || v->deleted) {
     return Status::NotFound("rid " + std::to_string(rid) +
                             " not visible at ts " + std::to_string(view.ts) +
@@ -378,11 +465,13 @@ Status Table::Update(RowId rid, Tuple new_row, Tuple* before,
   std::vector<std::pair<Index*, Tuple>> moved;
   {
     std::lock_guard latch(slot->latch);
-    if (!HeadLive(slot->head)) {
+    const mvcc::RowVersion* head = slot->locked_head();
+    if (!HeadLive(head)) {
       return Status::NotFound("rid " + std::to_string(rid) + " deleted in '" +
                               schema_.name() + "'");
     }
-    const Tuple& old_row = slot->head->data;
+    BF_RETURN_NOT_OK(CheckNotPendingOther(head, writer_txn, schema_.name()));
+    const Tuple& old_row = head->data;
     for (const auto& index : indexes_) {
       if (!index->SameKey(old_row, new_row)) {
         moved.emplace_back(index.get(), index->KeyFor(old_row));
@@ -406,15 +495,17 @@ Status Table::Update(RowId rid, Tuple new_row, Tuple* before,
     }
     index->Erase(old_key, rid);
   }
-  bool queue = false;
+  Deferred deferred;
   {
     std::lock_guard latch(slot->latch);
-    if (before != nullptr && slot->head != nullptr) *before = slot->head->data;
+    const mvcc::RowVersion* head = slot->locked_head();
+    if (before != nullptr && head != nullptr) *before = head->data;
     mvcc::RowVersion* v = InstallLocked(slot, std::move(new_row),
-                                        /*deleted=*/false, writer_txn, &queue);
+                                        /*deleted=*/false, writer_txn,
+                                        &deferred);
     if (installed != nullptr) *installed = v;
   }
-  if (queue) QueueForGc(rid);
+  AfterLatch(rid, deferred);
   return Status::OK();
 }
 
@@ -425,19 +516,21 @@ Status Table::Delete(RowId rid, Tuple* before, uint64_t writer_txn,
     return Status::NotFound("rid out of range in '" + schema_.name() + "'");
   }
   Tuple old_row;
-  bool queue = false;
+  Deferred deferred;
   {
     std::lock_guard latch(slot->latch);
-    if (!HeadLive(slot->head)) {
+    const mvcc::RowVersion* head = slot->locked_head();
+    if (!HeadLive(head)) {
       return Status::NotFound("rid " + std::to_string(rid) + " deleted in '" +
                               schema_.name() + "'");
     }
-    old_row = slot->head->data;
+    BF_RETURN_NOT_OK(CheckNotPendingOther(head, writer_txn, schema_.name()));
+    old_row = head->data;
     mvcc::RowVersion* v = InstallLocked(slot, Tuple{}, /*deleted=*/true,
-                                        writer_txn, &queue);
+                                        writer_txn, &deferred);
     if (installed != nullptr) *installed = v;
   }
-  if (queue) QueueForGc(rid);
+  AfterLatch(rid, deferred);
   EraseIndexEntries(old_row, rid);
   live_rows_.fetch_sub(1, std::memory_order_relaxed);
   if (before != nullptr) *before = old_row;
@@ -449,16 +542,16 @@ Status Table::Restore(RowId rid, const Tuple& row) {
   if (slot == nullptr) {
     return Status::NotFound("rid out of range in '" + schema_.name() + "'");
   }
-  bool queue = false;
+  Deferred deferred;
   {
     std::lock_guard latch(slot->latch);
-    if (HeadLive(slot->head)) {
+    if (HeadLive(slot->locked_head())) {
       return Status::AlreadyExists("rid " + std::to_string(rid) +
                                    " is live in '" + schema_.name() + "'");
     }
-    InstallLocked(slot, row, /*deleted=*/false, /*writer_txn=*/0, &queue);
+    InstallLocked(slot, row, /*deleted=*/false, /*writer_txn=*/0, &deferred);
   }
-  if (queue) QueueForGc(rid);
+  AfterLatch(rid, deferred);
   for (const auto& index : indexes_) {
     (void)index->Insert(index->KeyFor(row), rid);
   }
@@ -475,7 +568,7 @@ Status Table::ForceApply(RowId rid, const Tuple& row) {
   bool live;
   {
     std::lock_guard latch(slot->latch);
-    live = HeadLive(slot->head);
+    live = HeadLive(slot->locked_head());
   }
   return live ? Update(rid, row, nullptr) : Restore(rid, row);
 }
@@ -488,23 +581,26 @@ Status Table::UndoInstall(RowId rid, mvcc::RowVersion* v) {
   }
   {
     std::lock_guard latch(slot->latch);
-    if (slot->head != v) {
+    if (slot->locked_head() != v) {
       // Strict 2PL means nobody stacks a version on an uncommitted one;
       // hitting this indicates a lock-discipline bug upstream.
       return Status::Internal("undo of non-head version in '" +
                               schema_.name() + "'");
     }
-    slot->head = v->older;
+    // Seq_cst: a snapshot reader may be standing on v (see Retire).
+    slot->head.store(v->older.load(std::memory_order_relaxed),
+                     std::memory_order_seq_cst);
   }
+  const mvcc::RowVersion* older = v->older.load(std::memory_order_relaxed);
   if (v->deleted) {
     // Undo of a delete: the shadowed version becomes live again.
-    if (v->older != nullptr) {
+    if (older != nullptr) {
       for (const auto& index : indexes_) {
-        (void)index->Insert(index->KeyFor(v->older->data), rid);
+        (void)index->Insert(index->KeyFor(older->data), rid);
       }
     }
     live_rows_.fetch_add(1, std::memory_order_relaxed);
-  } else if (v->older == nullptr || v->older->deleted) {
+  } else if (older == nullptr || older->deleted) {
     // Undo of an insert (fresh slot or insert-over-tombstone).
     EraseIndexEntries(v->data, rid);
     live_rows_.fetch_sub(1, std::memory_order_relaxed);
@@ -514,14 +610,14 @@ Status Table::UndoInstall(RowId rid, mvcc::RowVersion* v) {
     // path: the row was exclusively locked, so a lost reservation means
     // a concurrent insert took the key in the meantime.
     const Tuple& undone = v->data;
-    const Tuple& restored = v->older->data;
+    const Tuple& restored = older->data;
     for (const auto& index : indexes_) {
       if (index->SameKey(undone, restored)) continue;
       index->Erase(index->KeyFor(undone), rid);
       (void)index->Insert(index->KeyFor(restored), rid);
     }
   }
-  delete v;
+  Retire(v, /*alone=*/true);  // v->older is the row's live head again.
   return Status::OK();
 }
 
@@ -561,8 +657,9 @@ void Table::ScanRange(
     bool live;
     {
       std::lock_guard latch(slot->latch);
-      live = HeadLive(slot->head);
-      if (live) copy = slot->head->data;
+      const mvcc::RowVersion* head = slot->locked_head();
+      live = HeadLive(head);
+      if (live) copy = head->data;
     }
     if (live && !fn(rid, copy)) return;
   }
@@ -583,9 +680,10 @@ bool Table::ReadIf(RowId rid, const RowFilter& keep, Tuple* out) const {
   RowSlot* slot = SlotFor(rid);
   if (slot == nullptr) return false;
   std::lock_guard latch(slot->latch);
-  if (!HeadLive(slot->head)) return false;
-  if (keep && !keep(slot->head->data)) return false;
-  if (out != nullptr) *out = slot->head->data;
+  const mvcc::RowVersion* head = slot->locked_head();
+  if (!HeadLive(head)) return false;
+  if (keep && !keep(head->data)) return false;
+  if (out != nullptr) *out = head->data;
   return true;
 }
 
@@ -593,8 +691,7 @@ bool Table::ReadIfAt(RowId rid, const mvcc::ReadView& view,
                      const RowFilter& keep, Tuple* out) const {
   RowSlot* slot = SlotFor(rid);
   if (slot == nullptr) return false;
-  std::lock_guard latch(slot->latch);
-  const mvcc::RowVersion* v = mvcc::VisibleVersion(slot->head, view);
+  const mvcc::RowVersion* v = VisibleAt(slot, view);
   if (v == nullptr || v->deleted) return false;
   if (keep && !keep(v->data)) return false;
   if (out != nullptr) *out = v->data;
@@ -613,15 +710,8 @@ void Table::ScanRangeAt(
   for (RowId rid = begin; rid < limit; ++rid) {
     RowSlot* slot = SlotFor(rid);
     if (slot == nullptr) return;
-    Tuple copy;
-    bool visible;
-    {
-      std::lock_guard latch(slot->latch);
-      const mvcc::RowVersion* v = mvcc::VisibleVersion(slot->head, view);
-      visible = v != nullptr && !v->deleted;
-      if (visible) copy = v->data;
-    }
-    if (visible && !fn(rid, copy)) return;
+    const mvcc::RowVersion* v = VisibleAt(slot, view);
+    if (v != nullptr && !v->deleted && !fn(rid, v->data)) return;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "common/latch.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "mvcc/snapshot.h"
 #include "mvcc/version.h"
 #include "storage/index.h"
 #include "storage/tuple.h"
@@ -49,6 +50,12 @@ struct InsertOutcome {
 /// contract — while the *At variants resolve a ReadView against the chain
 /// for snapshot-isolation reads. Undoing a transactional write unlinks its
 /// pending head version (UndoInstall).
+///
+/// Latching. Writers and latest-version reads take the row's slot latch.
+/// Snapshot reads (the *At variants) take none: they walk the chain with
+/// seq_cst loads under the caller's snapshot pin (see
+/// mvcc::VisibleVersion for the contract that keeps the walk off freed
+/// versions).
 ///
 /// Index maintenance is performed inside the physical operations against
 /// the latest version, so index state always matches the head of the heap;
@@ -107,14 +114,17 @@ class Table {
   /// never-allocated ids.
   Status Read(RowId rid, Tuple* out) const;
 
-  /// Reads the newest version visible to `view`.
+  /// Reads the newest version visible to `view`. Latch-free: the caller
+  /// holds a snapshot pin at or below view.ts (as for every *At read).
   Status ReadAt(RowId rid, const mvcc::ReadView& view, Tuple* out) const;
 
   /// Installs `new_row` (moved into the version) as the row's new head,
   /// returning the latest before-image when `before` is non-null. The
   /// caller is expected to hold a logical row lock; the slot latch only
   /// protects against torn reads. Only indexes whose key cells changed
-  /// are touched; unique-key updates re-reserve the new key.
+  /// are touched; unique-key updates re-reserve the new key. A
+  /// transactional write onto another transaction's pending version is a
+  /// TxnConflict (so is a Delete's).
   Status Update(RowId rid, Tuple new_row, Tuple* before,
                 uint64_t writer_txn = 0,
                 mvcc::RowVersion** installed = nullptr);
@@ -140,9 +150,11 @@ class Table {
   /// snapshot already contains must be idempotent.
   Status ForceApply(RowId rid, const Tuple& row);
 
-  /// Unlinks a pending version installed by an aborting transaction and
-  /// reverses its index effects. `v` must be the slot's head (strict 2PL
-  /// guarantees nobody stacked a version on top of an uncommitted one).
+  /// Unlinks a pending version installed by an aborting transaction,
+  /// reverses its index effects and retires it. `v` must be the slot's
+  /// head: strict 2PL keeps other writers off an uncommitted version, and
+  /// Update/Delete refuse (TxnConflict) to stack on a fresh insert its
+  /// writer has not locked yet.
   Status UndoInstall(RowId rid, mvcc::RowVersion* v);
 
   /// Raises the allocated-row horizon to at least `n`, materializing the
@@ -166,7 +178,8 @@ class Table {
   void ReadMany(const std::vector<RowId>& rids,
                 const std::function<bool(RowId, const Tuple&)>& fn) const;
 
-  /// A row filter run in place under the row's slot latch. It must be pure
+  /// A row filter run in place on an immutable linked version (under the
+  /// row's slot latch for ReadIf, latch-free for ReadIfAt). It must be pure
   /// computation: it may take no latch and call into no table or index.
   using RowFilter = std::function<bool(const Tuple&)>;
 
@@ -184,6 +197,7 @@ class Table {
   /// Snapshot variants: visit the version visible to `view` instead of
   /// the head. Each row is consistent at view.ts; the whole scan is a
   /// snapshot as long as view.ts stays pinned (SnapshotManager::Pin).
+  /// `fn` sees the immutable version in place, valid while the pin is.
   void ScanAt(const mvcc::ReadView& view,
               const std::function<bool(RowId, const Tuple&)>& fn) const;
   void ScanRangeAt(const mvcc::ReadView& view, RowId begin, RowId end,
@@ -192,7 +206,7 @@ class Table {
   /// --- Version GC ------------------------------------------------------
 
   struct PruneStats {
-    uint64_t freed = 0;      ///< Versions freed.
+    uint64_t freed = 0;      ///< Versions freed (retired ones included).
     uint64_t visited = 0;    ///< Slots latched and pruned.
     uint64_t max_chain = 0;  ///< Longest chain observed before pruning.
   };
@@ -200,14 +214,22 @@ class Table {
   /// Frees versions shadowed below `watermark` (see mvcc/gc.h). Visits
   /// only the slots the write path left multi-version since the previous
   /// call (the dirty list), so the cost is O(rows written), not O(heap).
+  /// Also frees the retired versions whose stamp is below `watermark`.
   /// max_chain is at least 1 while the table has live rows.
   PruneStats PruneVersions(uint64_t watermark);
 
   /// Wires the write path's inline chain pruning to the snapshot
-  /// watermark. Called by the catalog at table creation; tables without a
-  /// source skip inline pruning.
-  void SetWatermarkSource(const std::atomic<uint64_t>* source) {
-    watermark_source_ = source;
+  /// watermark and stamps retired versions with the visible clock. Called
+  /// by the catalog at table creation; tables without a source skip
+  /// inline pruning and free unlinked versions at once.
+  void SetSnapshots(const mvcc::SnapshotManager* snapshots) {
+    snapshots_ = snapshots;
+  }
+
+  /// Longest chain any prune of this table has walked (inline on the
+  /// write path or in a sweep): a high-water mark, never lowered.
+  uint64_t max_chain() const {
+    return max_chain_.load(std::memory_order_relaxed);
   }
 
   /// --- Stats ----------------------------------------------------------
@@ -229,7 +251,13 @@ class Table {
     // Set (under the latch) while the slot's rid is queued for the
     // sweeper (see gc_dirty_); sits in the latch's padding.
     bool gc_pending = false;
-    mvcc::RowVersion* head = nullptr;
+    // Stored under the latch; snapshot reads load it without.
+    std::atomic<mvcc::RowVersion*> head{nullptr};
+
+    /// The head, for a latch holder (the latch orders every store).
+    mvcc::RowVersion* locked_head() const {
+      return head.load(std::memory_order_relaxed);
+    }
   };
   static_assert(sizeof(RowSlot) == 16, "RowSlot must stay two words");
 
@@ -245,21 +273,48 @@ class Table {
 
   RowSlot* SlotFor(RowId rid) const;
 
+  /// The latch-free walk behind every snapshot read.
+  const mvcc::RowVersion* VisibleAt(const RowSlot* slot,
+                                    const mvcc::ReadView& view) const;
+
   /// Reserves a fresh RowId and returns its (latch-free) slot.
   std::pair<RowId, RowSlot*> AllocateSlot();
 
+  /// What a latched write leaves for after the latch (AfterLatch()):
+  /// queueing the slot for the sweeper, retiring what its prune unlinked.
+  struct Deferred {
+    bool queue = false;
+    mvcc::RowVersion* retired = nullptr;
+  };
+
   /// Links a fresh version at the head of the slot's chain (caller holds
-  /// the latch) and prunes the chain against the watermark source. If a
-  /// shadowed version survives and the slot is not queued yet, sets its
-  /// gc_pending flag and *queue: the caller must then QueueForGc(rid)
-  /// once it has released the latch.
+  /// the latch) and prunes the chain against the watermark. If a shadowed
+  /// version survives and the slot is not queued yet, sets its gc_pending
+  /// flag and deferred->queue.
   mvcc::RowVersion* InstallLocked(RowSlot* slot, Tuple data, bool deleted,
-                                  uint64_t writer_txn, bool* queue);
+                                  uint64_t writer_txn, Deferred* deferred);
+  /// Runs a write's deferred work. Never called under a slot latch.
+  void AfterLatch(RowId rid, const Deferred& deferred);
   /// Appends rid to the dirty list. Never called under a slot latch.
   void QueueForGc(RowId rid);
-  /// Prunes one chain under its latch; returns versions freed.
-  uint64_t PruneChainLocked(RowSlot* slot, uint64_t watermark,
-                            uint64_t* chain_len = nullptr);
+
+  struct Pruned {
+    uint64_t freed = 0;  ///< Versions freed at once.
+    uint64_t chain = 0;  ///< Versions walked plus versions freed at once.
+    /// Versions unlinked but not freed (a detached chain): a cut-out
+    /// boundary tombstone, or whatever a non-transactional boundary
+    /// shadows. The caller retires it.
+    mvcc::RowVersion* retired = nullptr;
+  };
+  /// Prunes one chain under its latch and raises max_chain_.
+  Pruned PruneChainLocked(RowSlot* slot, uint64_t watermark);
+
+  /// Frees `v` — with the detached chain below it, or `alone` — once no
+  /// snapshot reader can be standing on it. The caller unlinked it with a
+  /// seq_cst store; this stamps it with the visible clock and queues it
+  /// for the PruneVersions call whose watermark is above the stamp. Frees
+  /// at once without a snapshot source. Never called under a slot latch.
+  void Retire(mvcc::RowVersion* v, bool alone);
 
   Status InsertIndexEntries(const Tuple& row, RowId rid, OnConflict policy,
                             bool* conflicted, RowId* existing_rid);
@@ -272,7 +327,8 @@ class Table {
   std::vector<std::atomic<Segment*>> segments_;
   std::atomic<uint64_t> next_rid_{0};
   std::atomic<uint64_t> live_rows_{0};
-  const std::atomic<uint64_t>* watermark_source_ = nullptr;
+  const mvcc::SnapshotManager* snapshots_ = nullptr;
+  std::atomic<uint64_t> max_chain_{0};
 
   // Rids whose chain may hold a shadowed version. A slot's gc_pending
   // flag is set while its rid is on this list, in a running
@@ -283,6 +339,17 @@ class Table {
   // writer of that row.
   std::mutex gc_mu_;
   std::vector<RowId> gc_dirty_;
+
+  // Unlinked versions a snapshot reader may still be standing on, each
+  // with its stamp (see Retire). Like gc_mu_, never taken under a latch.
+  struct RetiredEntry {
+    uint64_t stamp;
+    mvcc::RowVersion* v;
+    bool alone;  ///< v's `older` is not part of the entry.
+    uint64_t Free() const;  ///< Returns versions freed.
+  };
+  std::mutex retire_mu_;
+  std::vector<RetiredEntry> retired_;
 };
 
 }  // namespace bullfrog

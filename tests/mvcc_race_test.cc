@@ -3,10 +3,12 @@
 // GC at a 1ms sweep interval (plus a delete/re-insert churn writer feeding
 // its dirty lists), multi-statement transactions whose one begin pin must
 // cover every statement while writers commit and sweeps run between
-// them, racing a live lazy migration's pulls, and racing a multistep
-// copier's dual writes. Readers never take row locks,
-// so every reader-side Status must be OK — a reader wait-die abort is a
-// test failure, which is exactly the property the Zipf bench measures.
+// them, latch-free chain walks racing aborts, deletes, a replica's log
+// apply and the sweeper's reclamation on hot rows, racing a live lazy
+// migration's pulls, and racing a multistep copier's dual writes.
+// Readers never take row locks, so every reader-side Status must be OK —
+// a reader wait-die abort is a test failure, which is exactly the
+// property the Zipf bench measures.
 
 #include <atomic>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include "bullfrog/database.h"
 #include "common/clock.h"
+#include "replication/applier.h"
 #include "sql/engine.h"
 
 namespace bullfrog {
@@ -403,6 +406,312 @@ TEST(MvccRaceTest, PinMarkerHoldsTheWatermarkBeforeTheTimestampLands) {
   ASSERT_TRUE(read_status.ok()) << "begin-ts version was reclaimed: "
                                 << read_status;
   EXPECT_EQ(balance, kInitialBalance);
+}
+
+// Snapshot reads walk version chains without the slot latch, so the two
+// versions a reader may be standing on when they are unlinked — a pending
+// head undone by an abort, a committed tombstone the sweeper cuts out —
+// must outlive every reader pinned before the unlink. Writers hammer 4
+// hot rows with transfers and delete + re-insert moves (a move re-inserts
+// the row into a fresh slot, so every slot a move leaves ends in a
+// tombstone), rolling back about half of their transactions; a 1 ms
+// sweeper reclaims behind them. Readers check every snapshot three ways
+// (point reads by rid at the begin timestamp, ScanAt, Select): 4 rows,
+// constant sum. Between checks they re-read the slots the last check
+// found live, over and over in one snapshot, and the reads must not
+// change. A version freed under a reader shows up as a torn snapshot or
+// a changed re-read, or under ASan as a use after free.
+TEST(MvccRaceTest, LatchFreeReadersVsAbortsDeletesAndGc) {
+  constexpr int kRows = 4;
+  constexpr int64_t kBalance = 100;
+  constexpr int kWriters = 3;
+  constexpr int kWriterTxns = 8000;  // Bounds the slots a scan walks.
+  constexpr int kReaders = 6;  // With the writers, more threads than cores.
+  constexpr int kCheckEvery = 8;  // Rounds per full snapshot check.
+  constexpr int kRereads = 20;
+  Database db;
+  db.version_gc().Stop();
+  db.version_gc().Start(1);
+  ASSERT_TRUE(db.CreateTable(SchemaBuilder("hot")
+                                 .AddColumn("id", ValueType::kInt64, false)
+                                 .AddColumn("balance", ValueType::kInt64)
+                                 .SetPrimaryKey({"id"})
+                                 .Build())
+                  .ok());
+  {
+    auto s = db.BeginSession({"hot"});
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(
+          db.Insert(&s, "hot", Tuple{Value::Int(i), Value::Int(kBalance)})
+              .ok());
+    }
+    ASSERT_TRUE(db.Commit(&s).ok());
+  }
+  Table* table = db.catalog().FindTable("hot");
+
+  // One writer transaction: a transfer between two rows or a move of one
+  // row to a fresh slot. An attempt that meets a row another writer is
+  // moving right now (the latest-version index probe finds no row, or
+  // finds it deleted once its lock is granted) or that wait-die kills
+  // rolls back and counts as done.
+  auto write_once = [&db](uint64_t r) {
+    auto s = db.BeginSession({"hot"});
+    const int a = static_cast<int>(r % kRows);
+    Status st;
+    bool skip = false;
+    if ((r >> 8) % 2 == 0) {
+      const int b = (a + 1 + static_cast<int>((r >> 4) % (kRows - 1))) % kRows;
+      const int64_t delta = static_cast<int64_t>((r >> 12) % 7) + 1;
+      auto add = [&](int id, int64_t d) {
+        auto n = db.Update(&s, "hot", Eq(Col("id"), LitInt(id)),
+                           [d](const Tuple& t) {
+                             Tuple u = t;
+                             u[1] = Value::Int(t[1].AsInt() + d);
+                             return u;
+                           });
+        if (n.ok() && *n != 1) skip = true;
+        return n.status();
+      };
+      st = add(a, -delta);
+      if (st.ok() && !skip) st = add(b, delta);
+    } else {
+      auto row = db.Select(&s, "hot", Eq(Col("id"), LitInt(a)),
+                           /*for_update=*/true);
+      st = row.status();
+      if (st.ok() && row->size() != 1u) skip = true;
+      if (st.ok() && !skip) {
+        const Tuple moved = row->front().second;
+        auto n = db.Delete(&s, "hot", Eq(Col("id"), LitInt(a)));
+        st = n.status();
+        if (st.ok() && *n != 1) skip = true;
+        if (st.ok() && !skip) st = db.Insert(&s, "hot", moved);
+      }
+    }
+    if (st.ok() && !skip && (r >> 16) % 2 == 0) return db.Commit(&s);
+    db.Abort(&s);
+    return st.ok() || st.IsRetryable() || st.IsNotFound() ? Status::OK() : st;
+  };
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      uint64_t rng = 0x9e3779b97f4a7c15ULL * (w + 7);
+      for (int i = 0; i < kWriterTxns && !failed.load(); ++i) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        const Status st = write_once(rng);
+        if (!st.ok()) {
+          ADD_FAILURE() << "writer " << w << ": " << st;
+          failed.store(true);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  auto check = [&failed](const char* how, int rows, int64_t sum) {
+    if (rows != kRows || sum != kRows * kBalance) {
+      ADD_FAILURE() << how << " saw a torn snapshot: " << rows
+                    << " rows, sum " << sum;
+      failed.store(true);
+    }
+  };
+  // A full check of one snapshot: 4 rows, constant sum, three ways.
+  // Returns the rids that held a row.
+  auto check_snapshot = [&](Database::Session* s) {
+    std::vector<RowId> live;
+    int64_t sum = 0;
+    for (RowId rid = 0; rid < table->NumAllocatedRows(); ++rid) {
+      Tuple row;
+      if (db.txns().Read(s->txn(), table, rid, &row).ok()) {
+        live.push_back(rid);
+        sum += row[1].AsInt();
+      }
+    }
+    check("point reads", static_cast<int>(live.size()), sum);
+    int rows = 0;
+    sum = 0;
+    table->ScanAt(mvcc::ReadView{s->txn()->begin_ts(), s->txn()->id()},
+                  [&](RowId, const Tuple& row) {
+                    ++rows;
+                    sum += row[1].AsInt();
+                    return true;
+                  });
+    check("ScanAt", rows, sum);
+    auto selected = db.Select(s, "hot", nullptr);
+    if (!selected.ok()) {
+      ADD_FAILURE() << "select: " << selected.status();
+      failed.store(true);
+      return live;
+    }
+    rows = 0;
+    sum = 0;
+    for (const auto& [rid, row] : *selected) {
+      ++rows;
+      sum += row[1].AsInt();
+    }
+    check("Select", rows, sum);
+    return live;
+  };
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      // The slots that held a row at the last full check: the hot rows,
+      // or, once moved, their tombstones.
+      std::vector<RowId> hot;
+      for (int round = 0; writers_left.load() > 0 && !failed.load();
+           ++round) {
+        auto s = db.BeginSession({"hot"});
+        if (round % kCheckEvery == 0) {
+          hot = check_snapshot(&s);
+        } else {
+          // Repeatable reads of the hot slots: most of these walks start
+          // at a writer's pending head, the version an abort unlinks.
+          std::vector<int64_t> first(hot.size(), -1);  // -1: no row.
+          for (int k = 0; k < kRereads && !failed.load(); ++k) {
+            for (size_t i = 0; i < hot.size(); ++i) {
+              Tuple row;
+              const Status st = db.txns().Read(s.txn(), table, hot[i], &row);
+              const int64_t got = st.ok() ? row[1].AsInt() : -1;
+              if (k == 0) first[i] = got;
+              if ((!st.ok() && !st.IsNotFound()) || got != first[i]) {
+                ADD_FAILURE() << "read " << k << " of rid " << hot[i]
+                              << " changed: " << got << " vs " << first[i]
+                              << " (" << st << ")";
+                failed.store(true);
+              }
+            }
+          }
+        }
+        (void)db.Commit(&s);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+
+  // Quiesced: still exactly one live row per id. (A move that stacked its
+  // delete on a racing inserter's not-yet-locked pending row once left
+  // the id live in two slots after the inserter's undo.)
+  db.version_gc().Stop();
+  EXPECT_GT(db.version_gc().versions_freed(), 0u);
+  EXPECT_GT(db.version_gc().max_chain(), 1u);
+  auto s = db.BeginSession({"hot"});
+  auto rows = db.Select(&s, "hot", nullptr);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->size(), static_cast<size_t>(kRows));
+  ASSERT_TRUE(db.Commit(&s).ok());
+}
+
+// A replica applies the primary's log as non-transactional installs,
+// which are never published through its commit clock: a latch-free
+// reader may have loaded a row's head just before an applied write
+// shadowed it. What such an install shadows is therefore retired, not
+// freed, and the applier moves the clock once per applied transaction so
+// the watermark passes those stamps. Readers check every row they read
+// is whole (b == -a, a stamp of the applied generation) while the applier
+// updates, deletes and re-inserts the rows in place; a version freed
+// under a reader shows up as a torn row, or under ASan as a use after
+// free.
+TEST(MvccRaceTest, LatchFreeReadersVsReplicaApply) {
+  constexpr int kRows = 4;
+  constexpr int kTxns = 50000;
+  constexpr int kReaders = 4;
+  Database db;
+  db.version_gc().Stop();
+  db.version_gc().Start(1);
+  ASSERT_TRUE(db.CreateTable(SchemaBuilder("rep")
+                                 .AddColumn("id", ValueType::kInt64, false)
+                                 .AddColumn("a", ValueType::kInt64)
+                                 .AddColumn("b", ValueType::kInt64)
+                                 .SetPrimaryKey({"id"})
+                                 .Build())
+                  .ok());
+  Table* table = db.catalog().FindTable("rep");
+  auto row_at = [](int id, int64_t gen) {
+    return Tuple{Value::Int(id), Value::Int(gen), Value::Int(-gen)};
+  };
+  replication::LogApplier applier(&db, /*append_to_local_log=*/false);
+  auto apply = [&](uint64_t txn, LogOp op, int id, int64_t gen) {
+    LogRecord r;
+    r.txn_id = txn;
+    r.op = op;
+    r.table = "rep";
+    r.rid = static_cast<RowId>(id);
+    if (op != LogOp::kDelete) r.after = row_at(id, gen);
+    LogRecord commit;
+    commit.txn_id = txn;
+    commit.op = LogOp::kCommit;
+    return applier.Apply({r, commit});
+  };
+  for (int id = 0; id < kRows; ++id) {
+    ASSERT_TRUE(apply(id + 1, LogOp::kInsert, id, 0).ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kTxns && !failed.load(); ++i) {
+      const int id = i % kRows;
+      const uint64_t txn = static_cast<uint64_t>(kRows + 1 + i);
+      // Every eighth transaction deletes the row; the next one on it
+      // re-inserts it into the same slot, as a replayed insert does.
+      const bool gone = (i / kRows) % 8 == 7;
+      const bool back = (i / kRows) % 8 == 0 && i >= kRows;
+      const LogOp op = gone   ? LogOp::kDelete
+                       : back ? LogOp::kInsert
+                              : LogOp::kUpdate;
+      const Status st = apply(txn, op, id, i);
+      if (!st.ok()) {
+        ADD_FAILURE() << "apply " << i << ": " << st;
+        failed.store(true);
+      }
+    }
+    done.store(true);
+  });
+  auto whole = [&](const Tuple& row) {
+    if (row.size() != 3 || row[2].AsInt() != -row[1].AsInt()) {
+      ADD_FAILURE() << "torn row " << row.ToString();
+      failed.store(true);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load() && !failed.load()) {
+        auto s = db.BeginSession({"rep"});
+        for (int k = 0; k < 20; ++k) {
+          for (RowId rid = 0; rid < static_cast<RowId>(kRows); ++rid) {
+            Tuple row;
+            if (db.txns().Read(s.txn(), table, rid, &row).ok()) whole(row);
+          }
+        }
+        table->ScanAt(mvcc::ReadView{s.txn()->begin_ts(), s.txn()->id()},
+                      [&](RowId, const Tuple& row) {
+                        whole(row);
+                        return true;
+                      });
+        auto rows = db.Select(&s, "rep", nullptr);
+        if (rows.ok()) {
+          for (const auto& [rid, row] : *rows) whole(row);
+        }
+        (void)db.Commit(&s);
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
+
+  // The applied transactions moved the clock, so with the readers gone
+  // the sweeps free what the applier retired.
+  db.version_gc().Stop();
+  EXPECT_GE(db.txns().snapshots().visible(),
+            static_cast<uint64_t>(kRows + kTxns));
+  db.version_gc().SweepOnce();
+  db.version_gc().SweepOnce();
+  EXPECT_GT(db.version_gc().versions_freed(), 0u);
 }
 
 TEST(MvccRaceTest, SnapshotReadersVsLiveLazyMigration) {

@@ -318,6 +318,46 @@ TEST_F(MvccTest, EveryOpenPinHoldsTheWatermarkAcrossSlotChunks) {
   EXPECT_EQ(snaps.AdvanceWatermark(), snaps.visible());
 }
 
+// The watermark keeps up with the clock through unpins alone (no sweeper)
+// even when no pin is at or below it — the state a scan that meets a
+// concurrent pinner's marker leaves behind. Only the rate-limited rescan
+// lets it catch up from there; without it the watermark stays put until
+// the next GC sweep.
+TEST_F(MvccTest, WatermarkFollowsUnpinsWithoutSweeper) {
+  db_.version_gc().Stop();
+  mvcc::SnapshotManager& snaps = db_.txns().snapshots();
+  snaps.AdvanceWatermark();
+  // `held` holds the watermark while one commit lands, then unpins from
+  // inside the next pin's marker window: its rescan meets the marker and
+  // leaves the watermark one commit behind, below every later pin.
+  struct Stall {
+    mvcc::SnapshotManager* snaps;
+    mvcc::SnapshotManager::PinHandle held;
+  } stall{&snaps, snaps.Pin()};
+  BumpAge(&db_, 0, 1);
+  snaps.SetPinHookForTesting(
+      [](void* arg) {
+        auto* st = static_cast<Stall*>(arg);
+        st->snaps->Unpin(st->held);
+      },
+      &stall);
+  const mvcc::SnapshotManager::PinHandle next = snaps.Pin();
+  snaps.SetPinHookForTesting(nullptr, nullptr);
+  snaps.Unpin(next);
+  ASSERT_LT(snaps.watermark(), snaps.visible());
+  ASSERT_LT(snaps.watermark(), next.ts);
+
+  for (int i = 0; i < 1000; ++i) {
+    {
+      mvcc::SnapshotManager::PinGuard pin(&snaps);
+      BumpAge(&db_, i % 20, i);
+    }
+    ASSERT_LE(snaps.visible() - snaps.watermark(),
+              mvcc::SnapshotManager::kScanEvery + 1)
+        << "after " << i + 1 << " commits";
+  }
+}
+
 TEST_F(MvccTest, GcVisitsOnlyWrittenRows) {
   db_.version_gc().Stop();  // Passes below are the only ones.
   ASSERT_TRUE(db_.CreateTable(SchemaBuilder("big")
@@ -422,10 +462,12 @@ TEST_F(MvccTest, GcRequeuesSlotAfterAbortedWrite) {
   EXPECT_EQ(gc.slots_visited() - visited, 1u);
   EXPECT_EQ(gc.last_max_chain(), 2u);
 
+  // The pass after the unpin frees the shadowed version and the undone
+  // one, retired at the abort until the watermark passed its stamp.
   pin.reset();
   const uint64_t freed_before = gc.versions_freed();
   gc.SweepOnce();
-  EXPECT_EQ(gc.versions_freed() - freed_before, 1u);
+  EXPECT_EQ(gc.versions_freed() - freed_before, 2u);
   gc.SweepOnce();
   EXPECT_EQ(gc.last_max_chain(), 1u);
 }
