@@ -268,7 +268,7 @@ void MigrationController::RemoveReservationLocked(const std::string& name) {
 void MigrationController::RepublishLocked() {
   auto next = std::make_shared<RoutingView>();
   for (const auto& s : states_) {
-    if (s->complete.load(std::memory_order_acquire)) continue;
+    if (s->finishing.load(std::memory_order_acquire)) continue;
     for (const auto& entry : s->by_output) next->by_output[entry.first] = s;
     if (s->opts.strategy == MigrationStrategy::kMultiStep) next->multistep = s;
   }
@@ -781,12 +781,12 @@ Status MigrationController::LogMigrateDdl(const ActiveState& state) {
 }
 
 void MigrationController::OnMigrationComplete(ActiveState* state) {
-  if (state->complete.exchange(true)) return;
+  if (state->finishing.exchange(true)) return;
   state->complete_s.store(state->since_submit.ElapsedSeconds(),
                           std::memory_order_release);
   {
-    // Routing holds only incomplete entries: the statement path stops
-    // resolving to this one.
+    // Routing holds only unfinished entries: the statement path stops
+    // resolving to this one before any input is dropped.
     std::lock_guard lock(mu_);
     RepublishLocked();
   }
@@ -802,6 +802,10 @@ void MigrationController::OnMigrationComplete(ActiveState* state) {
   for (const std::string& name : state->plan.retire_tables) {
     (void)catalog_->DropTable(name);
   }
+  // Only now is the migration complete to IsComplete and the status
+  // report: a checkpoint taken on "complete" must not capture a retired
+  // input.
+  state->complete.store(true, std::memory_order_release);
   if (!state->plan.source_script.empty() &&
       !state->replaying.load(std::memory_order_acquire)) {
     std::string blob;
@@ -865,7 +869,7 @@ Status MigrationController::PrepareRead(const Views& views,
   // Per-table resolution: with a train in flight, `table` belongs to at
   // most one migration (admission serializes overlapping footprints).
   ActiveState* state = StateForTable(*views.routing, table);
-  if (state == nullptr || state->complete.load(std::memory_order_acquire)) {
+  if (state == nullptr || state->finishing.load(std::memory_order_acquire)) {
     return Status::OK();
   }
   if (state->opts.strategy != MigrationStrategy::kLazy) return Status::OK();
@@ -879,7 +883,7 @@ Status MigrationController::PrepareRead(const Views& views,
   // drop the retired inputs) between the IsComplete check above and the
   // migrator touching the old tables.
   if (!s.ok() && (m->IsComplete() ||
-                  state->complete.load(std::memory_order_acquire))) {
+                  state->finishing.load(std::memory_order_acquire))) {
     return Status::OK();
   }
   return s;
@@ -889,7 +893,7 @@ Status MigrationController::PrepareInsert(const Views& views,
                                           const std::string& table,
                                           const Tuple& row) {
   ActiveState* state = StateForTable(*views.routing, table);
-  if (state == nullptr || state->complete.load(std::memory_order_acquire)) {
+  if (state == nullptr || state->finishing.load(std::memory_order_acquire)) {
     return Status::OK();
   }
   if (state->opts.strategy != MigrationStrategy::kLazy) return Status::OK();
@@ -915,7 +919,7 @@ Status MigrationController::PrepareInsert(const Views& views,
     Status s = m->MigrateForPredicate(JoinConjuncts(std::move(conjuncts)));
     // Same benign completion race as PrepareRead.
     if (!s.ok() && (m->IsComplete() ||
-                    state->complete.load(std::memory_order_acquire))) {
+                    state->finishing.load(std::memory_order_acquire))) {
       return Status::OK();
     }
     return s;
@@ -969,7 +973,7 @@ Status MigrationController::CheckForeignKeys(const Views& views,
 
 bool MigrationController::MultiStepActive(const Views& views) {
   const auto& state = views.routing->multistep;
-  return state != nullptr && !state->complete.load(std::memory_order_acquire);
+  return state != nullptr && !state->finishing.load(std::memory_order_acquire);
 }
 
 MigrationController::MultiStepGuard MigrationController::MultiStepWriteGuard(
@@ -1183,7 +1187,7 @@ Status MigrationController::ApplyReplicatedMark(const std::string& tracker_id,
   // Submit dropped the state) must be a silent no-op — the tracker it
   // targeted no longer exists, and the data it covers already moved.
   for (const auto& state : SnapshotAll()) {
-    if (state->complete.load(std::memory_order_acquire)) continue;
+    if (state->finishing.load(std::memory_order_acquire)) continue;
     for (const auto& m : state->stmt_migrators) {
       if (m->tracker() != nullptr && m->tracker()->id() == tracker_id) {
         // MarkMigratedFromLog is idempotent (the migrate bit is checked
@@ -1200,7 +1204,7 @@ Status MigrationController::ApplyReplicatedMark(const std::string& tracker_id,
 Status MigrationController::CompleteReplicatedMigration(
     const std::string& plan_name) {
   for (const auto& state : SnapshotAll()) {
-    if (state->complete.load(std::memory_order_acquire)) continue;
+    if (state->finishing.load(std::memory_order_acquire)) continue;
     if (!plan_name.empty() && state->name != plan_name &&
         state->plan.name != plan_name) {
       continue;
@@ -1239,7 +1243,7 @@ bool MigrationController::ShouldForwardReads(const std::string& table) const {
   ActiveState* state = StateForTable(*routing, table);
   if (state == nullptr || !state->replaying.load(std::memory_order_acquire) ||
       state->opts.strategy != MigrationStrategy::kLazy ||
-      state->complete.load(std::memory_order_acquire)) {
+      state->finishing.load(std::memory_order_acquire)) {
     return false;
   }
   StatementMigrator* m = MigratorFor(*state, table);
@@ -1256,6 +1260,10 @@ Status MigrationController::DescribeTrainForCheckpoint(
   out->clear();
   for (const auto& state : states_) {
     if (state->complete.load(std::memory_order_acquire)) continue;
+    if (state->finishing.load(std::memory_order_acquire)) {
+      return Status::Busy(
+          "checkpoint deferred: a migration is dropping its retired inputs");
+    }
     if (state->opts.strategy != MigrationStrategy::kLazy) {
       return Status::Busy(
           "checkpoint deferred: a non-lazy migration is in flight");
@@ -1292,7 +1300,7 @@ Status MigrationController::TakeOwnership() {
   {
     std::lock_guard lock(mu_);
     for (const auto& state : states_) {
-      if (state->complete.load(std::memory_order_acquire)) continue;
+      if (state->finishing.load(std::memory_order_acquire)) continue;
       if (state->opts.strategy != MigrationStrategy::kLazy) {
         return Status::Unsupported("recovery applies to lazy migrations");
       }

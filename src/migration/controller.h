@@ -363,11 +363,11 @@ class MigrationController {
 
  private:
   /// Per-migration state. Immutable once published through `states_`
-  /// except for the `complete` / `complete_s` / `replaying` atomics (and
-  /// the thread-safe migrators and workers it owns). Member order matters
-  /// for teardown: `background` and `multistep` are declared after
-  /// `stmt_migrators` so their destructors join worker threads before the
-  /// migrators those threads use are destroyed.
+  /// except for the `finishing` / `complete` / `complete_s` / `replaying`
+  /// atomics (and the thread-safe migrators and workers it owns). Member
+  /// order matters for teardown: `background` and `multistep` are declared
+  /// after `stmt_migrators` so their destructors join worker threads before
+  /// the migrators those threads use are destroyed.
   struct ActiveState {
     /// Train identity: the plan name (or first output for unnamed
     /// plans). Unique among in-flight entries — duplicate submits are
@@ -386,6 +386,13 @@ class MigrationController {
     std::unique_ptr<BackgroundMigrator> background;
     std::unique_ptr<MultiStepCopier> multistep;
     Stopwatch since_submit;
+    /// OnMigrationComplete's once-guard, set first: from then on the
+    /// routing view and the statement paths no longer resolve to this
+    /// entry, so no migrator reads an input while it is being dropped.
+    std::atomic<bool> finishing{false};
+    /// Set last, once the retired inputs are dropped: the flag IsComplete,
+    /// admission and the status report read, so "complete" never coexists
+    /// with a retired input.
     std::atomic<bool> complete{false};
     std::atomic<double> complete_s{-1.0};
     /// opts.replicated_replay as of now: set at submit, cleared only by

@@ -52,8 +52,8 @@ class HashTracker final : public MigrationTracker {
   /// Algorithm 1 line 9: in-progress -> migrated after commit.
   void MarkMigrated(const Tuple& key);
 
-  /// §3.5 abort handling: in-progress -> aborted.
-  void MarkAborted(const Tuple& key);
+  /// §3.5 abort handling: in-progress -> aborted, claimable again.
+  void ResetAborted(const Tuple& key);
 
   /// Marks migrated regardless of current state (ON CONFLICT mode and
   /// recovery).

@@ -1,46 +1,18 @@
 #include "migration/statement_migrator.h"
 
 #include <algorithm>
-#include <mutex>
+#include <functional>
+#include <optional>
 #include <unordered_set>
+#include <vector>
 
 #include "common/clock.h"
+#include "migration/bitmap_tracker.h"
+#include "migration/hash_tracker.h"
+#include "obs/request_trace.h"
 #include "query/scan.h"
 
 namespace bullfrog {
-
-namespace {
-
-/// Deduplicating accumulator for candidate unit keys.
-class TupleSet {
- public:
-  bool Add(const Tuple& t) { return set_.insert(t).second; }
-  std::vector<Tuple> Take() {
-    return std::vector<Tuple>(set_.begin(), set_.end());
-  }
-  bool empty() const { return set_.empty(); }
-
- private:
-  std::unordered_set<Tuple, TupleHasher> set_;
-};
-
-}  // namespace
-
-Result<Table*> StatementMigrator::OutputTable(size_t output_index) const {
-  if (output_index >= stmt_.output_tables.size()) {
-    return Status::Internal("bad output index in statement '" + stmt_.name +
-                            "'");
-  }
-  return catalog_->RequireActive(stmt_.output_tables[output_index]);
-}
-
-Result<Table*> StatementMigrator::InputTable(size_t input_index) const {
-  if (input_index >= stmt_.input_tables.size()) {
-    return Status::Internal("bad input index in statement '" + stmt_.name +
-                            "'");
-  }
-  return catalog_->RequireReadable(stmt_.input_tables[input_index]);
-}
 
 Status StatementMigrator::MigrateForPredicate(const ExprPtr& new_schema_pred) {
   if (tracer_ != nullptr &&
@@ -58,144 +30,256 @@ Status StatementMigrator::MigrateForPredicate(const ExprPtr& new_schema_pred) {
   return MigrateCandidates(preds);
 }
 
-// ---------------------------------------------------------------------------
-// ProjectionMigrator (1:1 / 1:n, bitmap)
-// ---------------------------------------------------------------------------
+namespace {
 
-ProjectionMigrator::ProjectionMigrator(Catalog* catalog,
-                                       TransactionManager* txns,
-                                       MigrationStatement stmt,
-                                       LazyConfig config,
-                                       uint64_t input_boundary)
-    : StatementMigrator(catalog, txns, std::move(stmt), config) {
-  tracker_ = std::make_unique<BitmapTracker>(
-      "bitmap:" + stmt_.name, input_boundary, config_.granularity);
+/// Deduplicating accumulator for candidate unit keys.
+using TupleSet = std::unordered_set<Tuple, TupleHasher>;
+using RowFn = std::function<void(RowId, const Tuple&)>;
+
+/// The values of `row` at `cols`, in order.
+Tuple Project(const Tuple& row, const std::vector<size_t>& cols) {
+  Tuple key;
+  key.reserve(cols.size());
+  for (size_t c : cols) key.push_back(row[c]);
+  return key;
 }
 
-Status ProjectionMigrator::MigrateCandidates(const RewrittenPredicates& preds) {
-  BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
-  const ExprPtr& pred = preds.per_table.at(stmt_.input_tables[0]);
+/// A unit's key in its kMigrationMark redo record: the granule index for
+/// the bitmap, the group key itself for the hashmap.
+Tuple MarkKey(uint64_t granule) {
+  return Tuple{Value::Int(static_cast<int64_t>(granule))};
+}
+const Tuple& MarkKey(const Tuple& key) { return key; }
 
-  std::unordered_set<uint64_t> granules;
-  const uint64_t limit = tracker_->num_rows();
-  auto scan = ScanWhere(*input, pred, [&](RowId rid, const Tuple&) {
-    if (rid < limit) granules.insert(tracker_->GranuleOf(rid));
+/// The one "rows with this key below the boundary" lookup: calls `fn` for
+/// every row of `table` with rid < `boundary` whose `cols` equal `key`,
+/// through an index keyed on exactly `cols` when there is one and by a
+/// scan otherwise. `fn` only collects; it runs inside the table read.
+void ForEachRowWithKey(const Table& table, const std::vector<size_t>& cols,
+                       const Tuple& key, uint64_t boundary, const RowFn& fn) {
+  Index* index = table.FindIndexCoveredBy(cols);
+  if (index != nullptr && index->key_columns() == cols) {
+    std::vector<RowId> rids;
+    index->Lookup(key, &rids);
+    table.ReadMany(rids, [&](RowId rid, const Tuple& row) {
+      if (rid < boundary) fn(rid, row);
+      return true;
+    });
+    return;
+  }
+  table.ScanRange(0, boundary, [&](RowId rid, const Tuple& row) {
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (row[cols[i]] != key[i]) return true;
+    }
+    fn(rid, row);
     return true;
   });
-  BF_RETURN_NOT_OK(scan.status());
-  if (granules.empty()) return Status::OK();
-
-  // Fast path: if everything relevant is already migrated, the request can
-  // run on the new schema immediately.
-  std::vector<uint64_t> todo;
-  for (uint64_t g : granules) {
-    if (!config_.maintain_tracker || !tracker_->IsMigrated(g)) {
-      todo.push_back(g);
-    } else {
-      stats_.already_migrated_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (todo.empty()) return Status::OK();
-  return MigrateGranules(std::move(todo), /*wait_for_skipped=*/true);
 }
 
-Status ProjectionMigrator::MigrateWipGranules(
-    Transaction* txn, const std::vector<uint64_t>& wip) {
-  BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
+/// What every unit kind shares: table resolution, the single output-insert
+/// path, and the Algorithm 1 driver. `boundaries[i]` freezes input i's
+/// domain: rows with rid >= boundary (inserted after the logical switch,
+/// only possible when the input stays active) are not migrated.
+class LazyMigrator : public StatementMigrator {
+ protected:
+  LazyMigrator(Catalog* catalog, TransactionManager* txns,
+               MigrationStatement stmt, LazyConfig config,
+               std::vector<uint64_t> boundaries)
+      : StatementMigrator(catalog, txns, std::move(stmt), config),
+        boundaries_(std::move(boundaries)) {}
+
+  /// One migration transaction, with the statement's tables resolved
+  /// once for it (inputs stay readable while retired).
+  struct Batch {
+    Transaction* txn = nullptr;
+    std::vector<Table*> inputs;
+    std::vector<Table*> outputs;
+  };
+
+  Result<Table*> InputTable(size_t input) const {
+    return catalog_->RequireReadable(stmt_.input_tables[input]);
   }
-  const OnConflict policy = InsertPolicy();
-  for (uint64_t g : wip) {
-    const RowId begin = tracker_->GranuleBegin(g);
-    const RowId end = tracker_->GranuleEnd(g);
-    for (RowId rid = begin; rid < end; ++rid) {
-      Tuple row;
-      if (!input->Read(rid, &row).ok()) continue;  // Tombstone.
-      BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                          stmt_.row_transform(row));
-      for (TargetRow& t : targets) {
-        BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-        auto outcome = txns_->Insert(txn, outs[t.output_index], t.row, policy);
-        if (!outcome.ok()) return outcome.status();
-        if (!outcome->inserted) {
-          stats_.duplicate_inserts_discarded.fetch_add(
-              1, std::memory_order_relaxed);
-        }
+
+  /// Indexes of `columns` in input `input`; unresolvable names are skipped.
+  std::vector<size_t> InputColumns(
+      size_t input, const std::vector<std::string>& columns) const {
+    std::vector<size_t> out;
+    auto table = InputTable(input);
+    if (!table.ok()) return out;
+    for (const std::string& c : columns) {
+      if (auto idx = (*table)->schema().ColumnIndex(c)) out.push_back(*idx);
+    }
+    return out;
+  }
+
+  /// The join column of input `input` (0 = left, 1 = right) as a key.
+  std::vector<size_t> JoinColumn(size_t input) const {
+    return InputColumns(input, {input == 0 ? stmt_.left_join_column
+                                           : stmt_.right_join_column});
+  }
+
+  /// Calls `add` for every row of input `input` below its boundary that
+  /// matches `pred` (the candidate-unit scan).
+  Status ScanInput(size_t input, const ExprPtr& pred, const RowFn& add) const {
+    BF_ASSIGN_OR_RETURN(Table * table, InputTable(input));
+    const uint64_t boundary = boundaries_[input];
+    auto scan = ScanWhere(*table, pred, [&](RowId rid, const Tuple& row) {
+      if (rid < boundary) add(rid, row);
+      return true;
+    });
+    return scan.status();
+  }
+
+  /// The one output-insert path: checks each target row's constraints
+  /// (§4.5), inserts it under the configured duplicate detection, and
+  /// counts discarded duplicates and emitted rows.
+  Status Emit(const Batch& batch, Result<std::vector<TargetRow>> targets) {
+    BF_RETURN_NOT_OK(targets.status());
+    const OnConflict policy =
+        config_.duplicate_detection == DuplicateDetection::kOnConflictClause
+            ? OnConflict::kDoNothing
+            : OnConflict::kError;
+    for (const TargetRow& t : *targets) {
+      const size_t out = t.output_index;
+      if (config_.constraint_hook) {
+        BF_RETURN_NOT_OK(
+            config_.constraint_hook(stmt_.output_tables[out], t.row));
       }
-      stats_.rows_migrated.fetch_add(1, std::memory_order_relaxed);
-      stats_.rows_emitted.fetch_add(targets.size(),
-                                    std::memory_order_relaxed);
+      BF_ASSIGN_OR_RETURN(
+          InsertOutcome outcome,
+          txns_->Insert(batch.txn, batch.outputs[out], t.row, policy));
+      if (!outcome.inserted) {
+        stats_.duplicate_inserts_discarded.fetch_add(1,
+                                                     std::memory_order_relaxed);
+      }
     }
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, tracker_->id(),
-                              Tuple{Value::Int(static_cast<int64_t>(g))});
-    }
-  }
-  return Status::OK();
-}
-
-Status ProjectionMigrator::MigrateGranules(std::vector<uint64_t> granules,
-                                           bool wait_for_skipped) {
-  if (granules.empty()) return Status::OK();
-
-  // Fig 9 ablation: no tracking at all — the workload guarantees
-  // exactly-once coverage.
-  if (!config_.maintain_tracker) {
-    auto txn = txns_->Begin();
-    Status s = MigrateWipGranules(txn.get(), granules);
-    if (!s.ok()) {
-      (void)txns_->Abort(txn.get());
-      return s;
-    }
-    CountUnits(granules.size(), wait_for_skipped, /*forced=*/false);
-    return txns_->Commit(txn.get());
+    stats_.rows_emitted.fetch_add(targets->size(), std::memory_order_relaxed);
+    return Status::OK();
   }
 
-  // §3.7 ON CONFLICT mode: no lock bits; duplicates are discarded by the
-  // unique indexes of the output tables at insert time. The migrate bit is
-  // still set post-commit so the fast path keeps working.
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause) {
-    std::vector<uint64_t> todo;
-    for (uint64_t g : granules) {
-      if (!tracker_->IsMigrated(g)) todo.push_back(g);
+  /// Algorithm 1 for either tracker: BitmapTracker over uint64_t granules,
+  /// HashTracker over Tuple keys (Algorithm 2 or 3 inside TryAcquire).
+  /// `body(batch, unit)` migrates one unit inside the batch's transaction.
+  /// `wait_for_skipped` false = background mode: never block on units
+  /// other workers own.
+  template <typename Tracker, typename Unit, typename Body>
+  Status RunAlgorithm1(Tracker& tracker, std::vector<Unit> units,
+                       bool wait_for_skipped, const Body& body);
+
+  const std::vector<uint64_t> boundaries_;
+
+ private:
+  Result<Batch> OpenBatch(Transaction* txn) const {
+    Batch batch{txn, {}, {}};
+    for (const std::string& name : stmt_.input_tables) {
+      BF_ASSIGN_OR_RETURN(Table * t, catalog_->RequireReadable(name));
+      batch.inputs.push_back(t);
     }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      BitmapTracker* tracker = tracker_.get();
-      std::vector<uint64_t> wip = todo;
-      txn->OnCommit([tracker, wip] {
-        for (uint64_t g : wip) tracker->ForceMigrated(g);
+    for (const std::string& name : stmt_.output_tables) {
+      BF_ASSIGN_OR_RETURN(Table * t, catalog_->RequireActive(name));
+      batch.outputs.push_back(t);
+    }
+    return batch;
+  }
+
+  /// Bumps units_migrated plus the matching attribution bucket (see
+  /// MigrationStats): `forced` = §3.7 ForceMigrated path, otherwise
+  /// `wait_for_skipped` distinguishes the lazy client path (true) from
+  /// the background sweep (false).
+  void CountUnits(size_t n, bool wait_for_skipped, bool forced) {
+    stats_.units_migrated.fetch_add(n, std::memory_order_relaxed);
+    std::atomic<uint64_t>& bucket =
+        forced ? stats_.units_forced
+               : (wait_for_skipped ? stats_.units_lazy
+                                   : stats_.units_background);
+    bucket.fetch_add(n, std::memory_order_relaxed);
+    // Request tracing: the pulling thread's trace (if any) counts the
+    // units; the layer that owns the request clock adds the time
+    // (Database::TracedPrepare). Background threads carry no trace, so
+    // only client-path pulls are attributed.
+    obs::TraceAddStage(obs::Stage::kMigratePull, 0, n);
+  }
+
+  /// Sleeps one skip-recheck tick while units this request needs are
+  /// claimed by another migrator (usually the background sweep),
+  /// attributing the time to the requester's trace as migrate_wait.
+  void SkipRecheckSleep() {
+    int64_t t0 = Clock::NowNanos();
+    Clock::SleepMicros(config_.skip_recheck_us);
+    obs::TraceAddStage(obs::Stage::kMigrateWait, Clock::NowNanos() - t0, 1);
+  }
+};
+
+template <typename Tracker, typename Unit, typename Body>
+Status LazyMigrator::RunAlgorithm1(Tracker& tracker, std::vector<Unit> units,
+                                   bool wait_for_skipped, const Body& body) {
+  const bool tracking = config_.maintain_tracker;
+  // Migrates `batch` inside `txn`, logging each unit's mark (§3.5
+  // recovery and replication re-apply it) when tracking.
+  auto migrate = [&](Transaction* txn, const std::vector<Unit>& batch) {
+    BF_ASSIGN_OR_RETURN(Batch b, OpenBatch(txn));
+    for (const Unit& u : batch) {
+      BF_RETURN_NOT_OK(body(b, u));
+      if (tracking) txns_->LogMigrationMark(txn, tracker.id(), MarkKey(u));
+    }
+    return Status::OK();
+  };
+  // After a failed attempt: aborts the transaction if the commit did not,
+  // and says whether to retry.
+  int attempts = 0;
+  auto retry = [&](Transaction* txn, const Status& s) {
+    if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn);
+    stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
+    if (!s.IsRetryable() || attempts >= config_.retry_limit) return false;
+    ++attempts;
+    stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+
+  // The blind path: the Fig 9 ablation (no tracker — the workload
+  // guarantees exactly-once coverage) and §3.7 ON CONFLICT mode (no lock
+  // bits — the output tables' unique indexes discard duplicates at insert
+  // time). ON CONFLICT still sets the migrate bits on commit, so later
+  // requests skip the units.
+  if (!tracking ||
+      config_.duplicate_detection == DuplicateDetection::kOnConflictClause) {
+    if (tracking) {
+      std::erase_if(units, [&](const Unit& u) {
+        if (!tracker.IsMigrated(u)) return false;
+        stats_.already_migrated_hits.fetch_add(1, std::memory_order_relaxed);
+        return true;
       });
-      Status s = MigrateWipGranules(txn.get(), todo);
+    }
+    if (units.empty()) return Status::OK();
+    while (true) {
+      auto txn = txns_->Begin();
+      if (tracking) {
+        txn->OnCommit([&tracker, units] {
+          for (const Unit& u : units) tracker.ForceMigrated(u);
+        });
+      }
+      Status s = migrate(txn.get(), units);
+      if (s.ok()) s = txns_->Commit(txn.get());
       if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped, /*forced=*/true);
+        CountUnits(units.size(), wait_for_skipped, /*forced=*/tracking);
         return Status::OK();
       }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
+      if (!retry(txn.get(), s)) return s;
     }
   }
 
-  // Algorithm 1, bitmap flavour (Algorithm 2 inside TryAcquire).
-  Stopwatch waited;
-  std::vector<uint64_t> pending = std::move(granules);
-  int attempts = 0;
+  std::optional<Stopwatch> waited;  // Started at the first SKIP wait.
+  std::vector<Unit> pending = std::move(units);
   while (!pending.empty()) {
-    std::vector<uint64_t> wip;
-    std::vector<uint64_t> skip;
-    for (uint64_t g : pending) {
-      switch (tracker_->TryAcquire(g)) {
+    std::vector<Unit> wip;
+    std::vector<Unit> skip;
+    for (Unit& u : pending) {
+      switch (tracker.TryAcquire(u)) {
         case AcquireResult::kAcquired:
-          wip.push_back(g);
+          wip.push_back(std::move(u));
           break;
         case AcquireResult::kInProgress:
-          skip.push_back(g);
+          skip.push_back(std::move(u));
           stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
           break;
         case AcquireResult::kAlreadyMigrated:
@@ -207,48 +291,43 @@ Status ProjectionMigrator::MigrateGranules(std::vector<uint64_t> granules,
 
     if (!wip.empty()) {
       auto txn = txns_->Begin();
-      BitmapTracker* tracker = tracker_.get();
       // §3.5: if this migration transaction aborts, reset every WIP unit
-      // to [0 0] so waiting workers can take over.
-      txn->OnAbort([tracker, wip] {
-        for (uint64_t g : wip) tracker->ResetAborted(g);
+      // so waiting workers can take over.
+      txn->OnAbort([&tracker, wip] {
+        for (const Unit& u : wip) tracker.ResetAborted(u);
       });
       // Algorithm 1 line 9: after the transaction ends, flip WIP units to
       // migrated.
-      txn->OnCommit([tracker, wip] {
-        for (uint64_t g : wip) tracker->MarkMigrated(g);
+      txn->OnCommit([&tracker, wip] {
+        for (const Unit& u : wip) tracker.MarkMigrated(u);
       });
-      Status s = MigrateWipGranules(txn.get(), wip);
+      Status s = migrate(txn.get(), wip);
       if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        // The WIP units were reset by the abort hook; retry them together
-        // with the skipped ones.
-        for (uint64_t g : wip) skip.push_back(g);
-      } else {
+      if (s.ok()) {
         CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
+      } else if (retry(txn.get(), s)) {
+        // The abort hook reset the WIP units; retry them together with
+        // the skipped ones.
+        for (Unit& u : wip) skip.push_back(std::move(u));
+      } else {
+        return s;
       }
     }
 
     // Algorithm 1 line 10: re-check skipped units until they are migrated
     // by their owners (or the owners abort and we take over).
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;  // Background mode never blocks.
-    std::vector<uint64_t> still;
-    for (uint64_t g : skip) {
-      if (!tracker_->IsMigrated(g)) still.push_back(g);
+    if (skip.empty() || !wait_for_skipped) break;
+    pending.clear();
+    for (Unit& u : skip) {
+      if (!tracker.IsMigrated(u)) pending.push_back(std::move(u));
     }
-    pending = std::move(still);
     if (pending.empty()) break;
     stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
+    if (!waited) waited.emplace();
     if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
       SkipRecheckSleep();
     }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
+    if (waited->ElapsedMillis() > config_.skip_timeout_ms) {
       return Status::TimedOut("skipped units not migrated in time in '" +
                               stmt_.name + "'");
     }
@@ -256,389 +335,267 @@ Status ProjectionMigrator::MigrateGranules(std::vector<uint64_t> granules,
   return Status::OK();
 }
 
-Result<uint64_t> ProjectionMigrator::MigrateBackgroundChunk(uint64_t max_units,
-                                                            bool* done) {
-  *done = false;
-  if (!config_.maintain_tracker) {
-    return Status::Unsupported(
-        "background migration requires tracking data structures");
-  }
-  std::vector<uint64_t> batch;
-  uint64_t g = sweep_pos_.load(std::memory_order_acquire);
-  while (batch.size() < max_units) {
-    g = tracker_->NextUnmigrated(g, /*include_locked=*/false);
-    if (g >= tracker_->num_granules()) break;
-    batch.push_back(g);
-    ++g;
-  }
-  sweep_pos_.store(g, std::memory_order_release);
-  if (batch.empty()) {
-    if (tracker_->AllMigrated()) {
-      *done = true;
-    } else {
-      // Another pass: leftover units were in progress (or aborted) when we
-      // swept past them.
-      sweep_pos_.store(0, std::memory_order_release);
+/// Bitmap units (§3.3): granules of `granularity` consecutive rids of one
+/// tracked input. Per category, a subclass derives candidate granules and
+/// migrates one tracked row.
+class BitmapMigrator : public LazyMigrator {
+ public:
+  BitmapMigrator(Catalog* catalog, TransactionManager* txns,
+                 MigrationStatement stmt, LazyConfig config,
+                 std::vector<uint64_t> boundaries, size_t tracked_input)
+      : LazyMigrator(catalog, txns, std::move(stmt), config,
+                     std::move(boundaries)),
+        tracked_input_(tracked_input),
+        tracker_("bitmap:" + stmt_.name, boundaries_[tracked_input],
+                 config_.granularity) {}
+
+  Result<uint64_t> MigrateBackgroundChunk(uint64_t max_units,
+                                          bool* done) override {
+    *done = false;
+    if (!config_.maintain_tracker) {
+      return Status::Unsupported(
+          "background migration requires tracking data structures");
     }
-    return uint64_t{0};
-  }
-  const auto n = static_cast<uint64_t>(batch.size());
-  BF_RETURN_NOT_OK(
-      MigrateGranules(std::move(batch), /*wait_for_skipped=*/false));
-  *done = tracker_->AllMigrated();
-  return n;
-}
-
-bool ProjectionMigrator::IsComplete() const {
-  return config_.maintain_tracker && tracker_->AllMigrated();
-}
-
-double ProjectionMigrator::Progress() const {
-  if (tracker_->num_granules() == 0) return 1.0;
-  return static_cast<double>(tracker_->MigratedCount()) /
-         static_cast<double>(tracker_->num_granules());
-}
-
-// ---------------------------------------------------------------------------
-// AggregateMigrator (n:1, hashmap)
-// ---------------------------------------------------------------------------
-
-AggregateMigrator::AggregateMigrator(Catalog* catalog,
-                                     TransactionManager* txns,
-                                     MigrationStatement stmt,
-                                     LazyConfig config,
-                                     uint64_t input_boundary)
-    : StatementMigrator(catalog, txns, std::move(stmt), config),
-      input_boundary_(input_boundary) {
-  tracker_ = std::make_unique<HashTracker>("hashmap:" + stmt_.name);
-  auto input = InputTable(0);
-  if (input.ok()) {
-    for (const std::string& c : stmt_.group_key_columns) {
-      auto idx = (*input)->schema().ColumnIndex(c);
-      if (idx) key_indices_.push_back(*idx);
+    std::vector<uint64_t> batch;
+    uint64_t g = sweep_pos_.load(std::memory_order_acquire);
+    while (batch.size() < max_units) {
+      g = tracker_.NextUnmigrated(g, /*include_locked=*/false);
+      if (g >= tracker_.num_granules()) break;
+      batch.push_back(g++);
     }
-  }
-}
-
-Tuple AggregateMigrator::GroupKeyOf(const Tuple& row) const {
-  Tuple key;
-  key.reserve(key_indices_.size());
-  for (size_t i : key_indices_) key.push_back(row[i]);
-  return key;
-}
-
-Result<std::vector<Tuple>> AggregateMigrator::CollectGroup(
-    const Tuple& key) const {
-  BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
-  std::vector<Tuple> rows;
-  Index* index = input->FindIndexCoveredBy(key_indices_);
-  // Only use an index whose key is exactly the group key.
-  if (index != nullptr && index->key_columns() == key_indices_) {
-    std::vector<RowId> rids;
-    index->Lookup(key, &rids);
-    input->ReadMany(rids, [&](RowId rid, const Tuple& row) {
-      if (rid < input_boundary_) rows.push_back(row);
-      return true;
-    });
-  } else {
-    input->ScanRange(0, input_boundary_, [&](RowId, const Tuple& row) {
-      if (GroupKeyOf(row) == key) rows.push_back(row);
-      return true;
-    });
-  }
-  return rows;
-}
-
-Status AggregateMigrator::MigrateCandidates(const RewrittenPredicates& preds) {
-  BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
-  const ExprPtr& pred = preds.per_table.at(stmt_.input_tables[0]);
-  TupleSet keys;
-  auto scan = ScanWhere(*input, pred, [&](RowId rid, const Tuple& row) {
-    if (rid < input_boundary_) keys.Add(GroupKeyOf(row));
-    return true;
-  });
-  BF_RETURN_NOT_OK(scan.status());
-  if (keys.empty()) return Status::OK();
-  return MigrateGroups(keys.Take(), /*wait_for_skipped=*/true);
-}
-
-Status AggregateMigrator::MigrateWipGroups(Transaction* txn,
-                                           const std::vector<Tuple>& wip) {
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
-  }
-  const OnConflict policy = InsertPolicy();
-  for (const Tuple& key : wip) {
-    BF_ASSIGN_OR_RETURN(std::vector<Tuple> rows, CollectGroup(key));
-    BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                        stmt_.group_transform(key, rows));
-    for (TargetRow& t : targets) {
-      BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-      auto outcome = txns_->Insert(txn, outs[t.output_index], t.row, policy);
-      if (!outcome.ok()) return outcome.status();
-      if (!outcome->inserted) {
-        stats_.duplicate_inserts_discarded.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+    sweep_pos_.store(g, std::memory_order_release);
+    if (batch.empty()) {
+      // Unless done, another pass: leftover units were in progress (or
+      // aborted) when we swept past them.
+      *done = tracker_.AllMigrated();
+      if (!*done) sweep_pos_.store(0, std::memory_order_release);
+      return uint64_t{0};
     }
-    stats_.rows_migrated.fetch_add(rows.size(), std::memory_order_relaxed);
-    stats_.rows_emitted.fetch_add(targets.size(), std::memory_order_relaxed);
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, tracker_->id(), key);
-    }
-  }
-  return Status::OK();
-}
-
-Status AggregateMigrator::MigrateGroups(std::vector<Tuple> keys,
-                                        bool wait_for_skipped) {
-  if (keys.empty()) return Status::OK();
-
-  if (!config_.maintain_tracker) {
-    auto txn = txns_->Begin();
-    Status s = MigrateWipGroups(txn.get(), keys);
-    if (!s.ok()) {
-      (void)txns_->Abort(txn.get());
-      return s;
-    }
-    CountUnits(keys.size(), wait_for_skipped, /*forced=*/false);
-    return txns_->Commit(txn.get());
+    const auto n = static_cast<uint64_t>(batch.size());
+    BF_RETURN_NOT_OK(
+        MigrateGranules(std::move(batch), /*wait_for_skipped=*/false));
+    *done = tracker_.AllMigrated();
+    return n;
   }
 
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause) {
-    std::vector<Tuple> todo;
-    for (const Tuple& k : keys) {
-      if (!tracker_->IsMigrated(k)) todo.push_back(k);
-    }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      HashTracker* tracker = tracker_.get();
-      std::vector<Tuple> wip = todo;
-      txn->OnCommit([tracker, wip] {
-        for (const Tuple& k : wip) tracker->ForceMigrated(k);
-      });
-      Status s = MigrateWipGroups(txn.get(), todo);
-      if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped, /*forced=*/true);
-        return Status::OK();
-      }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-    }
+  bool IsComplete() const override {
+    return config_.maintain_tracker && tracker_.AllMigrated();
+  }
+  MigrationTracker* tracker() override { return &tracker_; }
+  double Progress() const override {
+    if (tracker_.num_granules() == 0) return 1.0;
+    return static_cast<double>(tracker_.MigratedCount()) /
+           static_cast<double>(tracker_.num_granules());
   }
 
-  // Algorithm 1 with Algorithm 3 inside TryAcquire. The WIP/SKIP
-  // short-circuits of Algorithm 3 lines 2-3 are realized by deduplicating
-  // the key set up front (same-worker duplicates collapse to one entry).
-  Stopwatch waited;
-  std::vector<Tuple> pending = std::move(keys);
-  int attempts = 0;
-  while (!pending.empty()) {
-    std::vector<Tuple> wip;
-    std::vector<Tuple> skip;
-    for (const Tuple& k : pending) {
-      switch (tracker_->TryAcquire(k)) {
-        case AcquireResult::kAcquired:
-          wip.push_back(k);
-          break;
-        case AcquireResult::kInProgress:
-          skip.push_back(k);
-          stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case AcquireResult::kAlreadyMigrated:
-          stats_.already_migrated_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          break;
-      }
-    }
+ protected:
+  /// Migrates one tracked input row inside `batch`.
+  virtual Status MigrateRow(const Batch& batch, const Tuple& row) = 0;
 
-    if (!wip.empty()) {
-      auto txn = txns_->Begin();
-      HashTracker* tracker = tracker_.get();
-      txn->OnAbort([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkAborted(k);
-      });
-      txn->OnCommit([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkMigrated(k);
-      });
-      Status s = MigrateWipGroups(txn.get(), wip);
-      if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        for (Tuple& k : wip) skip.push_back(std::move(k));
-      } else {
-        CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
-      }
-    }
-
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;
-    std::vector<Tuple> still;
-    for (Tuple& k : skip) {
-      if (!tracker_->IsMigrated(k)) still.push_back(std::move(k));
-    }
-    pending = std::move(still);
-    if (pending.empty()) break;
-    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
-    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
-      SkipRecheckSleep();
-    }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
-      return Status::TimedOut("skipped groups not migrated in time in '" +
-                              stmt_.name + "'");
-    }
+  Status MigrateGranules(std::vector<uint64_t> granules,
+                         bool wait_for_skipped) {
+    return RunAlgorithm1(
+        tracker_, std::move(granules), wait_for_skipped,
+        [this](const Batch& batch, uint64_t g) {
+          const Table& input = *batch.inputs[tracked_input_];
+          for (RowId rid = tracker_.GranuleBegin(g);
+               rid < tracker_.GranuleEnd(g); ++rid) {
+            Tuple row;
+            if (!input.Read(rid, &row).ok()) continue;  // Tombstone.
+            BF_RETURN_NOT_OK(MigrateRow(batch, row));
+            stats_.rows_migrated.fetch_add(1, std::memory_order_relaxed);
+          }
+          return Status::OK();
+        });
   }
-  return Status::OK();
-}
 
-Result<uint64_t> AggregateMigrator::MigrateBackgroundChunk(uint64_t max_units,
-                                                           bool* done) {
-  *done = sweep_done_.load(std::memory_order_acquire);
-  if (*done) return uint64_t{0};
-  if (!config_.maintain_tracker) {
-    return Status::Unsupported(
-        "background migration requires tracking data structures");
+  /// Candidate granules, deduplicated.
+  using GranuleSet = std::unordered_set<uint64_t>;
+  /// A candidate-scan callback adding each tracked row's granule.
+  RowFn AddGranuleTo(GranuleSet* granules) const {
+    return [this, granules](RowId rid, const Tuple&) {
+      granules->insert(tracker_.GranuleOf(rid));
+    };
   }
-  BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
+  /// Client path: runs Algorithm 1 on the candidate granules.
+  Status MigrateCandidateGranules(const GranuleSet& granules) {
+    return MigrateGranules({granules.begin(), granules.end()},
+                           /*wait_for_skipped=*/true);
+  }
 
-  // Claim a scan window. Multiple background threads each claim disjoint
-  // windows; pass-completion bookkeeping runs under the same claim.
-  static constexpr uint64_t kScanWindow = 4096;
-  const uint64_t start =
-      sweep_pos_.fetch_add(kScanWindow, std::memory_order_acq_rel);
-  if (start >= input_boundary_) {
-    // A pass is over. If the pass found nothing unmigrated, we are done;
-    // otherwise start another pass.
-    if (!found_in_pass_.exchange(false, std::memory_order_acq_rel)) {
-      // Verify: a full clean scan.
-      bool all = true;
-      input->ScanRange(0, input_boundary_, [&](RowId, const Tuple& row) {
-        if (!tracker_->IsMigrated(GroupKeyOf(row))) {
-          all = false;
-          return false;
+  const size_t tracked_input_;
+  BitmapTracker tracker_;
+
+ private:
+  std::atomic<uint64_t> sweep_pos_{0};
+};
+
+/// Hashmap units (§3.4): keys over the columns `key_columns_` of input 0 —
+/// GROUP BY keys, or join-key classes. Per category, a subclass sets the
+/// key columns, derives candidate keys and migrates one key.
+class HashMigrator : public LazyMigrator {
+ public:
+  HashMigrator(Catalog* catalog, TransactionManager* txns,
+               MigrationStatement stmt, LazyConfig config,
+               std::vector<uint64_t> boundaries)
+      : LazyMigrator(catalog, txns, std::move(stmt), config,
+                     std::move(boundaries)),
+        tracker_("hashmap:" + stmt_.name) {}
+
+  Result<uint64_t> MigrateBackgroundChunk(uint64_t max_units,
+                                          bool* done) override {
+    *done = sweep_done_.load(std::memory_order_acquire);
+    if (*done) return uint64_t{0};
+    if (!config_.maintain_tracker) {
+      return Status::Unsupported(
+          "background migration requires tracking data structures");
+    }
+    BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
+    const uint64_t boundary = boundaries_[0];
+
+    // Claim a scan window. Multiple background threads each claim disjoint
+    // windows; pass-completion bookkeeping runs under the same claim.
+    static constexpr uint64_t kScanWindow = 4096;
+    const uint64_t start =
+        sweep_pos_.fetch_add(kScanWindow, std::memory_order_acq_rel);
+    if (start >= boundary) {
+      // A pass is over. If the pass found nothing unmigrated and a full
+      // clean scan confirms it, we are done; otherwise start another pass.
+      if (!found_in_pass_.exchange(false, std::memory_order_acq_rel)) {
+        bool all = true;
+        input->ScanRange(0, boundary, [&](RowId, const Tuple& row) {
+          all = tracker_.IsMigrated(Project(row, key_columns_));
+          return all;
+        });
+        if (all) {
+          sweep_done_.store(true, std::memory_order_release);
+          *done = true;
+          return uint64_t{0};
         }
-        return true;
-      });
-      if (all) {
-        sweep_done_.store(true, std::memory_order_release);
-        *done = true;
-        return uint64_t{0};
       }
+      sweep_pos_.store(0, std::memory_order_release);
+      return uint64_t{0};
     }
-    sweep_pos_.store(0, std::memory_order_release);
-    return uint64_t{0};
-  }
 
-  TupleSet keys;
-  uint64_t collected = 0;
-  const uint64_t end = std::min<uint64_t>(start + kScanWindow, input_boundary_);
-  input->ScanRange(start, end, [&](RowId, const Tuple& row) {
-    const Tuple key = GroupKeyOf(row);
-    if (!tracker_->IsMigrated(key) && keys.Add(key)) ++collected;
-    return collected < max_units;
-  });
-  if (collected == 0) return uint64_t{0};
-  found_in_pass_.store(true, std::memory_order_release);
-  BF_RETURN_NOT_OK(MigrateGroups(keys.Take(), /*wait_for_skipped=*/false));
-  return collected;
-}
-
-bool AggregateMigrator::IsComplete() const {
-  return sweep_done_.load(std::memory_order_acquire);
-}
-
-double AggregateMigrator::Progress() const {
-  if (IsComplete()) return 1.0;
-  if (input_boundary_ == 0) return 1.0;
-  const uint64_t pos = sweep_pos_.load(std::memory_order_acquire);
-  return std::min(1.0, static_cast<double>(pos) /
-                           static_cast<double>(input_boundary_));
-}
-
-// ---------------------------------------------------------------------------
-// JoinMigrator (§3.6)
-// ---------------------------------------------------------------------------
-
-JoinMigrator::JoinMigrator(Catalog* catalog, TransactionManager* txns,
-                           MigrationStatement stmt, LazyConfig config,
-                           uint64_t left_boundary, uint64_t right_boundary)
-    : StatementMigrator(catalog, txns, std::move(stmt), config),
-      left_boundary_(left_boundary),
-      right_boundary_(right_boundary) {
-  auto left = InputTable(0);
-  auto right = InputTable(1);
-  if (left.ok()) {
-    auto idx = (*left)->schema().ColumnIndex(stmt_.left_join_column);
-    if (idx) left_key_index_ = *idx;
-  }
-  if (right.ok()) {
-    auto idx = (*right)->schema().ColumnIndex(stmt_.right_join_column);
-    if (idx) right_key_index_ = *idx;
-  }
-  switch (stmt_.join_policy) {
-    case JoinPolicy::kHashJoinKey:
-      hash_tracker_ = std::make_unique<HashTracker>("hashmap:" + stmt_.name);
-      break;
-    case JoinPolicy::kTrackForeignSideOnly:
-      bitmap_tracker_ = std::make_unique<BitmapTracker>(
-          "bitmap:" + stmt_.name, left_boundary_, config_.granularity);
-      break;
-    case JoinPolicy::kMigrateAllSiblings:
-      bitmap_tracker_ = std::make_unique<BitmapTracker>(
-          "bitmap:" + stmt_.name, right_boundary_, config_.granularity);
-      break;
-  }
-}
-
-MigrationTracker* JoinMigrator::tracker() {
-  if (hash_tracker_ != nullptr) return hash_tracker_.get();
-  return bitmap_tracker_.get();
-}
-
-Result<Table*> JoinMigrator::TrackedTable() const {
-  return stmt_.join_policy == JoinPolicy::kMigrateAllSiblings ? InputTable(1)
-                                                              : InputTable(0);
-}
-
-Result<std::vector<Tuple>> JoinMigrator::MatchingRows(Table* table,
-                                                      size_t col_index,
-                                                      const Value& key,
-                                                      uint64_t boundary) const {
-  std::vector<Tuple> rows;
-  Index* index = table->FindIndexCoveredBy({col_index});
-  if (index != nullptr && index->key_columns() ==
-                              std::vector<size_t>{col_index}) {
-    std::vector<RowId> rids;
-    index->Lookup(Tuple{key}, &rids);
-    table->ReadMany(rids, [&](RowId rid, const Tuple& row) {
-      if (rid < boundary) rows.push_back(row);
-      return true;
+    TupleSet keys;
+    const uint64_t end = std::min<uint64_t>(start + kScanWindow, boundary);
+    input->ScanRange(start, end, [&](RowId, const Tuple& row) {
+      Tuple key = Project(row, key_columns_);
+      if (!tracker_.IsMigrated(key)) keys.insert(std::move(key));
+      return keys.size() < max_units;
     });
-  } else {
-    table->ScanRange(0, boundary, [&](RowId, const Tuple& row) {
-      if (row[col_index].Compare(key) == 0) rows.push_back(row);
-      return true;
-    });
+    if (keys.empty()) return uint64_t{0};
+    found_in_pass_.store(true, std::memory_order_release);
+    const auto n = static_cast<uint64_t>(keys.size());
+    BF_RETURN_NOT_OK(MigrateKeys({keys.begin(), keys.end()},
+                                 /*wait_for_skipped=*/false));
+    return n;
   }
-  return rows;
-}
 
-Status JoinMigrator::MigrateCandidates(const RewrittenPredicates& preds) {
-  BF_ASSIGN_OR_RETURN(Table * left, InputTable(0));
-  BF_ASSIGN_OR_RETURN(Table * right, InputTable(1));
-  const ExprPtr& left_pred = preds.per_table.at(stmt_.input_tables[0]);
-  const ExprPtr& right_pred = preds.per_table.at(stmt_.input_tables[1]);
+  bool IsComplete() const override {
+    return sweep_done_.load(std::memory_order_acquire);
+  }
+  MigrationTracker* tracker() override { return &tracker_; }
+  double Progress() const override {
+    if (IsComplete() || boundaries_[0] == 0) return 1.0;
+    const uint64_t pos = sweep_pos_.load(std::memory_order_acquire);
+    return std::min(1.0, static_cast<double>(pos) /
+                             static_cast<double>(boundaries_[0]));
+  }
 
-  if (stmt_.join_policy == JoinPolicy::kHashJoinKey) {
+ protected:
+  /// Migrates one key inside `batch`.
+  virtual Status MigrateKey(const Batch& batch, const Tuple& key) = 0;
+
+  Status MigrateKeys(std::vector<Tuple> keys, bool wait_for_skipped) {
+    return RunAlgorithm1(
+        tracker_, std::move(keys), wait_for_skipped,
+        [this](const Batch& batch, const Tuple& key) {
+          return MigrateKey(batch, key);
+        });
+  }
+
+  /// Client path: migrates the keys (over `cols`) of the rows of input
+  /// `input` that match `pred`.
+  Status MigrateKeysOf(size_t input, const ExprPtr& pred,
+                       const std::vector<size_t>& cols) {
+    TupleSet keys;
+    BF_RETURN_NOT_OK(ScanInput(input, pred, [&](RowId, const Tuple& row) {
+      keys.insert(Project(row, cols));
+    }));
+    return MigrateKeys({keys.begin(), keys.end()}, /*wait_for_skipped=*/true);
+  }
+
+  std::vector<size_t> key_columns_;
+  HashTracker tracker_;
+
+ private:
+  std::atomic<uint64_t> sweep_pos_{0};
+  std::atomic<bool> sweep_done_{false};
+  std::atomic<bool> found_in_pass_{false};
+};
+
+/// 1:1 / 1:n projection statements (§3.3): one bitmap over the input.
+class ProjectionMigrator final : public BitmapMigrator {
+ public:
+  using BitmapMigrator::BitmapMigrator;
+
+ protected:
+  Status MigrateCandidates(const RewrittenPredicates& preds) override {
+    GranuleSet granules;
+    BF_RETURN_NOT_OK(ScanInput(0, preds.per_table.at(stmt_.input_tables[0]),
+                               AddGranuleTo(&granules)));
+    return MigrateCandidateGranules(granules);
+  }
+
+  Status MigrateRow(const Batch& batch, const Tuple& row) override {
+    return Emit(batch, stmt_.row_transform(row));
+  }
+};
+
+/// n:1 GROUP BY statements (§3.4): one hashmap over the group keys.
+class AggregateMigrator final : public HashMigrator {
+ public:
+  AggregateMigrator(Catalog* catalog, TransactionManager* txns,
+                    MigrationStatement stmt, LazyConfig config,
+                    std::vector<uint64_t> boundaries)
+      : HashMigrator(catalog, txns, std::move(stmt), config,
+                     std::move(boundaries)) {
+    key_columns_ = InputColumns(0, stmt_.group_key_columns);
+  }
+
+ protected:
+  Status MigrateCandidates(const RewrittenPredicates& preds) override {
+    return MigrateKeysOf(0, preds.per_table.at(stmt_.input_tables[0]),
+                         key_columns_);
+  }
+
+  Status MigrateKey(const Batch& batch, const Tuple& key) override {
+    std::vector<Tuple> rows;
+    ForEachRowWithKey(*batch.inputs[0], key_columns_, key, boundaries_[0],
+                      [&](RowId, const Tuple& row) { rows.push_back(row); });
+    BF_RETURN_NOT_OK(Emit(batch, stmt_.group_transform(key, rows)));
+    stats_.rows_migrated.fetch_add(rows.size(), std::memory_order_relaxed);
+    return Status::OK();
+  }
+};
+
+/// Joins under kHashJoinKey (§3.6 option 3, the general n:n scheme): a
+/// hashmap over join-key classes; a class migrates every left x right pair
+/// sharing its key.
+class JoinKeyMigrator final : public HashMigrator {
+ public:
+  JoinKeyMigrator(Catalog* catalog, TransactionManager* txns,
+                  MigrationStatement stmt, LazyConfig config,
+                  std::vector<uint64_t> boundaries)
+      : HashMigrator(catalog, txns, std::move(stmt), config,
+                     std::move(boundaries)) {
+    key_columns_ = JoinColumn(0);
+    right_key_ = JoinColumn(1);
+  }
+
+ protected:
+  Status MigrateCandidates(const RewrittenPredicates& preds) override {
     // A class is relevant only if it has BOTH left rows matching the
     // left-pushed filters and right rows matching the right-pushed ones,
     // so either side's matching classes form a valid superset. Use the
@@ -647,482 +604,95 @@ Status JoinMigrator::MigrateCandidates(const RewrittenPredicates& preds) {
     // quantity filter on the right side alone would select thousands of
     // classes). With no pushable filter at all, every class containing
     // left rows is a candidate (§2.4 worst case).
-    TupleSet keys;
+    const ExprPtr& left_pred = preds.per_table.at(stmt_.input_tables[0]);
+    const ExprPtr& right_pred = preds.per_table.at(stmt_.input_tables[1]);
     if (left_pred != nullptr || right_pred == nullptr) {
-      auto scan_l =
-          ScanWhere(*left, left_pred, [&](RowId rid, const Tuple& r) {
-            if (rid < left_boundary_) keys.Add(Tuple{r[left_key_index_]});
-            return true;
-          });
-      BF_RETURN_NOT_OK(scan_l.status());
-    } else {
-      auto scan_r =
-          ScanWhere(*right, right_pred, [&](RowId rid, const Tuple& r) {
-            if (rid < right_boundary_) keys.Add(Tuple{r[right_key_index_]});
-            return true;
-          });
-      BF_RETURN_NOT_OK(scan_r.status());
+      return MigrateKeysOf(0, left_pred, key_columns_);
     }
-    if (keys.empty()) return Status::OK();
-    return MigrateKeys(keys.Take(), /*wait_for_skipped=*/true);
+    return MigrateKeysOf(1, right_pred, right_key_);
   }
 
-  // Bitmap policies: derive candidate granules on the tracked side.
-  BF_ASSIGN_OR_RETURN(Table * tracked, TrackedTable());
-  const bool track_left =
-      stmt_.join_policy == JoinPolicy::kTrackForeignSideOnly;
-  const ExprPtr& tracked_pred = track_left ? left_pred : right_pred;
-  const ExprPtr& other_pred = track_left ? right_pred : left_pred;
-  Table* other = track_left ? right : left;
-  const size_t tracked_key = track_left ? left_key_index_ : right_key_index_;
-  const size_t other_key = track_left ? right_key_index_ : left_key_index_;
-  const uint64_t tracked_boundary =
-      track_left ? left_boundary_ : right_boundary_;
-  const uint64_t other_boundary =
-      track_left ? right_boundary_ : left_boundary_;
-
-  std::unordered_set<uint64_t> granules;
-  auto scan = ScanWhere(*tracked, tracked_pred, [&](RowId rid, const Tuple&) {
-    if (rid < tracked_boundary) {
-      granules.insert(bitmap_tracker_->GranuleOf(rid));
-    }
-    return true;
-  });
-  BF_RETURN_NOT_OK(scan.status());
-
-  // A filter pushed only to the untracked side narrows via the join key:
-  // find matching untracked rows, then the tracked rows sharing their key.
-  if (other_pred != nullptr && tracked_pred == nullptr) {
-    granules.clear();
-    TupleSet keys;
-    auto scan_o = ScanWhere(*other, other_pred, [&](RowId rid, const Tuple& r) {
-      if (rid < other_boundary) keys.Add(Tuple{r[other_key]});
-      return true;
-    });
-    BF_RETURN_NOT_OK(scan_o.status());
-    for (const Tuple& k : keys.Take()) {
-      Index* index = tracked->FindIndexCoveredBy({tracked_key});
-      std::vector<RowId> rids;
-      if (index != nullptr) {
-        index->Lookup(k, &rids);
-      } else {
-        tracked->ScanRange(0, tracked_boundary,
-                           [&](RowId rid, const Tuple& row) {
-                             if (row[tracked_key].Compare(k[0]) == 0) {
-                               rids.push_back(rid);
-                             }
-                             return true;
-                           });
-      }
-      for (RowId rid : rids) {
-        if (rid < tracked_boundary) {
-          granules.insert(bitmap_tracker_->GranuleOf(rid));
-        }
-      }
-    }
-  }
-  if (granules.empty()) return Status::OK();
-  return MigrateGranules(
-      std::vector<uint64_t>(granules.begin(), granules.end()),
-      /*wait_for_skipped=*/true);
-}
-
-Status JoinMigrator::MigrateWipKeys(Transaction* txn,
-                                    const std::vector<Tuple>& wip) {
-  BF_ASSIGN_OR_RETURN(Table * left, InputTable(0));
-  BF_ASSIGN_OR_RETURN(Table * right, InputTable(1));
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
-  }
-  const OnConflict policy = InsertPolicy();
-  for (const Tuple& key : wip) {
-    BF_ASSIGN_OR_RETURN(
-        std::vector<Tuple> lefts,
-        MatchingRows(left, left_key_index_, key[0], left_boundary_));
-    BF_ASSIGN_OR_RETURN(
-        std::vector<Tuple> rights,
-        MatchingRows(right, right_key_index_, key[0], right_boundary_));
+  Status MigrateKey(const Batch& batch, const Tuple& key) override {
+    std::vector<Tuple> lefts;
+    std::vector<Tuple> rights;
+    ForEachRowWithKey(*batch.inputs[0], key_columns_, key, boundaries_[0],
+                      [&](RowId, const Tuple& row) { lefts.push_back(row); });
+    ForEachRowWithKey(*batch.inputs[1], right_key_, key, boundaries_[1],
+                      [&](RowId, const Tuple& row) { rights.push_back(row); });
     for (const Tuple& l : lefts) {
       for (const Tuple& r : rights) {
-        BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                            stmt_.join_transform(l, r));
-        for (TargetRow& t : targets) {
-          BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-          auto outcome =
-              txns_->Insert(txn, outs[t.output_index], t.row, policy);
-          if (!outcome.ok()) return outcome.status();
-          if (!outcome->inserted) {
-            stats_.duplicate_inserts_discarded.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        }
-        stats_.rows_emitted.fetch_add(targets.size(),
-                                      std::memory_order_relaxed);
+        BF_RETURN_NOT_OK(Emit(batch, stmt_.join_transform(l, r)));
       }
     }
     stats_.rows_migrated.fetch_add(lefts.size(), std::memory_order_relaxed);
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, hash_tracker_->id(), key);
-    }
-  }
-  return Status::OK();
-}
-
-Status JoinMigrator::MigrateKeys(std::vector<Tuple> keys,
-                                 bool wait_for_skipped) {
-  if (keys.empty()) return Status::OK();
-
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause ||
-      !config_.maintain_tracker) {
-    std::vector<Tuple> todo;
-    for (const Tuple& k : keys) {
-      if (!config_.maintain_tracker || !hash_tracker_->IsMigrated(k)) {
-        todo.push_back(k);
-      }
-    }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      if (config_.maintain_tracker) {
-        HashTracker* tracker = hash_tracker_.get();
-        std::vector<Tuple> wip = todo;
-        txn->OnCommit([tracker, wip] {
-          for (const Tuple& k : wip) tracker->ForceMigrated(k);
-        });
-      }
-      Status s = MigrateWipKeys(txn.get(), todo);
-      if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped,
-                   /*forced=*/config_.maintain_tracker);
-        return Status::OK();
-      }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-    }
+    return Status::OK();
   }
 
-  Stopwatch waited;
-  std::vector<Tuple> pending = std::move(keys);
-  int attempts = 0;
-  while (!pending.empty()) {
-    std::vector<Tuple> wip;
-    std::vector<Tuple> skip;
-    for (const Tuple& k : pending) {
-      switch (hash_tracker_->TryAcquire(k)) {
-        case AcquireResult::kAcquired:
-          wip.push_back(k);
-          break;
-        case AcquireResult::kInProgress:
-          skip.push_back(k);
-          stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case AcquireResult::kAlreadyMigrated:
-          stats_.already_migrated_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          break;
-      }
-    }
-    if (!wip.empty()) {
-      auto txn = txns_->Begin();
-      HashTracker* tracker = hash_tracker_.get();
-      txn->OnAbort([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkAborted(k);
-      });
-      txn->OnCommit([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkMigrated(k);
-      });
-      Status s = MigrateWipKeys(txn.get(), wip);
-      if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        for (Tuple& k : wip) skip.push_back(std::move(k));
-      } else {
-        CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
-      }
-    }
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;
-    std::vector<Tuple> still;
-    for (Tuple& k : skip) {
-      if (!hash_tracker_->IsMigrated(k)) still.push_back(std::move(k));
-    }
-    pending = std::move(still);
-    if (pending.empty()) break;
-    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
-    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
-      SkipRecheckSleep();
-    }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
-      return Status::TimedOut("skipped join keys not migrated in time in '" +
-                              stmt_.name + "'");
-    }
-  }
-  return Status::OK();
-}
+ private:
+  std::vector<size_t> right_key_;
+};
 
-Status JoinMigrator::MigrateJoinKey(const Value& key) {
-  if (stmt_.join_policy != JoinPolicy::kHashJoinKey) {
-    return Status::Unsupported("MigrateJoinKey requires kHashJoinKey policy");
-  }
-  return MigrateKeys({Tuple{key}}, /*wait_for_skipped=*/true);
-}
+/// Joins under a bitmap policy (§3.6): kTrackForeignSideOnly tracks the
+/// left (FKIT) rows, kMigrateAllSiblings the right (PKIT) rows; a tracked
+/// row migrates together with every matching row of the other side.
+class JoinRowMigrator final : public BitmapMigrator {
+ public:
+  JoinRowMigrator(Catalog* catalog, TransactionManager* txns,
+                  MigrationStatement stmt, LazyConfig config,
+                  std::vector<uint64_t> boundaries, size_t tracked_input)
+      : BitmapMigrator(catalog, txns, std::move(stmt), config,
+                       std::move(boundaries), tracked_input),
+        other_input_(1 - tracked_input),
+        tracked_key_(JoinColumn(tracked_input)),
+        other_key_(JoinColumn(other_input_)) {}
 
-Status JoinMigrator::MigrateWipGranules(Transaction* txn,
-                                        const std::vector<uint64_t>& wip) {
-  BF_ASSIGN_OR_RETURN(Table * tracked, TrackedTable());
-  const bool track_left =
-      stmt_.join_policy == JoinPolicy::kTrackForeignSideOnly;
-  BF_ASSIGN_OR_RETURN(Table * other, InputTable(track_left ? 1 : 0));
-  const size_t tracked_key = track_left ? left_key_index_ : right_key_index_;
-  const uint64_t other_boundary =
-      track_left ? right_boundary_ : left_boundary_;
-  const size_t other_key = track_left ? right_key_index_ : left_key_index_;
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
-  }
-  const OnConflict policy = InsertPolicy();
-  for (uint64_t g : wip) {
-    const RowId begin = bitmap_tracker_->GranuleBegin(g);
-    const RowId end = bitmap_tracker_->GranuleEnd(g);
-    for (RowId rid = begin; rid < end; ++rid) {
-      Tuple row;
-      if (!tracked->Read(rid, &row).ok()) continue;
-      BF_ASSIGN_OR_RETURN(
-          std::vector<Tuple> matches,
-          MatchingRows(other, other_key, row[tracked_key], other_boundary));
-      for (const Tuple& m : matches) {
-        const Tuple& l = track_left ? row : m;
-        const Tuple& r = track_left ? m : row;
-        BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                            stmt_.join_transform(l, r));
-        for (TargetRow& t : targets) {
-          BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-          auto outcome =
-              txns_->Insert(txn, outs[t.output_index], t.row, policy);
-          if (!outcome.ok()) return outcome.status();
-          if (!outcome->inserted) {
-            stats_.duplicate_inserts_discarded.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        }
-        stats_.rows_emitted.fetch_add(targets.size(),
-                                      std::memory_order_relaxed);
-      }
-      stats_.rows_migrated.fetch_add(1, std::memory_order_relaxed);
+ protected:
+  Status MigrateCandidates(const RewrittenPredicates& preds) override {
+    const ExprPtr& tracked_pred =
+        preds.per_table.at(stmt_.input_tables[tracked_input_]);
+    const ExprPtr& other_pred =
+        preds.per_table.at(stmt_.input_tables[other_input_]);
+    GranuleSet granules;
+    if (other_pred == nullptr || tracked_pred != nullptr) {
+      BF_RETURN_NOT_OK(
+          ScanInput(tracked_input_, tracked_pred, AddGranuleTo(&granules)));
+      return MigrateCandidateGranules(granules);
     }
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, bitmap_tracker_->id(),
-                              Tuple{Value::Int(static_cast<int64_t>(g))});
+    // A filter pushed only to the untracked side narrows via the join key:
+    // find matching untracked rows, then the tracked rows sharing their key.
+    TupleSet keys;
+    BF_RETURN_NOT_OK(ScanInput(other_input_, other_pred,
+                               [&](RowId, const Tuple& row) {
+                                 keys.insert(Project(row, other_key_));
+                               }));
+    BF_ASSIGN_OR_RETURN(Table * tracked, InputTable(tracked_input_));
+    for (const Tuple& key : keys) {
+      ForEachRowWithKey(*tracked, tracked_key_, key,
+                        boundaries_[tracked_input_], AddGranuleTo(&granules));
     }
-  }
-  return Status::OK();
-}
-
-Status JoinMigrator::MigrateGranules(std::vector<uint64_t> granules,
-                                     bool wait_for_skipped) {
-  if (granules.empty()) return Status::OK();
-
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause ||
-      !config_.maintain_tracker) {
-    std::vector<uint64_t> todo;
-    for (uint64_t g : granules) {
-      if (!config_.maintain_tracker || !bitmap_tracker_->IsMigrated(g)) {
-        todo.push_back(g);
-      }
-    }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      if (config_.maintain_tracker) {
-        BitmapTracker* tracker = bitmap_tracker_.get();
-        std::vector<uint64_t> wip = todo;
-        txn->OnCommit([tracker, wip] {
-          for (uint64_t g : wip) tracker->ForceMigrated(g);
-        });
-      }
-      Status s = MigrateWipGranules(txn.get(), todo);
-      if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped,
-                   /*forced=*/config_.maintain_tracker);
-        return Status::OK();
-      }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-    }
+    return MigrateCandidateGranules(granules);
   }
 
-  Stopwatch waited;
-  std::vector<uint64_t> pending = std::move(granules);
-  int attempts = 0;
-  while (!pending.empty()) {
-    std::vector<uint64_t> wip;
-    std::vector<uint64_t> skip;
-    for (uint64_t g : pending) {
-      switch (bitmap_tracker_->TryAcquire(g)) {
-        case AcquireResult::kAcquired:
-          wip.push_back(g);
-          break;
-        case AcquireResult::kInProgress:
-          skip.push_back(g);
-          stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case AcquireResult::kAlreadyMigrated:
-          stats_.already_migrated_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          break;
-      }
+  Status MigrateRow(const Batch& batch, const Tuple& row) override {
+    std::vector<Tuple> matches;
+    ForEachRowWithKey(*batch.inputs[other_input_], other_key_,
+                      Project(row, tracked_key_), boundaries_[other_input_],
+                      [&](RowId, const Tuple& m) { matches.push_back(m); });
+    for (const Tuple& m : matches) {
+      BF_RETURN_NOT_OK(Emit(batch, tracked_input_ == 0
+                                       ? stmt_.join_transform(row, m)
+                                       : stmt_.join_transform(m, row)));
     }
-    if (!wip.empty()) {
-      auto txn = txns_->Begin();
-      BitmapTracker* tracker = bitmap_tracker_.get();
-      txn->OnAbort([tracker, wip] {
-        for (uint64_t g : wip) tracker->ResetAborted(g);
-      });
-      txn->OnCommit([tracker, wip] {
-        for (uint64_t g : wip) tracker->MarkMigrated(g);
-      });
-      Status s = MigrateWipGranules(txn.get(), wip);
-      if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        for (uint64_t g : wip) skip.push_back(g);
-      } else {
-        CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
-      }
-    }
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;
-    std::vector<uint64_t> still;
-    for (uint64_t g : skip) {
-      if (!bitmap_tracker_->IsMigrated(g)) still.push_back(g);
-    }
-    pending = std::move(still);
-    if (pending.empty()) break;
-    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
-    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
-      SkipRecheckSleep();
-    }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
-      return Status::TimedOut(
-          "skipped join granules not migrated in time in '" + stmt_.name +
-          "'");
-    }
-  }
-  return Status::OK();
-}
-
-Result<uint64_t> JoinMigrator::MigrateBackgroundChunk(uint64_t max_units,
-                                                      bool* done) {
-  *done = false;
-  if (!config_.maintain_tracker) {
-    return Status::Unsupported(
-        "background migration requires tracking data structures");
+    return Status::OK();
   }
 
-  if (bitmap_tracker_ != nullptr) {
-    std::vector<uint64_t> batch;
-    uint64_t g = sweep_pos_.load(std::memory_order_acquire);
-    while (batch.size() < max_units) {
-      g = bitmap_tracker_->NextUnmigrated(g, /*include_locked=*/false);
-      if (g >= bitmap_tracker_->num_granules()) break;
-      batch.push_back(g);
-      ++g;
-    }
-    sweep_pos_.store(g, std::memory_order_release);
-    if (batch.empty()) {
-      if (bitmap_tracker_->AllMigrated()) {
-        *done = true;
-      } else {
-        sweep_pos_.store(0, std::memory_order_release);
-      }
-      return uint64_t{0};
-    }
-    const auto n = static_cast<uint64_t>(batch.size());
-    BF_RETURN_NOT_OK(
-        MigrateGranules(std::move(batch), /*wait_for_skipped=*/false));
-    *done = bitmap_tracker_->AllMigrated();
-    return n;
-  }
+ private:
+  const size_t other_input_;
+  const std::vector<size_t> tracked_key_;
+  const std::vector<size_t> other_key_;
+};
 
-  // kHashJoinKey: sweep the left (output-determining) table.
-  if (sweep_done_.load(std::memory_order_acquire)) {
-    *done = true;
-    return uint64_t{0};
-  }
-  BF_ASSIGN_OR_RETURN(Table * left, InputTable(0));
-  static constexpr uint64_t kScanWindow = 4096;
-  const uint64_t start =
-      sweep_pos_.fetch_add(kScanWindow, std::memory_order_acq_rel);
-  if (start >= left_boundary_) {
-    if (!found_in_pass_.exchange(false, std::memory_order_acq_rel)) {
-      bool all = true;
-      left->ScanRange(0, left_boundary_, [&](RowId, const Tuple& row) {
-        if (!hash_tracker_->IsMigrated(Tuple{row[left_key_index_]})) {
-          all = false;
-          return false;
-        }
-        return true;
-      });
-      if (all) {
-        sweep_done_.store(true, std::memory_order_release);
-        *done = true;
-        return uint64_t{0};
-      }
-    }
-    sweep_pos_.store(0, std::memory_order_release);
-    return uint64_t{0};
-  }
-  TupleSet keys;
-  uint64_t collected = 0;
-  const uint64_t end = std::min<uint64_t>(start + kScanWindow, left_boundary_);
-  left->ScanRange(start, end, [&](RowId, const Tuple& row) {
-    const Tuple key{row[left_key_index_]};
-    if (!hash_tracker_->IsMigrated(key) && keys.Add(key)) ++collected;
-    return collected < max_units;
-  });
-  if (collected == 0) return uint64_t{0};
-  found_in_pass_.store(true, std::memory_order_release);
-  BF_RETURN_NOT_OK(MigrateKeys(keys.Take(), /*wait_for_skipped=*/false));
-  return collected;
-}
-
-bool JoinMigrator::IsComplete() const {
-  if (bitmap_tracker_ != nullptr) return bitmap_tracker_->AllMigrated();
-  return sweep_done_.load(std::memory_order_acquire);
-}
-
-double JoinMigrator::Progress() const {
-  if (bitmap_tracker_ != nullptr) {
-    if (bitmap_tracker_->num_granules() == 0) return 1.0;
-    return static_cast<double>(bitmap_tracker_->MigratedCount()) /
-           static_cast<double>(bitmap_tracker_->num_granules());
-  }
-  if (IsComplete()) return 1.0;
-  if (left_boundary_ == 0) return 1.0;
-  return std::min(1.0, static_cast<double>(
-                           sweep_pos_.load(std::memory_order_acquire)) /
-                           static_cast<double>(left_boundary_));
-}
-
-// ---------------------------------------------------------------------------
-// Factory
-// ---------------------------------------------------------------------------
+}  // namespace
 
 Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     Catalog* catalog, TransactionManager* txns, MigrationStatement stmt,
@@ -1131,33 +701,37 @@ Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     return Status::InvalidArgument("statement '" + stmt.name +
                                    "' needs input and output tables");
   }
-  auto boundary_of = [&](size_t input_index) -> Result<uint64_t> {
-    BF_ASSIGN_OR_RETURN(Table * t,
-                        catalog->RequireReadable(stmt.input_tables[input_index]));
-    return t->NumAllocatedRows();
-  };
+  if (stmt.IsJoin() && stmt.input_tables.size() != 2) {
+    return Status::InvalidArgument("join statement '" + stmt.name +
+                                   "' needs exactly two input tables");
+  }
+  if (!stmt.IsJoin() && !stmt.IsAggregate() && !stmt.IsProjection()) {
+    return Status::InvalidArgument("statement '" + stmt.name +
+                                   "' has no transform");
+  }
+  std::vector<uint64_t> boundaries;
+  for (const std::string& name : stmt.input_tables) {
+    BF_ASSIGN_OR_RETURN(Table * t, catalog->RequireReadable(name));
+    boundaries.push_back(t->NumAllocatedRows());
+  }
+  if (stmt.IsJoin() && stmt.join_policy == JoinPolicy::kHashJoinKey) {
+    return std::unique_ptr<StatementMigrator>(new JoinKeyMigrator(
+        catalog, txns, std::move(stmt), config, std::move(boundaries)));
+  }
   if (stmt.IsJoin()) {
-    if (stmt.input_tables.size() != 2) {
-      return Status::InvalidArgument("join statement '" + stmt.name +
-                                     "' needs exactly two input tables");
-    }
-    BF_ASSIGN_OR_RETURN(uint64_t lb, boundary_of(0));
-    BF_ASSIGN_OR_RETURN(uint64_t rb, boundary_of(1));
+    const size_t tracked =
+        stmt.join_policy == JoinPolicy::kMigrateAllSiblings ? 1 : 0;
     return std::unique_ptr<StatementMigrator>(
-        new JoinMigrator(catalog, txns, std::move(stmt), config, lb, rb));
+        new JoinRowMigrator(catalog, txns, std::move(stmt), config,
+                            std::move(boundaries), tracked));
   }
   if (stmt.IsAggregate()) {
-    BF_ASSIGN_OR_RETURN(uint64_t b, boundary_of(0));
-    return std::unique_ptr<StatementMigrator>(
-        new AggregateMigrator(catalog, txns, std::move(stmt), config, b));
+    return std::unique_ptr<StatementMigrator>(new AggregateMigrator(
+        catalog, txns, std::move(stmt), config, std::move(boundaries)));
   }
-  if (stmt.IsProjection()) {
-    BF_ASSIGN_OR_RETURN(uint64_t b, boundary_of(0));
-    return std::unique_ptr<StatementMigrator>(
-        new ProjectionMigrator(catalog, txns, std::move(stmt), config, b));
-  }
-  return Status::InvalidArgument("statement '" + stmt.name +
-                                 "' has no transform");
+  return std::unique_ptr<StatementMigrator>(new ProjectionMigrator(
+      catalog, txns, std::move(stmt), config, std::move(boundaries),
+      /*tracked_input=*/0));
 }
 
 }  // namespace bullfrog

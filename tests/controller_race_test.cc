@@ -264,5 +264,50 @@ TEST(ControllerRaceTest, ConcurrentSubmitsSingleWinner) {
   }
 }
 
+/// IsComplete() must not report a migration complete while one of its
+/// retired inputs still exists: a checkpoint taken on "complete" would
+/// capture the input as RETIRED. Each plan also retires kPads idle
+/// tables, so completion drops many tables one by one and the poller
+/// below has a wide window to observe any gap between "complete" and the
+/// last drop.
+TEST(ControllerRaceTest, CompleteOnlyAfterRetiredInputsDropped) {
+  Catalog catalog;
+  TransactionManager txns;
+  MigrationController controller(&catalog, &txns);
+
+  constexpr int kRounds = 8;
+  constexpr int kPads = 64;
+  int early = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    LoadSource(&catalog, i);
+    MigrationPlan plan = CopyPlan(i);
+    for (int p = 0; p < kPads; ++p) {
+      const std::string pad = "pad_" + std::to_string(i) + "_" +
+                              std::to_string(p);
+      ASSERT_TRUE(catalog
+                      .CreateTable(SchemaBuilder(pad)
+                                       .AddColumn("id", ValueType::kInt64)
+                                       .Build())
+                      .ok());
+      plan.retire_tables.push_back(pad);
+    }
+    const std::vector<std::string> retired = plan.retire_tables;
+    ASSERT_TRUE(controller.Submit(std::move(plan), FastLazyOpts()).ok());
+    Stopwatch sw;
+    while (!controller.IsComplete() && sw.ElapsedMillis() < 60000) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(controller.IsComplete());
+    for (const std::string& t : retired) {
+      if (catalog.GetState(t) != TableState::kDropped) {
+        ++early;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(early, 0) << "rounds that reported complete before every "
+                         "retired input was dropped";
+}
+
 }  // namespace
 }  // namespace bullfrog

@@ -237,39 +237,5 @@ TEST(JoinMigratorValidationTest, RequiresTwoInputs) {
   EXPECT_FALSE(MakeStatementMigrator(&catalog, &txns, stmt, {}).ok());
 }
 
-TEST(JoinMigratorValidationTest, MigrateJoinKeyRequiresHashPolicy) {
-  Catalog catalog;
-  TransactionManager txns;
-  // Minimal two tables.
-  ASSERT_TRUE(catalog.CreateTable(SchemaBuilder("l")
-                                      .AddColumn("k", ValueType::kInt64)
-                                      .Build())
-                  .ok());
-  ASSERT_TRUE(catalog.CreateTable(SchemaBuilder("r")
-                                      .AddColumn("k", ValueType::kInt64)
-                                      .Build())
-                  .ok());
-  ASSERT_TRUE(catalog.CreateTable(SchemaBuilder("o")
-                                      .AddColumn("k", ValueType::kInt64)
-                                      .Build())
-                  .ok());
-  MigrationStatement stmt;
-  stmt.name = "j";
-  stmt.input_tables = {"l", "r"};
-  stmt.output_tables = {"o"};
-  stmt.left_join_column = "k";
-  stmt.right_join_column = "k";
-  stmt.join_policy = JoinPolicy::kTrackForeignSideOnly;
-  stmt.join_transform = [](const Tuple& l,
-                           const Tuple&) -> Result<std::vector<TargetRow>> {
-    return std::vector<TargetRow>{TargetRow{0, l}};
-  };
-  auto m = MakeStatementMigrator(&catalog, &txns, stmt, {});
-  ASSERT_TRUE(m.ok());
-  auto* join = static_cast<JoinMigrator*>(m->get());
-  EXPECT_EQ(join->MigrateJoinKey(Value::Int(1)).code(),
-            StatusCode::kUnsupported);
-}
-
 }  // namespace
 }  // namespace bullfrog

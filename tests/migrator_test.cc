@@ -8,6 +8,7 @@
 #include "migration/statement_migrator.h"
 #include "query/scan.h"
 #include "txn/txn_manager.h"
+#include "unit_kinds.h"
 
 namespace bullfrog {
 namespace {
@@ -216,35 +217,6 @@ TEST_P(MigratorGranularityTest, FinalStateIndependentOfGranularity) {
 INSTANTIATE_TEST_SUITE_P(Granularities, MigratorGranularityTest,
                          ::testing::Values(1, 3, 64, 128, 1024));
 
-TEST_F(MigratorTest, OnConflictModeProducesNoDuplicates) {
-  CreateSplitOutputs();
-  LazyConfig config;
-  config.duplicate_detection = DuplicateDetection::kOnConflictClause;
-  auto m = Make(SplitStatement(), config);
-  ASSERT_TRUE(m.ok());
-  ASSERT_TRUE((*m)->MigrateForPredicate(Eq(Col("grp"), LitInt(1))).ok());
-  const uint64_t after_first = CountRows("out_a");
-  // §3.7: conflicts are detected at insert; re-migrating does no harm.
-  ASSERT_TRUE((*m)->MigrateForPredicate(Eq(Col("grp"), LitInt(1))).ok());
-  EXPECT_EQ(CountRows("out_a"), after_first);
-  DrainBackground(m->get());
-  EXPECT_EQ(CountRows("out_a"), static_cast<uint64_t>(kRows));
-}
-
-TEST_F(MigratorTest, NoTrackingModeMigratesWithoutDataStructures) {
-  CreateSplitOutputs();
-  LazyConfig config;
-  config.maintain_tracker = false;
-  auto m = Make(SplitStatement(), config);
-  ASSERT_TRUE(m.ok());
-  // Fig 9 mode: the workload guarantees exactly-once coverage itself.
-  ASSERT_TRUE((*m)->MigrateForPredicate(Eq(Col("id"), LitInt(1))).ok());
-  ASSERT_TRUE((*m)->MigrateForPredicate(Eq(Col("id"), LitInt(2))).ok());
-  EXPECT_EQ(CountRows("out_a"), 2u);
-  bool done = false;
-  EXPECT_FALSE((*m)->MigrateBackgroundChunk(8, &done).ok());
-}
-
 TEST_F(MigratorTest, TransformFailureResetsLockBitsAndIsRetryable) {
   CreateSplitOutputs();
   auto m = Make(SplitStatement());
@@ -371,6 +343,90 @@ TEST_F(MigratorTest, AggregateBoundaryExcludesLateInserts) {
   for (int i = 0; i < kRows; i += kGroups) expected += i * 10;
   EXPECT_EQ(rows->front().second[1].AsInt(), expected);
 }
+
+// --- every unit kind ----------------------------------------------------
+
+/// The §3.7 and Fig 9 modes share one driver path with the tracked mode;
+/// these hold for all five unit kinds (tests/unit_kinds.h).
+class UnitKindMigratorTest : public ::testing::TestWithParam<UnitKind> {
+ protected:
+  static constexpr int kRows = 200;
+  static constexpr int kGroups = 10;
+
+  Result<std::unique_ptr<StatementMigrator>> Make(
+      const LazyConfig& config,
+      std::shared_ptr<FaultInjector> faults = nullptr) {
+    return MakeStatementMigrator(&data_.catalog(), &data_.txns(),
+                                 data_.Statement(GetParam(), faults), config);
+  }
+
+  static ExprPtr Group(int64_t g) { return Eq(Col("grp"), LitInt(g)); }
+
+  UnitKindData data_{kRows, kGroups};
+};
+
+TEST_P(UnitKindMigratorTest, OnConflictModeProducesNoDuplicates) {
+  LazyConfig config;
+  config.duplicate_detection = DuplicateDetection::kOnConflictClause;
+  auto m = Make(config);
+  ASSERT_TRUE(m.ok());
+  ASSERT_TRUE((*m)->MigrateForPredicate(Group(1)).ok());
+  const std::set<int64_t> one = {1};
+  EXPECT_EQ(data_.Output(GetParam()), data_.Expected(GetParam(), &one));
+  // §3.7: conflicts are detected at insert; re-migrating does no harm.
+  ASSERT_TRUE((*m)->MigrateForPredicate(Group(1)).ok());
+  EXPECT_EQ(data_.Output(GetParam()), data_.Expected(GetParam(), &one));
+  bool done = false;
+  for (int safety = 0; !done && safety < 100000; ++safety) {
+    ASSERT_TRUE((*m)->MigrateBackgroundChunk(16, &done).ok());
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(data_.Output(GetParam()), data_.Expected(GetParam()));
+  // Every unit went through the blind ForceMigrated path.
+  EXPECT_EQ((*m)->stats().units_forced.load(),
+            (*m)->stats().units_migrated.load());
+}
+
+TEST_P(UnitKindMigratorTest, NoTrackingModeMigratesWithoutDataStructures) {
+  LazyConfig config;
+  config.maintain_tracker = false;
+  auto m = Make(config);
+  ASSERT_TRUE(m.ok());
+  // Fig 9 mode: the workload guarantees exactly-once coverage itself.
+  ASSERT_TRUE((*m)->MigrateForPredicate(Group(1)).ok());
+  ASSERT_TRUE((*m)->MigrateForPredicate(Group(2)).ok());
+  const std::set<int64_t> two = {1, 2};
+  EXPECT_EQ(data_.Output(GetParam()), data_.Expected(GetParam(), &two));
+  EXPECT_EQ((*m)->stats().units_lazy.load(),
+            (*m)->stats().units_migrated.load());
+  bool done = false;
+  EXPECT_FALSE((*m)->MigrateBackgroundChunk(8, &done).ok());
+}
+
+TEST_P(UnitKindMigratorTest, NoTrackingModeRetriesRetryableFailures) {
+  LazyConfig config;
+  config.maintain_tracker = false;
+  auto faults = std::make_shared<FaultInjector>();
+  faults->fail_next = 1;
+  auto m = Make(config, faults);
+  ASSERT_TRUE(m.ok());
+  // The first attempt hits the injected failure; the retry runs in a
+  // fresh transaction, as in tracked mode.
+  Status s = (*m)->MigrateForPredicate(Group(3));
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(faults->fired.load(), 1u);
+  EXPECT_EQ((*m)->stats().txn_retries.load(), 1u);
+  const std::set<int64_t> three = {3};
+  EXPECT_EQ(data_.Output(GetParam()), data_.Expected(GetParam(), &three));
+  EXPECT_EQ((*m)->stats().units_lazy.load(),
+            (*m)->stats().units_migrated.load());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, UnitKindMigratorTest, ::testing::ValuesIn(AllUnitKinds()),
+    [](const ::testing::TestParamInfo<UnitKind>& info) {
+      return UnitKindName(info.param);
+    });
 
 }  // namespace
 }  // namespace bullfrog

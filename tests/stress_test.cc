@@ -1,164 +1,122 @@
 // Failure-injection and contention stress tests: the §3.5 guarantee that
 // conflicting migration efforts keep making progress and never duplicate
-// or lose tuples, even when migration transactions abort randomly.
+// or lose tuples, even when migration transactions abort randomly — for
+// every unit kind (tests/unit_kinds.h).
 
 #include <atomic>
 #include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
-#include "catalog/catalog.h"
 #include "common/random.h"
 #include "migration/background.h"
 #include "migration/statement_migrator.h"
-#include "query/scan.h"
-#include "txn/txn_manager.h"
+#include "query/expr.h"
+#include "unit_kinds.h"
 
 namespace bullfrog {
 namespace {
 
-class StressTest : public ::testing::TestWithParam<uint64_t> {
+class StressTest
+    : public ::testing::TestWithParam<std::tuple<UnitKind, uint64_t>> {
  protected:
   static constexpr int kRows = 2000;
   static constexpr int kGroups = 50;
 
-  void SetUp() override {
-    auto src = catalog_.CreateTable(SchemaBuilder("src")
-                                        .AddColumn("id", ValueType::kInt64,
-                                                   false)
-                                        .AddColumn("grp", ValueType::kInt64)
-                                        .AddColumn("val", ValueType::kInt64)
-                                        .SetPrimaryKey({"id"})
-                                        .Build());
-    ASSERT_TRUE(src.ok());
-    ASSERT_TRUE(
-        (*src)->CreateIndex("src_by_grp", {"grp"}, false, IndexKind::kHash)
-            .ok());
-    for (int i = 0; i < kRows; ++i) {
-      ASSERT_TRUE((*src)
-                      ->Insert(Tuple{Value::Int(i), Value::Int(i % kGroups),
-                                     Value::Int(i)})
-                      .ok());
+  UnitKind kind() const { return std::get<0>(GetParam()); }
+  uint64_t seed() const { return std::get<1>(GetParam()); }
+
+  /// Injects a failure into ~1 transform call in 64 — one in 8 for the
+  /// aggregate, whose transform runs once per 40-row group — so that a
+  /// one-unit transaction commits within a few retries.
+  std::shared_ptr<FaultInjector> Faults() const {
+    auto faults = std::make_shared<FaultInjector>();
+    faults->one_in = kind() == UnitKind::kAggregate ? 8 : 64;
+    faults->counter.store(seed());
+    return faults;
+  }
+
+  /// Client requests: `requests` random `grp = g` pulls on each of
+  /// `workers` threads. A retryable error (retry budget spent) is allowed;
+  /// any other error fails the test.
+  void RunClients(StatementMigrator* m, int workers, int requests) {
+    std::vector<std::thread> threads;
+    for (int w = 0; w < workers; ++w) {
+      threads.emplace_back([&, w] {
+        Rng rng(seed() * 31 + static_cast<uint64_t>(w));
+        for (int i = 0; i < requests; ++i) {
+          const auto g = static_cast<int64_t>(rng.Uniform(kGroups));
+          Status s = m->MigrateForPredicate(Eq(Col("grp"), LitInt(g)));
+          if (!s.ok() && !s.IsRetryable()) {
+            ADD_FAILURE() << s.ToString();
+            return;
+          }
+        }
+      });
     }
-    ASSERT_TRUE(catalog_.CreateTable(SchemaBuilder("dst")
-                                         .AddColumn("id", ValueType::kInt64,
-                                                    false)
-                                         .AddColumn("val", ValueType::kInt64)
-                                         .SetPrimaryKey({"id"})
-                                         .Build())
-                    .ok());
+    for (auto& t : threads) t.join();
   }
 
-  /// A transform that fails with probability ~1/64 (thread-safe, seeded
-  /// per test for reproducibility). Kept low enough that a batch of
-  /// granules succeeds within a few retries.
-  MigrationStatement FlakyCopyStatement() {
-    MigrationStatement stmt;
-    stmt.name = "flaky_copy";
-    stmt.category = MigrationCategory::kOneToOne;
-    stmt.input_tables = {"src"};
-    stmt.output_tables = {"dst"};
-    stmt.provenance.AddPassThrough("id", "src", "id");
-    stmt.provenance.AddPassThrough("grp", "src", "grp");
-    stmt.provenance.AddPassThrough("val", "src", "val");
-    auto counter = std::make_shared<std::atomic<uint64_t>>(GetParam());
-    stmt.row_transform =
-        [counter](const Tuple& in) -> Result<std::vector<TargetRow>> {
-      uint64_t x = counter->fetch_add(0x9e3779b97f4a7c15ULL);
-      x ^= x >> 31;
-      if (x % 64 == 0) {
-        return Status::TxnAborted("injected migration failure");
-      }
-      return std::vector<TargetRow>{TargetRow{0, Tuple{in[0], in[2]}}};
-    };
-    return stmt;
+  /// Exactly the expected rows, each once, and every migrated unit
+  /// attributed to exactly one of lazy / background / forced.
+  void ExpectExactAndAttributed(const StatementMigrator& m) {
+    EXPECT_EQ(data_.Output(kind()), data_.Expected(kind()));
+    const MigrationStats& s = m.stats();
+    EXPECT_EQ(s.units_lazy.load() + s.units_background.load() +
+                  s.units_forced.load(),
+              s.units_migrated.load());
   }
 
-  Catalog catalog_;
-  TransactionManager txns_;
+  UnitKindData data_{kRows, kGroups};
 };
 
 TEST_P(StressTest, ConcurrentWorkersWithInjectedAbortsStayExact) {
   LazyConfig config;
   config.skip_recheck_us = 10;
   config.retry_limit = 1000;
-  auto m = MakeStatementMigrator(&catalog_, &txns_, FlakyCopyStatement(),
-                                 config);
+  auto faults = Faults();
+  auto m = MakeStatementMigrator(&data_.catalog(), &data_.txns(),
+                                 data_.Statement(kind(), faults), config);
   ASSERT_TRUE(m.ok());
-  std::vector<std::thread> threads;
-  std::atomic<int> hard_errors{0};
-  for (int w = 0; w < 8; ++w) {
-    threads.emplace_back([&, w] {
-      Rng rng(GetParam() + static_cast<uint64_t>(w));
-      for (int i = 0; i < 200; ++i) {
-        const int64_t g = static_cast<int64_t>(rng.Uniform(kGroups));
-        Status s = (*m)->MigrateForPredicate(Eq(Col("grp"), LitInt(g)));
-        if (!s.ok() && !s.IsRetryable()) {
-          hard_errors.fetch_add(1);
-          ADD_FAILURE() << s.ToString();
-          return;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  ASSERT_EQ(hard_errors.load(), 0);
-  // Every touched group's rows are in dst exactly once. (Aborted
-  // attempts were undone; retries re-migrated; the dst PK rejects
-  // duplicates.)
-  EXPECT_GE((*m)->stats().txn_aborts.load(), 1u)
-      << "the fault injector should have fired";
-  Table* dst = catalog_.FindTable("dst");
-  Table* src = catalog_.FindTable("src");
-  // Validate values, not just counts.
-  dst->Scan([&](RowId, const Tuple& row) {
-    const int64_t id = row[0].AsInt();
-    Tuple src_row;
-    EXPECT_TRUE(src->Read(static_cast<RowId>(id), &src_row).ok());
-    EXPECT_EQ(row[1].AsInt(), src_row[2].AsInt());
-    return true;
-  });
-  // All groups were touched with overwhelming probability (8 workers x
-  // 200 draws over 50 groups); require full migration of touched rows.
-  EXPECT_EQ(dst->NumLiveRows(), static_cast<uint64_t>(kRows));
+  // 8 workers x 200 draws over 50 groups touch every group with
+  // overwhelming probability, so the whole output must be there.
+  RunClients(m->get(), 8, 200);
+  EXPECT_GE(faults->fired.load(), 1u) << "the fault injector should fire";
+  EXPECT_GE((*m)->stats().txn_aborts.load(), 1u);
+  ExpectExactAndAttributed(**m);
+  EXPECT_EQ((*m)->stats().units_background.load(), 0u);
 }
 
 TEST_P(StressTest, BackgroundPlusForegroundPlusAborts) {
   LazyConfig config;
   config.background_start_delay_ms = 0;
   config.background_pause_us = 0;
+  config.background_batch = 4;
   config.retry_limit = 1000;
-  auto m = MakeStatementMigrator(&catalog_, &txns_, FlakyCopyStatement(),
-                                 config);
+  auto m = MakeStatementMigrator(&data_.catalog(), &data_.txns(),
+                                 data_.Statement(kind(), Faults()), config);
   ASSERT_TRUE(m.ok());
   BackgroundMigrator bg({m->get()}, config);
   bg.Start();
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&, w] {
-      Rng rng(GetParam() * 31 + static_cast<uint64_t>(w));
-      for (int i = 0; i < 100; ++i) {
-        const int64_t id = static_cast<int64_t>(rng.Uniform(kRows));
-        Status s = (*m)->MigrateForPredicate(Eq(Col("id"), LitInt(id)));
-        if (!s.ok() && !s.IsRetryable()) {
-          ADD_FAILURE() << s.ToString();
-          return;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  RunClients(m->get(), 4, 100);
   Stopwatch sw;
   while (!bg.finished() && sw.ElapsedMillis() < 30000) {
     Clock::SleepMillis(5);
   }
-  EXPECT_TRUE(bg.finished());
-  EXPECT_EQ(catalog_.FindTable("dst")->NumLiveRows(),
-            static_cast<uint64_t>(kRows));
+  ASSERT_TRUE(bg.finished());
+  EXPECT_TRUE((*m)->IsComplete());
+  ExpectExactAndAttributed(**m);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, StressTest,
-                         ::testing::Values(1, 42, 20260705));
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndSeeds, StressTest,
+    ::testing::Combine(::testing::ValuesIn(AllUnitKinds()),
+                       ::testing::Values(1, 42, 20260705)),
+    [](const ::testing::TestParamInfo<std::tuple<UnitKind, uint64_t>>& info) {
+      return UnitKindName(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace bullfrog

@@ -209,20 +209,20 @@ TEST(HashTrackerTest, Algorithm3StateMachine) {
 TEST(HashTrackerTest, AbortedStateClaimable) {
   HashTracker t("h");
   ASSERT_EQ(t.TryAcquire(Key(7)), AcquireResult::kAcquired);
-  t.MarkAborted(Key(7));
+  t.ResetAborted(Key(7));
   EXPECT_EQ(*t.GetState(Key(7)), GroupState::kAborted);
   // Lines 7-9: aborted -> re-acquire.
   EXPECT_EQ(t.TryAcquire(Key(7)), AcquireResult::kAcquired);
   EXPECT_EQ(*t.GetState(Key(7)), GroupState::kInProgress);
 }
 
-TEST(HashTrackerTest, MarkAbortedOnlyAffectsInProgress) {
+TEST(HashTrackerTest, ResetAbortedOnlyAffectsInProgress) {
   HashTracker t("h");
   ASSERT_EQ(t.TryAcquire(Key(1)), AcquireResult::kAcquired);
   t.MarkMigrated(Key(1));
-  t.MarkAborted(Key(1));  // Stale abort hook: no effect.
+  t.ResetAborted(Key(1));  // Stale abort hook: no effect.
   EXPECT_TRUE(t.IsMigrated(Key(1)));
-  t.MarkAborted(Key(2));  // Unknown key: no effect.
+  t.ResetAborted(Key(2));  // Unknown key: no effect.
   EXPECT_FALSE(t.GetState(Key(2)).has_value());
 }
 
@@ -281,7 +281,7 @@ TEST(HashTrackerTest, ConcurrentAbortHandoffConverges) {
           if (t.TryAcquire(Key(k)) != AcquireResult::kAcquired) continue;
           seed = seed * 6364136223846793005ULL + 1;
           if ((seed >> 40) % 3 == 0) {
-            t.MarkAborted(Key(k));
+            t.ResetAborted(Key(k));
           } else {
             t.MarkMigrated(Key(k));
             migrated.fetch_add(1, std::memory_order_acq_rel);
@@ -352,7 +352,7 @@ TEST(HashTrackerTest, AbortedReacquireUnderContention) {
   constexpr int kRounds = 200;
   constexpr int kWorkers = 8;
   for (int round = 0; round < kRounds; ++round) {
-    t.MarkAborted(key);
+    t.ResetAborted(key);
     ASSERT_EQ(t.GetState(key), GroupState::kAborted);
     std::atomic<int> winners{0};
     std::vector<std::thread> workers;
@@ -372,7 +372,7 @@ TEST(HashTrackerTest, AbortedReacquireUnderContention) {
   EXPECT_EQ(t.MigratedCount(), 1u);
   EXPECT_EQ(t.TryAcquire(key), AcquireResult::kAlreadyMigrated);
   // A late abort from a stale worker must not clobber the migrated state.
-  t.MarkAborted(key);
+  t.ResetAborted(key);
   EXPECT_EQ(t.GetState(key), GroupState::kMigrated);
 }
 
