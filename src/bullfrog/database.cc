@@ -194,7 +194,7 @@ Status Database::Insert(Session* session, const std::string& table,
                       txns_.Insert(session->txn(), t, row));
   // During a multi-step copy the write reaches the shadow tables too.
   return MigrationController::PropagateOldWrite(
-      views, session->txn(), table, outcome.rid, row, /*deleted=*/false);
+      views, session->txn(), table, outcome.rid, /*before=*/nullptr, &row);
 }
 
 Result<uint64_t> Database::Update(
@@ -229,7 +229,7 @@ Result<uint64_t> Database::Update(
       // Dual write: the old schema gets the image too.
       BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, next));
       BF_RETURN_NOT_OK(MigrationController::PropagateOldWrite(
-          views, session->txn(), table, rid, next, /*deleted=*/false));
+          views, session->txn(), table, rid, &current, &next));
     }
     ++updated;
   }
@@ -253,7 +253,7 @@ Result<uint64_t> Database::Delete(Session* session, const std::string& table,
     if (!plan.Matches(current)) continue;
     BF_RETURN_NOT_OK(txns_.Delete(session->txn(), t, rid));
     BF_RETURN_NOT_OK(MigrationController::PropagateOldWrite(
-        views, session->txn(), table, rid, current, /*deleted=*/true));
+        views, session->txn(), table, rid, &current, /*after=*/nullptr));
     ++deleted;
   }
   return deleted;

@@ -44,31 +44,6 @@ class SpinLatch {
   std::atomic<bool> flag_{false};
 };
 
-/// A reader-writer latch wrapping std::shared_mutex, named for symmetry
-/// with the paper's terminology ("the bitmap is protected ... by a
-/// read-write latch").
-class RwLatch {
- public:
-  RwLatch() = default;
-  RwLatch(const RwLatch&) = delete;
-  RwLatch& operator=(const RwLatch&) = delete;
-
-  void LockShared() { mu_.lock_shared(); }
-  void UnlockShared() { mu_.unlock_shared(); }
-  void LockExclusive() { mu_.lock(); }
-  void UnlockExclusive() { mu_.unlock(); }
-
-  // Lockable interface (exclusive), so std::lock_guard works.
-  void lock() { mu_.lock(); }
-  void unlock() { mu_.unlock(); }
-  // SharedLockable interface, so std::shared_lock works.
-  void lock_shared() { mu_.lock_shared(); }
-  void unlock_shared() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// A reader-writer gate that prioritizes writers: once a writer is
 /// waiting, new readers block until it has been served. Used for the
 /// schema-switch and eager-migration gates, where a continuous stream of

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <unordered_set>
 
-#include "migration/eager.h"
 #include "migration/replication_log.h"
 #include "query/scan.h"
 
@@ -728,7 +727,23 @@ Status MigrationController::SubmitEager(
     open_gates();
     return s;
   }
-  s = RunEagerMigration(catalog_, txns_, state->plan);
+  // The eager copy (§4): the statement migrators' sweep over every unit.
+  // With the outputs gated there is no contention, so the tracker is pure
+  // bookkeeping and the sweep visits each unit once.
+  s = [&]() -> Status {
+    LazyConfig config;
+    config.granularity = 64;  // Bulk-friendly granule size.
+    for (const MigrationStatement& stmt : state->plan.statements) {
+      BF_ASSIGN_OR_RETURN(std::unique_ptr<StatementMigrator> migrator,
+                          MakeStatementMigrator(catalog_, txns_, stmt, config));
+      bool done = false;
+      while (!done) {
+        BF_RETURN_NOT_OK(
+            migrator->MigrateBackgroundChunk(4096, &done).status());
+      }
+    }
+    return Status::OK();
+  }();
   // Mark complete before opening the gates, so an unblocked request
   // observes a finished migration.
   if (s.ok()) OnMigrationComplete(state.get());
@@ -741,6 +756,11 @@ Status MigrationController::SubmitMultiStep(
   {
     std::unique_lock switch_lock(*switch_gate_);
     BF_RETURN_NOT_OK(CreateOutputTables(state->plan));
+    for (const MigrationStatement& stmt : state->plan.statements) {
+      for (const std::string& input : stmt.input_tables) {
+        BF_RETURN_NOT_OK(catalog_->RequireActive(input).status());
+      }
+    }
     // Old schema stays active; nothing is retired yet. The copier is
     // constructed (not started) before publication so readers never see a
     // half-initialized multistep pointer.
@@ -992,14 +1012,14 @@ MigrationController::MultiStepGuard MigrationController::MultiStepWriteGuard(
 Status MigrationController::PropagateOldWrite(const Views& views,
                                               Transaction* txn,
                                               const std::string& table,
-                                              RowId rid, const Tuple& row,
-                                              bool deleted) {
+                                              RowId rid, const Tuple* before,
+                                              const Tuple* after) {
   const auto& state = views.routing->multistep;
   if (!MultiStepActive(views) || state->multistep == nullptr) {
     return Status::OK();
   }
   // Propagate no-ops for tables the copier does not consume.
-  return state->multistep->Propagate(txn, table, rid, row, deleted);
+  return state->multistep->Propagate(txn, table, rid, before, after);
 }
 
 bool MigrationController::UsesNewSchema() const { return !MultiStepActive(); }

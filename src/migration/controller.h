@@ -243,13 +243,16 @@ class MigrationController {
   }
 
   /// Propagates a client write on old-schema `table` into the shadow
-  /// tables (inside the client's transaction).
+  /// tables (inside the client's transaction). `before` and `after` are
+  /// row `rid`'s images around the write: `before` is null for an insert,
+  /// `after` for a delete.
   static Status PropagateOldWrite(const Views& views, Transaction* txn,
                                   const std::string& table, RowId rid,
-                                  const Tuple& row, bool deleted);
+                                  const Tuple* before, const Tuple* after);
   Status PropagateOldWrite(Transaction* txn, const std::string& table,
-                           RowId rid, const Tuple& row, bool deleted) {
-    return PropagateOldWrite(CurrentViews(), txn, table, rid, row, deleted);
+                           RowId rid, const Tuple* before,
+                           const Tuple* after) {
+    return PropagateOldWrite(CurrentViews(), txn, table, rid, before, after);
   }
 
   /// --- status -----------------------------------------------------------

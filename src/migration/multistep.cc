@@ -2,44 +2,53 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
+#include <unordered_set>
 
 #include "common/clock.h"
+#include "migration/statement_migrator.h"
 #include "migration/upsert.h"
+#include "query/scan.h"
 
 namespace bullfrog {
+
+namespace {
+
+using RowFn = std::function<void(RowId, const Tuple&)>;
+
+}  // namespace
 
 MultiStepCopier::MultiStepCopier(Catalog* catalog, TransactionManager* txns,
                                  const MigrationPlan* plan, Options options,
                                  std::function<Status()> cutover)
-    : catalog_(catalog),
-      txns_(txns),
-      plan_(plan),
-      options_(options),
-      cutover_(std::move(cutover)) {
-  for (const MigrationStatement& stmt : plan_->statements) {
+    : txns_(txns), options_(options), cutover_(std::move(cutover)) {
+  for (const MigrationStatement& stmt : plan->statements) {
     auto state = std::make_unique<StmtState>();
     state->stmt = &stmt;
+    for (const std::string& name : stmt.input_tables) {
+      state->inputs.push_back(catalog->FindTable(name));
+    }
+    for (const std::string& name : stmt.output_tables) {
+      state->outputs.push_back(catalog->FindTable(name));
+    }
+    auto columns = [&](size_t input, const std::vector<std::string>& names) {
+      std::vector<size_t> out;
+      for (const std::string& c : names) {
+        auto idx = state->inputs[input]->schema().ColumnIndex(c);
+        if (idx) out.push_back(*idx);
+      }
+      return out;
+    };
+    if (stmt.IsAggregate()) {
+      state->key_columns = {columns(0, stmt.group_key_columns)};
+    }
+    if (stmt.IsJoin()) {
+      state->key_columns = {columns(0, {stmt.left_join_column}),
+                            columns(1, {stmt.right_join_column})};
+    }
     if (stmt.IsAggregate() || stmt.IsJoin()) {
       state->copied = std::make_unique<HashTracker>("copied:" + stmt.name);
       state->unit_locks = std::make_unique<StripedLatch<SpinLatch>>(256);
-    }
-    Table* input = catalog_->FindTable(stmt.input_tables[0]);
-    if (input != nullptr) {
-      if (stmt.IsAggregate()) {
-        for (const std::string& c : stmt.group_key_columns) {
-          auto idx = input->schema().ColumnIndex(c);
-          if (idx) state->key_indices.push_back(*idx);
-        }
-      }
-      if (stmt.IsJoin()) {
-        auto idx = input->schema().ColumnIndex(stmt.left_join_column);
-        if (idx) state->left_key_index = *idx;
-        Table* right = catalog_->FindTable(stmt.input_tables[1]);
-        if (right != nullptr) {
-          auto ridx = right->schema().ColumnIndex(stmt.right_join_column);
-          if (ridx) state->right_key_index = *ridx;
-        }
-      }
     }
     states_.push_back(std::move(state));
   }
@@ -66,8 +75,7 @@ double MultiStepCopier::Progress() const {
   if (switched_.load(std::memory_order_acquire)) return 1.0;
   double total = 0;
   for (const auto& state : states_) {
-    Table* input = catalog_->FindTable(state->stmt->input_tables[0]);
-    const uint64_t n = input == nullptr ? 0 : input->NumAllocatedRows();
+    const uint64_t n = state->inputs[0]->NumAllocatedRows();
     const uint64_t w = state->watermark.load(std::memory_order_acquire);
     total += n == 0 ? 1.0 : std::min(1.0, static_cast<double>(w) /
                                               static_cast<double>(n));
@@ -86,9 +94,8 @@ void MultiStepCopier::Run() {
       Status s = CopyBatch(state.get(), &made);
       (void)s;  // Transient failures are retried on the next pass.
       progress |= made;
-      Table* input = catalog_->FindTable(state->stmt->input_tables[0]);
-      const uint64_t n = input == nullptr ? 0 : input->NumAllocatedRows();
-      if (state->watermark.load(std::memory_order_acquire) < n) {
+      if (state->watermark.load(std::memory_order_acquire) <
+          state->inputs[0]->NumAllocatedRows()) {
         all_done = false;
       }
     }
@@ -108,9 +115,7 @@ void MultiStepCopier::Run() {
 
 Status MultiStepCopier::CopyBatch(StmtState* state, bool* made_progress) {
   *made_progress = false;
-  Table* input = catalog_->FindTable(state->stmt->input_tables[0]);
-  if (input == nullptr) return Status::NotFound("input table gone");
-  const uint64_t allocated = input->NumAllocatedRows();
+  const uint64_t allocated = state->inputs[0]->NumAllocatedRows();
   // Register as in-flight before claiming: once the watermark reaches the
   // end of the input, cutover only waits on this counter to know every
   // claimed batch has actually been copied.
@@ -127,73 +132,44 @@ Status MultiStepCopier::CopyBatch(StmtState* state, bool* made_progress) {
   }
   const uint64_t end = std::min<uint64_t>(begin + options_.batch, allocated);
   *made_progress = true;
-
-  const MigrationStatement& stmt = *state->stmt;
-  auto copy_once = [&]() -> Status {
-    if (stmt.IsProjection()) {
-      return CopyProjectionRows(state, begin, end);
-    }
-    // Aggregate / join: copy the unit (group or join-key class) of every
-    // row in the window that is not yet copied.
-    Status out = Status::OK();
-    input->ScanRange(begin, end, [&](RowId, const Tuple& row) {
-      Tuple key;
-      if (stmt.IsAggregate()) {
-        key.reserve(state->key_indices.size());
-        for (size_t i : state->key_indices) key.push_back(row[i]);
-        Status s = CopyGroup(state, key, /*force=*/false);
-        if (!s.ok()) out = s;
-      } else {
-        key = Tuple{row[state->left_key_index]};
-        Status s = CopyJoinClass(state, key, /*force=*/false);
-        if (!s.ok()) out = s;
-      }
-      return true;
-    });
-    return out;
-  };
   // The claim is irrevocable (peers have advanced the watermark past it),
   // so a retryable failure — a wait-die collision with a dual write or a
   // peer batch — must be retried here; dropping it would silently lose
   // the claimed rows.
-  Status s = copy_once();
+  Status s = CopyRange(state, begin, end);
   while (!s.ok() && s.IsRetryable() &&
          !stop_.load(std::memory_order_acquire)) {
     Clock::SleepMicros(100);
-    s = copy_once();
+    s = CopyRange(state, begin, end);
   }
   inflight_batches_.fetch_sub(1, std::memory_order_release);
   return s;
 }
 
-Status MultiStepCopier::CopyProjectionRows(StmtState* state, RowId begin,
-                                           RowId end) {
+Status MultiStepCopier::CopyRange(StmtState* state, RowId begin, RowId end) {
   const MigrationStatement& stmt = *state->stmt;
-  Table* input = catalog_->FindTable(stmt.input_tables[0]);
-  std::vector<Table*> outs;
-  for (const std::string& name : stmt.output_tables) {
-    Table* t = catalog_->FindTable(name);
-    if (t == nullptr) return Status::NotFound("output table '" + name + "'");
-    outs.push_back(t);
+  const Table& input = *state->inputs[0];
+  Status s = Status::OK();
+  if (!stmt.IsProjection()) {
+    input.ScanRange(begin, end, [&](RowId, const Tuple& row) {
+      s = CopyUnit(state, KeyOf(row, state->key_columns[0]),
+                   /*force=*/false);
+      return s.ok();
+    });
+    return s;
   }
   auto txn = txns_->Begin();
-  Status s = Status::OK();
-  input->ScanRange(begin, end, [&](RowId, const Tuple& row) {
+  input.ScanRange(begin, end, [&](RowId, const Tuple& row) {
     auto targets = stmt.row_transform(row);
-    if (!targets.ok()) {
-      s = targets.status();
-      return false;
-    }
-    for (TargetRow& t : *targets) {
+    s = targets.status();
+    for (size_t i = 0; s.ok() && i < targets->size(); ++i) {
+      const TargetRow& t = (*targets)[i];
       // Insert-if-absent: a dual write may have upserted this row already.
-      auto outcome = txns_->Insert(txn.get(), outs[t.output_index], t.row,
-                                   OnConflict::kDoNothing);
-      if (!outcome.ok()) {
-        s = outcome.status();
-        return false;
-      }
+      s = txns_->Insert(txn.get(), state->outputs[t.output_index], t.row,
+                        OnConflict::kDoNothing)
+              .status();
     }
-    return true;
+    return s.ok();
   });
   if (!s.ok()) {
     (void)txns_->Abort(txn.get());
@@ -202,219 +178,161 @@ Status MultiStepCopier::CopyProjectionRows(StmtState* state, RowId begin,
   return txns_->Commit(txn.get());
 }
 
-Status MultiStepCopier::CopyGroup(StmtState* state, const Tuple& key,
-                                  bool force) {
-  const MigrationStatement& stmt = *state->stmt;
+Status MultiStepCopier::CopyUnit(StmtState* state, const Tuple& key,
+                                 bool force, const Write* write) {
   std::lock_guard unit_lock(state->unit_locks->ForHash(key.Hash()));
   if (!force && state->copied->IsMigrated(key)) return Status::OK();
-
-  Table* input = catalog_->FindTable(stmt.input_tables[0]);
-  std::vector<Table*> outs;
-  for (const std::string& name : stmt.output_tables) {
-    outs.push_back(catalog_->FindTable(name));
-  }
-  // Aggregate over the *current* full contents of the group (the old table
-  // is live; propagation re-runs this whenever the group changes).
-  std::vector<Tuple> rows;
-  Index* index = input->FindIndexCoveredBy(state->key_indices);
-  if (index != nullptr && index->key_columns() == state->key_indices) {
-    std::vector<RowId> rids;
-    index->Lookup(key, &rids);
-    input->ReadMany(rids, [&](RowId, const Tuple& row) {
-      rows.push_back(row);
-      return true;
-    });
-  } else {
-    input->Scan([&](RowId, const Tuple& row) {
-      Tuple k;
-      for (size_t i : state->key_indices) k.push_back(row[i]);
-      if (k == key) rows.push_back(row);
-      return true;
-    });
-  }
-  BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                      stmt.group_transform(key, rows));
-  auto txn = txns_->Begin();
-  for (TargetRow& t : targets) {
-    Status s = UpsertByPk(txns_, txn.get(), outs[t.output_index], t.row);
-    if (!s.ok()) {
-      (void)txns_->Abort(txn.get());
-      return s;
-    }
-  }
-  BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-  state->copied->ForceMigrated(key);
-  return Status::OK();
-}
-
-Status MultiStepCopier::CopyJoinClass(StmtState* state, const Tuple& key,
-                                      bool force) {
-  const MigrationStatement& stmt = *state->stmt;
-  std::lock_guard unit_lock(state->unit_locks->ForHash(key.Hash()));
-  if (!force && state->copied->IsMigrated(key)) return Status::OK();
-
-  Table* left = catalog_->FindTable(stmt.input_tables[0]);
-  Table* right = catalog_->FindTable(stmt.input_tables[1]);
-  std::vector<Table*> outs;
-  for (const std::string& name : stmt.output_tables) {
-    outs.push_back(catalog_->FindTable(name));
-  }
-  auto collect = [&](Table* t, size_t col) {
-    std::vector<Tuple> rows;
-    Index* index = t->FindIndexCoveredBy({col});
-    if (index != nullptr &&
-        index->key_columns() == std::vector<size_t>{col}) {
-      std::vector<RowId> rids;
-      index->Lookup(key, &rids);
-      t->ReadMany(rids, [&](RowId, const Tuple& row) {
-        rows.push_back(row);
-        return true;
-      });
-    } else {
-      t->Scan([&](RowId, const Tuple& row) {
-        if (row[col].Compare(key[0]) == 0) rows.push_back(row);
-        return true;
-      });
-    }
-    return rows;
+  // The unit over the *current* contents of the old tables: they stay
+  // live, and propagation re-derives the unit whenever it changes.
+  const UnitRows live = [&](size_t i, const Tuple& k, const RowFn& fn) {
+    ForEachRowWithKey(*state->inputs[i], state->key_columns[i], k,
+                      kInvalidRowId, fn);
   };
-  const std::vector<Tuple> lefts = collect(left, state->left_key_index);
-  const std::vector<Tuple> rights = collect(right, state->right_key_index);
+  uint64_t rows_read = 0;
+  std::vector<TargetRow> before;
+  if (write != nullptr) {
+    // Its rows before the write: the live rows, with the after-image
+    // swapped back for the before-image.
+    BF_ASSIGN_OR_RETURN(
+        before,
+        UnitTargets(
+            *state->stmt,
+            [&](size_t i, const Tuple& k, const RowFn& fn) {
+              const bool written = i == write->input;
+              live(i, k, [&](RowId rid, const Tuple& row) {
+                if (!written || rid != write->rid) fn(rid, row);
+              });
+              if (written && write->before != nullptr &&
+                  KeyOf(*write->before, state->key_columns[i]) == k) {
+                fn(write->rid, *write->before);
+              }
+            },
+            key, &rows_read));
+  }
+  BF_ASSIGN_OR_RETURN(std::vector<TargetRow> after,
+                      UnitTargets(*state->stmt, live, key, &rows_read));
   auto txn = txns_->Begin();
-  for (const Tuple& l : lefts) {
-    for (const Tuple& r : rights) {
-      auto targets = stmt.join_transform(l, r);
-      if (!targets.ok()) {
-        (void)txns_->Abort(txn.get());
-        return targets.status();
-      }
-      for (TargetRow& t : *targets) {
-        Status s = UpsertByPk(txns_, txn.get(), outs[t.output_index], t.row);
-        if (!s.ok()) {
-          (void)txns_->Abort(txn.get());
-          return s;
-        }
-      }
-    }
+  Status s = WriteTargets(*state, txn.get(), before, after);
+  if (!s.ok()) {
+    (void)txns_->Abort(txn.get());
+    return s;
   }
   BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
   state->copied->ForceMigrated(key);
-  return Status::OK();
-}
-
-Status MultiStepCopier::PropagateProjection(StmtState* state, Transaction* txn,
-                                            RowId rid, const Tuple& row,
-                                            bool deleted) {
-  const MigrationStatement& stmt = *state->stmt;
-  if (rid >= state->watermark.load(std::memory_order_acquire)) {
-    // The copier has not reached this row yet; it will pick up the final
-    // state when it does.
-    return Status::OK();
-  }
-  std::vector<Table*> outs;
-  for (const std::string& name : stmt.output_tables) {
-    outs.push_back(catalog_->FindTable(name));
-  }
-  BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets, stmt.row_transform(row));
-  for (TargetRow& t : targets) {
-    if (deleted) {
-      BF_RETURN_NOT_OK(DeleteByPk(txns_, txn, outs[t.output_index], t.row));
-    } else {
-      BF_RETURN_NOT_OK(UpsertByPk(txns_, txn, outs[t.output_index], t.row));
-    }
-  }
   return Status::OK();
 }
 
 Status MultiStepCopier::Propagate(Transaction* txn, const std::string& table,
-                                  RowId rid, const Tuple& row, bool deleted) {
+                                  RowId rid, const Tuple* before,
+                                  const Tuple* after) {
   for (auto& state : states_) {
     const MigrationStatement& stmt = *state->stmt;
-    if (stmt.IsProjection()) {
-      if (stmt.input_tables[0] == table) {
-        BF_RETURN_NOT_OK(PropagateProjection(state.get(), txn, rid, row,
-                                             deleted));
-      }
-      continue;
-    }
-    if (stmt.IsAggregate()) {
-      if (stmt.input_tables[0] != table) continue;
-      Tuple key;
-      for (size_t i : state->key_indices) key.push_back(row[i]);
-      // Recompute the whole group from the live table; also covers rows
-      // the copier's watermark skipped past before they existed.
-      BF_RETURN_NOT_OK(CopyGroup(state.get(), key, /*force=*/true));
-      continue;
-    }
-    if (stmt.IsJoin()) {
-      const bool is_left = stmt.input_tables[0] == table;
-      const bool is_right = stmt.input_tables[1] == table;
-      if (!is_left && !is_right) continue;
-      const Tuple key{row[is_left ? state->left_key_index
-                                  : state->right_key_index]};
-      // Row-scoped propagation: a write to one input row only affects the
-      // pairs containing that row, so re-derive just those (re-deriving
-      // the whole join-key class per write would make the dual-write
-      // baseline quadratic). Classes the copier has not reached yet are
-      // left for it to pick up.
-      if (!state->copied->IsMigrated(key)) {
-        if (is_left &&
-            rid < state->watermark.load(std::memory_order_acquire)) {
-          // The copier's left sweep already passed this rid but the class
-          // key was not marked (it marks per class); be conservative and
-          // copy the class now.
-          BF_RETURN_NOT_OK(CopyJoinClass(state.get(), key, /*force=*/true));
+    for (size_t i = 0; i < stmt.input_tables.size(); ++i) {
+      if (stmt.input_tables[i] != table) continue;
+      const Write write{i, rid, before, after};
+      if (stmt.IsJoin()) {
+        BF_RETURN_NOT_OK(PropagateJoin(state.get(), txn, write));
+      } else if (stmt.IsAggregate()) {
+        // Recompute each group the write touches from the live table;
+        // forcing also covers rows the copier's watermark skipped past
+        // before they existed.
+        std::vector<Tuple> keys;
+        for (const Tuple* image : {before, after}) {
+          if (image == nullptr) continue;
+          Tuple key = KeyOf(*image, state->key_columns[i]);
+          if (keys.empty() || !(keys[0] == key)) keys.push_back(key);
         }
-        continue;
+        for (const Tuple& key : keys) {
+          BF_RETURN_NOT_OK(CopyUnit(state.get(), key, /*force=*/true, &write));
+        }
+      } else if (rid < state->watermark.load(std::memory_order_acquire)) {
+        // A projection row propagates once the copier has claimed it; one
+        // it has not reached yet is left to it, and it copies the row's
+        // final state.
+        auto targets = [&](const Tuple* image) {
+          return image == nullptr
+                     ? Result<std::vector<TargetRow>>(std::vector<TargetRow>{})
+                     : stmt.row_transform(*image);
+        };
+        BF_ASSIGN_OR_RETURN(std::vector<TargetRow> old_rows, targets(before));
+        BF_ASSIGN_OR_RETURN(std::vector<TargetRow> new_rows, targets(after));
+        BF_RETURN_NOT_OK(WriteTargets(*state, txn, old_rows, new_rows));
       }
-      BF_RETURN_NOT_OK(
-          CopyJoinRow(state.get(), txn, is_left, row, deleted));
     }
   }
   return Status::OK();
 }
 
-Status MultiStepCopier::CopyJoinRow(StmtState* state, Transaction* txn,
-                                    bool is_left, const Tuple& row,
-                                    bool deleted) {
-  const MigrationStatement& stmt = *state->stmt;
-  Table* other = catalog_->FindTable(stmt.input_tables[is_left ? 1 : 0]);
-  std::vector<Table*> outs;
-  for (const std::string& name : stmt.output_tables) {
-    outs.push_back(catalog_->FindTable(name));
-  }
-  const size_t other_col =
-      is_left ? state->right_key_index : state->left_key_index;
-  const Value& key = row[is_left ? state->left_key_index
-                                 : state->right_key_index];
-  std::vector<Tuple> others;
-  Index* index = other->FindIndexCoveredBy({other_col});
-  if (index != nullptr &&
-      index->key_columns() == std::vector<size_t>{other_col}) {
-    std::vector<RowId> rids;
-    index->Lookup(Tuple{key}, &rids);
-    other->ReadMany(rids, [&](RowId, const Tuple& r) {
-      others.push_back(r);
-      return true;
-    });
-  } else {
-    other->Scan([&](RowId, const Tuple& r) {
-      if (r[other_col].Compare(key) == 0) others.push_back(r);
-      return true;
-    });
-  }
-  for (const Tuple& o : others) {
-    const Tuple& l = is_left ? row : o;
-    const Tuple& r = is_left ? o : row;
-    BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                        stmt.join_transform(l, r));
-    for (TargetRow& t : targets) {
-      if (deleted) {
-        BF_RETURN_NOT_OK(DeleteByPk(txns_, txn, outs[t.output_index], t.row));
-      } else {
-        BF_RETURN_NOT_OK(UpsertByPk(txns_, txn, outs[t.output_index], t.row));
+Status MultiStepCopier::PropagateJoin(StmtState* state, Transaction* txn,
+                                      const Write& w) {
+  // A write to one input row changes only the pairs containing that row,
+  // so re-derive just those (re-deriving the whole join-key class per
+  // write would make the dual-write baseline quadratic). An image's pairs
+  // count only once its class is copied; until then the copier picks the
+  // class up from the live rows. The copier marks classes, not rows, so a
+  // left row its sweep already passed gets its class copied here.
+  const size_t other = 1 - w.input;
+  std::optional<Tuple> others_key;
+  std::vector<Tuple> others;  // Looked up once when both images share it.
+  auto pairs_of = [&](const Tuple* image) -> Result<std::vector<TargetRow>> {
+    if (image == nullptr) return std::vector<TargetRow>{};
+    const Tuple key = KeyOf(*image, state->key_columns[w.input]);
+    if (w.input == 0 &&
+        w.rid < state->watermark.load(std::memory_order_acquire)) {
+      BF_RETURN_NOT_OK(CopyUnit(state, key, /*force=*/false));
+    }
+    {
+      std::lock_guard unit_lock(state->unit_locks->ForHash(key.Hash()));
+      if (!state->copied->IsMigrated(key)) return std::vector<TargetRow>{};
+    }
+    if (!others_key || !(*others_key == key)) {
+      others.clear();
+      ForEachRowWithKey(
+          *state->inputs[other], state->key_columns[other], key,
+          kInvalidRowId,
+          [&](RowId, const Tuple& row) { others.push_back(row); });
+      others_key = key;
+    }
+    uint64_t rows_read = 0;
+    return UnitTargets(
+        *state->stmt,
+        [&](size_t i, const Tuple&, const RowFn& fn) {
+          if (i == w.input) {
+            fn(w.rid, *image);
+            return;
+          }
+          for (const Tuple& row : others) fn(kInvalidRowId, row);
+        },
+        key, &rows_read);
+  };
+  BF_ASSIGN_OR_RETURN(std::vector<TargetRow> before, pairs_of(w.before));
+  BF_ASSIGN_OR_RETURN(std::vector<TargetRow> after, pairs_of(w.after));
+  return WriteTargets(*state, txn, before, after);
+}
+
+Status MultiStepCopier::WriteTargets(const StmtState& state, Transaction* txn,
+                                     const std::vector<TargetRow>& before,
+                                     const std::vector<TargetRow>& after) {
+  if (!before.empty()) {
+    // The primary keys `after` produces, per output.
+    std::vector<std::vector<size_t>> pks;
+    for (Table* out : state.outputs) {
+      pks.push_back(out->schema().PrimaryKeyIndices());
+    }
+    std::vector<std::unordered_set<Tuple, TupleHasher>> kept(pks.size());
+    for (const TargetRow& t : after) {
+      kept[t.output_index].insert(KeyOf(t.row, pks[t.output_index]));
+    }
+    for (const TargetRow& old : before) {
+      const size_t out = old.output_index;
+      if (kept[out].count(KeyOf(old.row, pks[out])) == 0) {
+        BF_RETURN_NOT_OK(DeleteByPk(txns_, txn, state.outputs[out], old.row));
       }
     }
+  }
+  for (const TargetRow& t : after) {
+    BF_RETURN_NOT_OK(
+        UpsertByPk(txns_, txn, state.outputs[t.output_index], t.row));
   }
   return Status::OK();
 }
@@ -432,32 +350,9 @@ Status MultiStepCopier::TryCutover() {
   // With writers quiesced, copy any tail that appeared after the
   // watermarks were declared done.
   for (auto& state : states_) {
-    Table* input = catalog_->FindTable(state->stmt->input_tables[0]);
-    const uint64_t allocated = input->NumAllocatedRows();
-    uint64_t w = state->watermark.load(std::memory_order_acquire);
-    while (w < allocated) {
-      const uint64_t end = std::min<uint64_t>(w + options_.batch, allocated);
-      if (state->stmt->IsProjection()) {
-        BF_RETURN_NOT_OK(CopyProjectionRows(state.get(), w, end));
-      } else {
-        Status out = Status::OK();
-        input->ScanRange(w, end, [&](RowId, const Tuple& row) {
-          Status s;
-          if (state->stmt->IsAggregate()) {
-            Tuple key;
-            for (size_t i : state->key_indices) key.push_back(row[i]);
-            s = CopyGroup(state.get(), key, /*force=*/false);
-          } else {
-            s = CopyJoinClass(state.get(), Tuple{row[state->left_key_index]},
-                              /*force=*/false);
-          }
-          if (!s.ok()) out = s;
-          return true;
-        });
-        BF_RETURN_NOT_OK(out);
-      }
-      w = end;
-    }
+    const uint64_t allocated = state->inputs[0]->NumAllocatedRows();
+    const uint64_t w = state->watermark.load(std::memory_order_acquire);
+    if (w < allocated) BF_RETURN_NOT_OK(CopyRange(state.get(), w, allocated));
     state->watermark.store(allocated, std::memory_order_release);
   }
   BF_RETURN_NOT_OK(cutover_());

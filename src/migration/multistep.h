@@ -50,9 +50,11 @@ class MultiStepCopier {
     int64_t pause_us = 100;
   };
 
-  /// `cutover` runs exactly once, under the exclusive write gate, after
-  /// the tail is copied. It should retire the old tables and flip the
-  /// active schema. Returning an error aborts the cutover (retried later).
+  /// Every input and output table of `plan` must exist; they are resolved
+  /// here, once. `cutover` runs exactly once, under the exclusive write
+  /// gate, after the tail is copied. It should retire the old tables and
+  /// flip the active schema. Returning an error aborts the cutover
+  /// (retried later).
   MultiStepCopier(Catalog* catalog, TransactionManager* txns,
                   const MigrationPlan* plan, Options options,
                   std::function<Status()> cutover);
@@ -76,44 +78,60 @@ class MultiStepCopier {
   WriterPriorityGate& write_gate() { return write_gate_; }
 
   /// Dual-write propagation, called inside the client transaction after
-  /// the write has been applied to the old-schema `table`.
-  /// For deletes, `row` is the pre-image; otherwise the post-image.
+  /// the write has been applied to the old-schema `table`. `before` and
+  /// `after` are row `rid`'s images around the write: `before` is null
+  /// for an insert, `after` for a delete. Every unit either image belongs
+  /// to is re-derived, and a row the unit derived before the write is
+  /// deleted when the re-derivation no longer produces its primary key.
   Status Propagate(Transaction* txn, const std::string& table, RowId rid,
-                   const Tuple& row, bool deleted);
+                   const Tuple* before, const Tuple* after);
 
  private:
+  /// A client write to input `input` of a statement (see Propagate).
+  struct Write {
+    size_t input;
+    RowId rid;
+    const Tuple* before;
+    const Tuple* after;
+  };
+
   struct StmtState {
     const MigrationStatement* stmt;
-    /// Copy watermark per input table (projection/aggregate use [0];
-    /// joins sweep input 0 = left).
+    std::vector<Table*> inputs;
+    std::vector<Table*> outputs;
+    /// Per input, the columns that key its units: the group-key columns
+    /// (aggregate) or the join column (join).
+    std::vector<std::vector<size_t>> key_columns;
+    /// Copy watermark over input 0 (joins sweep the left input).
     std::atomic<uint64_t> watermark{0};
     /// Copied groups / join-key classes (aggregate & join statements).
     std::unique_ptr<HashTracker> copied;
     /// Serializes compute+upsert per unit between copier and propagation.
     std::unique_ptr<StripedLatch<SpinLatch>> unit_locks;
-    /// Group-key column indices (aggregate) in the input schema.
-    std::vector<size_t> key_indices;
-    size_t left_key_index = 0;
-    size_t right_key_index = 0;
-    std::atomic<bool> done{false};
   };
 
   void Run();
   Status CopyBatch(StmtState* state, bool* made_progress);
-  Status CopyProjectionRows(StmtState* state, RowId begin, RowId end);
-  Status CopyGroup(StmtState* state, const Tuple& key, bool force);
-  Status CopyJoinClass(StmtState* state, const Tuple& key, bool force);
-  /// Row-scoped join propagation: re-derives only the pairs containing
-  /// the written row (see Propagate).
-  Status CopyJoinRow(StmtState* state, Transaction* txn, bool is_left,
-                     const Tuple& row, bool deleted);
-  Status PropagateProjection(StmtState* state, Transaction* txn, RowId rid,
-                             const Tuple& row, bool deleted);
+  /// Copies input 0's rows in [begin, end): a projection inserts each
+  /// row's targets, an aggregate or a join copies each row's unit.
+  Status CopyRange(StmtState* state, RowId begin, RowId end);
+  /// Copies unit `key` (a group or a join-key class) in its own
+  /// transaction unless it is copied already (`force` re-derives it
+  /// anyway), then marks it copied. With `write`, the rows the unit
+  /// derived before that write are replaced.
+  Status CopyUnit(StmtState* state, const Tuple& key, bool force,
+                  const Write* write = nullptr);
+  /// Join propagation: re-derives only the pairs containing the written
+  /// row, in the client's transaction.
+  Status PropagateJoin(StmtState* state, Transaction* txn, const Write& w);
+  /// The one target writer: deletes each row of `before` whose primary key
+  /// `after` does not produce, then upserts every row of `after`.
+  Status WriteTargets(const StmtState& state, Transaction* txn,
+                      const std::vector<TargetRow>& before,
+                      const std::vector<TargetRow>& after);
   Status TryCutover();
 
-  Catalog* catalog_;
   TransactionManager* txns_;
-  const MigrationPlan* plan_;
   Options options_;
   std::function<Status()> cutover_;
 

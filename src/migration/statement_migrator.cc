@@ -36,45 +36,12 @@ namespace {
 using TupleSet = std::unordered_set<Tuple, TupleHasher>;
 using RowFn = std::function<void(RowId, const Tuple&)>;
 
-/// The values of `row` at `cols`, in order.
-Tuple Project(const Tuple& row, const std::vector<size_t>& cols) {
-  Tuple key;
-  key.reserve(cols.size());
-  for (size_t c : cols) key.push_back(row[c]);
-  return key;
-}
-
 /// A unit's key in its kMigrationMark redo record: the granule index for
 /// the bitmap, the group key itself for the hashmap.
 Tuple MarkKey(uint64_t granule) {
   return Tuple{Value::Int(static_cast<int64_t>(granule))};
 }
 const Tuple& MarkKey(const Tuple& key) { return key; }
-
-/// The one "rows with this key below the boundary" lookup: calls `fn` for
-/// every row of `table` with rid < `boundary` whose `cols` equal `key`,
-/// through an index keyed on exactly `cols` when there is one and by a
-/// scan otherwise. `fn` only collects; it runs inside the table read.
-void ForEachRowWithKey(const Table& table, const std::vector<size_t>& cols,
-                       const Tuple& key, uint64_t boundary, const RowFn& fn) {
-  Index* index = table.FindIndexCoveredBy(cols);
-  if (index != nullptr && index->key_columns() == cols) {
-    std::vector<RowId> rids;
-    index->Lookup(key, &rids);
-    table.ReadMany(rids, [&](RowId rid, const Tuple& row) {
-      if (rid < boundary) fn(rid, row);
-      return true;
-    });
-    return;
-  }
-  table.ScanRange(0, boundary, [&](RowId rid, const Tuple& row) {
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (row[cols[i]] != key[i]) return true;
-    }
-    fn(rid, row);
-    return true;
-  });
-}
 
 /// What every unit kind shares: table resolution, the single output-insert
 /// path, and the Algorithm 1 driver. `boundaries[i]` freezes input i's
@@ -430,17 +397,24 @@ class BitmapMigrator : public LazyMigrator {
   std::atomic<uint64_t> sweep_pos_{0};
 };
 
-/// Hashmap units (§3.4): keys over the columns `key_columns_` of input 0 —
-/// GROUP BY keys, or join-key classes. Per category, a subclass sets the
-/// key columns, derives candidate keys and migrates one key.
-class HashMigrator : public LazyMigrator {
+/// Hashmap units (§3.4): n:1 GROUP BY keys, or join-key classes of joins
+/// under kHashJoinKey (§3.6 option 3, the general n:n scheme). A unit's
+/// rows in input i are those whose `key_columns_[i]` equal its key; its
+/// target rows come from UnitTargets.
+class HashMigrator final : public LazyMigrator {
  public:
   HashMigrator(Catalog* catalog, TransactionManager* txns,
                MigrationStatement stmt, LazyConfig config,
                std::vector<uint64_t> boundaries)
       : LazyMigrator(catalog, txns, std::move(stmt), config,
                      std::move(boundaries)),
-        tracker_("hashmap:" + stmt_.name) {}
+        tracker_("hashmap:" + stmt_.name) {
+    if (stmt_.IsJoin()) {
+      key_columns_ = {JoinColumn(0), JoinColumn(1)};
+    } else {
+      key_columns_ = {InputColumns(0, stmt_.group_key_columns)};
+    }
+  }
 
   Result<uint64_t> MigrateBackgroundChunk(uint64_t max_units,
                                           bool* done) override {
@@ -464,7 +438,7 @@ class HashMigrator : public LazyMigrator {
       if (!found_in_pass_.exchange(false, std::memory_order_acq_rel)) {
         bool all = true;
         input->ScanRange(0, boundary, [&](RowId, const Tuple& row) {
-          all = tracker_.IsMigrated(Project(row, key_columns_));
+          all = tracker_.IsMigrated(KeyOf(row, key_columns_[0]));
           return all;
         });
         if (all) {
@@ -480,7 +454,7 @@ class HashMigrator : public LazyMigrator {
     TupleSet keys;
     const uint64_t end = std::min<uint64_t>(start + kScanWindow, boundary);
     input->ScanRange(start, end, [&](RowId, const Tuple& row) {
-      Tuple key = Project(row, key_columns_);
+      Tuple key = KeyOf(row, key_columns_[0]);
       if (!tracker_.IsMigrated(key)) keys.insert(std::move(key));
       return keys.size() < max_units;
     });
@@ -504,32 +478,55 @@ class HashMigrator : public LazyMigrator {
   }
 
  protected:
-  /// Migrates one key inside `batch`.
-  virtual Status MigrateKey(const Batch& batch, const Tuple& key) = 0;
+  Status MigrateCandidates(const RewrittenPredicates& preds) override {
+    // A join class is relevant only if it has BOTH left rows matching the
+    // left-pushed filters and right rows matching the right-pushed ones,
+    // so either side's matching classes form a valid superset. Use the
+    // left (output-determining) side whenever it has a filter — its
+    // candidate sets are much tighter for typical requests (e.g. a
+    // quantity filter on the right side alone would select thousands of
+    // classes). With no pushable filter at all, every class containing
+    // left rows is a candidate (§2.4 worst case).
+    const ExprPtr& left_pred = preds.per_table.at(stmt_.input_tables[0]);
+    if (stmt_.IsJoin() && left_pred == nullptr) {
+      const ExprPtr& right_pred = preds.per_table.at(stmt_.input_tables[1]);
+      if (right_pred != nullptr) return MigrateKeysOf(1, right_pred);
+    }
+    return MigrateKeysOf(0, left_pred);
+  }
 
+ private:
   Status MigrateKeys(std::vector<Tuple> keys, bool wait_for_skipped) {
     return RunAlgorithm1(
         tracker_, std::move(keys), wait_for_skipped,
         [this](const Batch& batch, const Tuple& key) {
-          return MigrateKey(batch, key);
+          uint64_t rows_read = 0;
+          BF_RETURN_NOT_OK(Emit(
+              batch, UnitTargets(
+                         stmt_,
+                         [&](size_t i, const Tuple& k, const RowFn& fn) {
+                           ForEachRowWithKey(*batch.inputs[i],
+                                             key_columns_[i], k,
+                                             boundaries_[i], fn);
+                         },
+                         key, &rows_read)));
+          stats_.rows_migrated.fetch_add(rows_read, std::memory_order_relaxed);
+          return Status::OK();
         });
   }
 
-  /// Client path: migrates the keys (over `cols`) of the rows of input
-  /// `input` that match `pred`.
-  Status MigrateKeysOf(size_t input, const ExprPtr& pred,
-                       const std::vector<size_t>& cols) {
+  /// Client path: migrates the keys of the rows of input `input` that
+  /// match `pred`.
+  Status MigrateKeysOf(size_t input, const ExprPtr& pred) {
     TupleSet keys;
     BF_RETURN_NOT_OK(ScanInput(input, pred, [&](RowId, const Tuple& row) {
-      keys.insert(Project(row, cols));
+      keys.insert(KeyOf(row, key_columns_[input]));
     }));
     return MigrateKeys({keys.begin(), keys.end()}, /*wait_for_skipped=*/true);
   }
 
-  std::vector<size_t> key_columns_;
+  std::vector<std::vector<size_t>> key_columns_;
   HashTracker tracker_;
-
- private:
   std::atomic<uint64_t> sweep_pos_{0};
   std::atomic<bool> sweep_done_{false};
   std::atomic<bool> found_in_pass_{false};
@@ -551,85 +548,6 @@ class ProjectionMigrator final : public BitmapMigrator {
   Status MigrateRow(const Batch& batch, const Tuple& row) override {
     return Emit(batch, stmt_.row_transform(row));
   }
-};
-
-/// n:1 GROUP BY statements (§3.4): one hashmap over the group keys.
-class AggregateMigrator final : public HashMigrator {
- public:
-  AggregateMigrator(Catalog* catalog, TransactionManager* txns,
-                    MigrationStatement stmt, LazyConfig config,
-                    std::vector<uint64_t> boundaries)
-      : HashMigrator(catalog, txns, std::move(stmt), config,
-                     std::move(boundaries)) {
-    key_columns_ = InputColumns(0, stmt_.group_key_columns);
-  }
-
- protected:
-  Status MigrateCandidates(const RewrittenPredicates& preds) override {
-    return MigrateKeysOf(0, preds.per_table.at(stmt_.input_tables[0]),
-                         key_columns_);
-  }
-
-  Status MigrateKey(const Batch& batch, const Tuple& key) override {
-    std::vector<Tuple> rows;
-    ForEachRowWithKey(*batch.inputs[0], key_columns_, key, boundaries_[0],
-                      [&](RowId, const Tuple& row) { rows.push_back(row); });
-    BF_RETURN_NOT_OK(Emit(batch, stmt_.group_transform(key, rows)));
-    stats_.rows_migrated.fetch_add(rows.size(), std::memory_order_relaxed);
-    return Status::OK();
-  }
-};
-
-/// Joins under kHashJoinKey (§3.6 option 3, the general n:n scheme): a
-/// hashmap over join-key classes; a class migrates every left x right pair
-/// sharing its key.
-class JoinKeyMigrator final : public HashMigrator {
- public:
-  JoinKeyMigrator(Catalog* catalog, TransactionManager* txns,
-                  MigrationStatement stmt, LazyConfig config,
-                  std::vector<uint64_t> boundaries)
-      : HashMigrator(catalog, txns, std::move(stmt), config,
-                     std::move(boundaries)) {
-    key_columns_ = JoinColumn(0);
-    right_key_ = JoinColumn(1);
-  }
-
- protected:
-  Status MigrateCandidates(const RewrittenPredicates& preds) override {
-    // A class is relevant only if it has BOTH left rows matching the
-    // left-pushed filters and right rows matching the right-pushed ones,
-    // so either side's matching classes form a valid superset. Use the
-    // left (output-determining) side whenever it has a filter — its
-    // candidate sets are much tighter for typical requests (e.g. a
-    // quantity filter on the right side alone would select thousands of
-    // classes). With no pushable filter at all, every class containing
-    // left rows is a candidate (§2.4 worst case).
-    const ExprPtr& left_pred = preds.per_table.at(stmt_.input_tables[0]);
-    const ExprPtr& right_pred = preds.per_table.at(stmt_.input_tables[1]);
-    if (left_pred != nullptr || right_pred == nullptr) {
-      return MigrateKeysOf(0, left_pred, key_columns_);
-    }
-    return MigrateKeysOf(1, right_pred, right_key_);
-  }
-
-  Status MigrateKey(const Batch& batch, const Tuple& key) override {
-    std::vector<Tuple> lefts;
-    std::vector<Tuple> rights;
-    ForEachRowWithKey(*batch.inputs[0], key_columns_, key, boundaries_[0],
-                      [&](RowId, const Tuple& row) { lefts.push_back(row); });
-    ForEachRowWithKey(*batch.inputs[1], right_key_, key, boundaries_[1],
-                      [&](RowId, const Tuple& row) { rights.push_back(row); });
-    for (const Tuple& l : lefts) {
-      for (const Tuple& r : rights) {
-        BF_RETURN_NOT_OK(Emit(batch, stmt_.join_transform(l, r)));
-      }
-    }
-    stats_.rows_migrated.fetch_add(lefts.size(), std::memory_order_relaxed);
-    return Status::OK();
-  }
-
- private:
-  std::vector<size_t> right_key_;
 };
 
 /// Joins under a bitmap policy (§3.6): kTrackForeignSideOnly tracks the
@@ -663,7 +581,7 @@ class JoinRowMigrator final : public BitmapMigrator {
     TupleSet keys;
     BF_RETURN_NOT_OK(ScanInput(other_input_, other_pred,
                                [&](RowId, const Tuple& row) {
-                                 keys.insert(Project(row, other_key_));
+                                 keys.insert(KeyOf(row, other_key_));
                                }));
     BF_ASSIGN_OR_RETURN(Table * tracked, InputTable(tracked_input_));
     for (const Tuple& key : keys) {
@@ -676,7 +594,7 @@ class JoinRowMigrator final : public BitmapMigrator {
   Status MigrateRow(const Batch& batch, const Tuple& row) override {
     std::vector<Tuple> matches;
     ForEachRowWithKey(*batch.inputs[other_input_], other_key_,
-                      Project(row, tracked_key_), boundaries_[other_input_],
+                      KeyOf(row, tracked_key_), boundaries_[other_input_],
                       [&](RowId, const Tuple& m) { matches.push_back(m); });
     for (const Tuple& m : matches) {
       BF_RETURN_NOT_OK(Emit(batch, tracked_input_ == 0
@@ -693,6 +611,33 @@ class JoinRowMigrator final : public BitmapMigrator {
 };
 
 }  // namespace
+
+Result<std::vector<TargetRow>> UnitTargets(const MigrationStatement& stmt,
+                                           const UnitRows& rows,
+                                           const Tuple& key,
+                                           uint64_t* rows_read) {
+  auto collect = [&](size_t input) {
+    std::vector<Tuple> out;
+    rows(input, key, [&](RowId, const Tuple& row) { out.push_back(row); });
+    return out;
+  };
+  const std::vector<Tuple> lefts = collect(0);
+  *rows_read += lefts.size();
+  if (stmt.IsAggregate()) {
+    if (lefts.empty()) return std::vector<TargetRow>{};
+    return stmt.group_transform(key, lefts);
+  }
+  const std::vector<Tuple> rights = collect(1);
+  std::vector<TargetRow> targets;
+  for (const Tuple& l : lefts) {
+    for (const Tuple& r : rights) {
+      BF_ASSIGN_OR_RETURN(std::vector<TargetRow> pair,
+                          stmt.join_transform(l, r));
+      for (TargetRow& t : pair) targets.push_back(std::move(t));
+    }
+  }
+  return targets;
+}
 
 Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     Catalog* catalog, TransactionManager* txns, MigrationStatement stmt,
@@ -714,8 +659,9 @@ Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     BF_ASSIGN_OR_RETURN(Table * t, catalog->RequireReadable(name));
     boundaries.push_back(t->NumAllocatedRows());
   }
-  if (stmt.IsJoin() && stmt.join_policy == JoinPolicy::kHashJoinKey) {
-    return std::unique_ptr<StatementMigrator>(new JoinKeyMigrator(
+  if (stmt.IsAggregate() ||
+      (stmt.IsJoin() && stmt.join_policy == JoinPolicy::kHashJoinKey)) {
+    return std::unique_ptr<StatementMigrator>(new HashMigrator(
         catalog, txns, std::move(stmt), config, std::move(boundaries)));
   }
   if (stmt.IsJoin()) {
@@ -724,10 +670,6 @@ Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     return std::unique_ptr<StatementMigrator>(
         new JoinRowMigrator(catalog, txns, std::move(stmt), config,
                             std::move(boundaries), tracked));
-  }
-  if (stmt.IsAggregate()) {
-    return std::unique_ptr<StatementMigrator>(new AggregateMigrator(
-        catalog, txns, std::move(stmt), config, std::move(boundaries)));
   }
   return std::unique_ptr<StatementMigrator>(new ProjectionMigrator(
       catalog, txns, std::move(stmt), config, std::move(boundaries),

@@ -2,9 +2,11 @@
 #define BULLFROG_MIGRATION_STATEMENT_MIGRATOR_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/result.h"
@@ -96,6 +98,22 @@ class StatementMigrator {
 Result<std::unique_ptr<StatementMigrator>> MakeStatementMigrator(
     Catalog* catalog, TransactionManager* txns, MigrationStatement stmt,
     const LazyConfig& config);
+
+/// Calls fn(rid, row) for each row of input `input` that belongs to the
+/// hashmap unit `key` (a GROUP BY key, or a join-key class).
+using UnitRows = std::function<void(
+    size_t input, const Tuple& key,
+    const std::function<void(RowId, const Tuple&)>& fn)>;
+
+/// The one body of a hashmap unit, shared by the lazy migrators and the
+/// multi-step baseline: for an aggregate, group_transform over the group's
+/// rows (no target rows for a group with none); for a join, join_transform
+/// over every left x right pair of the class. Adds the rows it derives from
+/// (the group's, or the class's left rows) to `*rows_read`.
+Result<std::vector<TargetRow>> UnitTargets(const MigrationStatement& stmt,
+                                           const UnitRows& rows,
+                                           const Tuple& key,
+                                           uint64_t* rows_read);
 
 }  // namespace bullfrog
 

@@ -128,6 +128,35 @@ Result<ScanPlan> ScanWhere(const Table& table, const ExprPtr& pred,
   return plan;
 }
 
+Tuple KeyOf(const Tuple& row, const std::vector<size_t>& cols) {
+  Tuple key;
+  key.reserve(cols.size());
+  for (size_t c : cols) key.push_back(row[c]);
+  return key;
+}
+
+void ForEachRowWithKey(const Table& table, const std::vector<size_t>& cols,
+                       const Tuple& key, uint64_t boundary,
+                       const std::function<void(RowId, const Tuple&)>& fn) {
+  Index* index = table.FindIndexCoveredBy(cols);
+  if (index != nullptr && index->key_columns() == cols) {
+    std::vector<RowId> rids;
+    index->Lookup(key, &rids);
+    table.ReadMany(rids, [&](RowId rid, const Tuple& row) {
+      if (rid < boundary) fn(rid, row);
+      return true;
+    });
+    return;
+  }
+  table.ScanRange(0, boundary, [&](RowId rid, const Tuple& row) {
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (row[cols[i]] != key[i]) return true;
+    }
+    fn(rid, row);
+    return true;
+  });
+}
+
 Result<std::vector<std::pair<RowId, Tuple>>> CollectWhere(const Table& table,
                                                           const ExprPtr& pred) {
   BF_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(table, pred));

@@ -41,6 +41,17 @@ Result<ScanPlan> ScanWhere(
     const Table& table, const ExprPtr& pred,
     const std::function<bool(RowId, const Tuple&)>& fn);
 
+/// The values of `row` at `cols`, in order: its key over `cols`.
+Tuple KeyOf(const Tuple& row, const std::vector<size_t>& cols);
+
+/// The one "rows with this key" lookup: calls fn(rid, row) for every row of
+/// `table` with rid < `boundary` whose `cols` equal `key`, through an index
+/// keyed on exactly `cols` when there is one and by a scan otherwise. Pass
+/// kInvalidRowId as `boundary` for every row. `fn` should only collect.
+void ForEachRowWithKey(const Table& table, const std::vector<size_t>& cols,
+                       const Tuple& key, uint64_t boundary,
+                       const std::function<void(RowId, const Tuple&)>& fn);
+
 /// Collects matching rows. The residual runs against each candidate in
 /// place (Table::ReadIf), so each matching row is copied exactly once,
 /// straight into the result, and a rejected one not at all.

@@ -285,11 +285,13 @@ TEST_F(ControllerTest, MultiStepDualWritePropagation) {
     auto guard = controller_->MultiStepWriteGuard();
     if (!controller_->MultiStepActive()) break;
     auto txn = txns_.Begin();
+    const Tuple original{Value::Int(3), Value::Int(3 % kGroups),
+                         Value::Int(3)};
     Tuple updated{Value::Int(3), Value::Int(3 % kGroups), Value::Int(777)};
     Status s = txns_.Update(txn.get(), src, 3, updated);
     if (s.ok()) {
-      s = controller_->PropagateOldWrite(txn.get(), "src", 3, updated,
-                                         /*deleted=*/false);
+      s = controller_->PropagateOldWrite(txn.get(), "src", 3, &original,
+                                         &updated);
     }
     if (s.ok()) s = txns_.Commit(txn.get());
     if (s.ok()) {

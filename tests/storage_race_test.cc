@@ -148,12 +148,17 @@ TEST(StorageRaceTest, HashIndexProbesRaceGrowthAndErase) {
   constexpr int kWriters = 2;
   constexpr int64_t kChurn = 6000;  // Keys per writer per round.
   constexpr int kRounds = 2;
+  constexpr int kReaders = 2;
   std::atomic<bool> stop{false};
+  std::atomic<int> probing{0};
   std::atomic<int64_t> lookups{0};
   std::atomic<int64_t> wrong{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
+      // Start barrier: on a loaded host the readers could otherwise first
+      // run after the writers finished and probe nothing.
+      while (probing.load() < kReaders) std::this_thread::yield();
       const int64_t base = (w + 1) * 1'000'000;
       for (int round = 0; round < kRounds; ++round) {
         for (int64_t k = base; k < base + kChurn; ++k) {
@@ -165,17 +170,18 @@ TEST(StorageRaceTest, HashIndexProbesRaceGrowthAndErase) {
       }
     });
   }
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&] {
       std::vector<RowId> got;
-      while (!stop.load()) {
+      probing.fetch_add(1);
+      do {  // At least one full pass, even if the writers are done.
         for (int64_t k = 0; k < kFixed; ++k) {
           got.clear();
           idx.Lookup(Tuple{Value::Int(k)}, &got);
           if (got != fixed_rids(k)) wrong.fetch_add(1);
           lookups.fetch_add(1, std::memory_order_relaxed);
         }
-      }
+      } while (!stop.load());
     });
   }
   for (int w = 0; w < kWriters; ++w) threads[w].join();

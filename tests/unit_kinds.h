@@ -85,12 +85,19 @@ struct FaultInjector {
   }
 };
 
-/// Owns the catalog, transaction manager and tables of one test.
+/// The tables of one test, in `catalog` with transactions on `txns` (a
+/// Database's, for tests that drive sessions), or in a catalog and
+/// transaction manager of its own when both are null.
 class UnitKindData {
  public:
   using Row = std::vector<int64_t>;
 
-  UnitKindData(int rows, int groups) : rows_(rows), groups_(groups) {
+  UnitKindData(int rows, int groups, Catalog* catalog = nullptr,
+               TransactionManager* txns = nullptr)
+      : rows_(rows),
+        groups_(groups),
+        catalog_(catalog != nullptr ? *catalog : own_catalog_),
+        txns_(txns != nullptr ? *txns : own_txns_) {
     auto src = catalog_.CreateTable(SchemaBuilder("src")
                                         .AddColumn("id", ValueType::kInt64,
                                                    false)
@@ -243,8 +250,10 @@ class UnitKindData {
 
   const int rows_;
   const int groups_;
-  Catalog catalog_;
-  TransactionManager txns_;
+  Catalog own_catalog_;
+  TransactionManager own_txns_;
+  Catalog& catalog_;
+  TransactionManager& txns_;
 };
 
 }  // namespace bullfrog
