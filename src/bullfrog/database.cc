@@ -131,11 +131,15 @@ Database::Session Database::BeginSession(std::vector<std::string> tables) {
 }
 
 Status Database::Commit(Session* session) {
-  return txns_.Commit(session->txn());
+  Status s = txns_.Commit(session->txn());
+  session->EndGuards();
+  return s;
 }
 
 Status Database::Abort(Session* session) {
-  return txns_.Abort(session->txn());
+  Status s = txns_.Abort(session->txn());
+  session->EndGuards();
+  return s;
 }
 
 Result<std::vector<std::pair<RowId, Tuple>>> Database::Select(

@@ -66,6 +66,12 @@ class Database {
    private:
     friend class Database;
     Session() = default;
+    /// Releases the migration gates once the transaction has ended, so a
+    /// finished session kept in scope blocks no logical switch or cutover.
+    void EndGuards() {
+      multistep_guard_ = MigrationController::MultiStepGuard();
+      guard_ = MigrationController::RequestGuard();
+    }
 
     std::unique_ptr<Transaction> txn_;
     MigrationController::RequestGuard guard_;

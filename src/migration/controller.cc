@@ -9,6 +9,34 @@
 
 namespace bullfrog {
 
+namespace {
+
+const char* StrategyName(MigrationStrategy strategy) {
+  switch (strategy) {
+    case MigrationStrategy::kLazy:
+      return "lazy";
+    case MigrationStrategy::kEager:
+      return "eager";
+    case MigrationStrategy::kMultiStep:
+      return "multistep";
+  }
+  return "unknown";
+}
+
+/// Benign race: the background threads may finish the migration (and drop
+/// the retired inputs) between the migrator's IsComplete check and its
+/// touching the old tables. A pull that lost that race succeeded.
+Status PullStatus(Status pulled, const StatementMigrator& m,
+                  const std::atomic<bool>& finishing) {
+  if (!pulled.ok() &&
+      (m.IsComplete() || finishing.load(std::memory_order_acquire))) {
+    return Status::OK();
+  }
+  return pulled;
+}
+
+}  // namespace
+
 MigrationController::MigrationController(Catalog* catalog,
                                          TransactionManager* txns)
     : catalog_(catalog),
@@ -22,20 +50,14 @@ MigrationController::~MigrationController() {
   }
   pump_cv_.notify_all();
   if (pump_thread_.joinable()) pump_thread_.join();
-  std::vector<std::shared_ptr<ActiveState>> states;
+  std::vector<std::shared_ptr<ActiveState>> running = SnapshotAll();
   {
     std::lock_guard lock(mu_);
     active_.store(false, std::memory_order_release);
-    states = std::move(states_);
-    states_.clear();
-    queue_.clear();
-    reservations_.clear();
+    train_.clear();
     RepublishLocked();
   }
-  for (auto& state : states) {
-    if (state->background != nullptr) state->background->Stop();
-    if (state->multistep != nullptr) state->multistep->Stop();
-  }
+  StopWorkers(running);
 }
 
 std::shared_ptr<WriterPriorityGate> MigrationController::GateFor(
@@ -102,19 +124,28 @@ Status MigrationController::RetireInputs(const MigrationPlan& plan) {
   return Status::OK();
 }
 
-void MigrationController::Publish(std::shared_ptr<ActiveState> state) {
+std::vector<std::shared_ptr<MigrationController::ActiveState>>
+MigrationController::SnapshotAll() const {
+  std::vector<std::shared_ptr<ActiveState>> out;
   std::lock_guard lock(mu_);
-  states_.push_back(state);
-  RepublishLocked();
-  // The footprint is now covered by a visible state; overlapping submits
-  // waiting on the reservation can queue behind it.
-  RemoveReservationLocked(state->name);
-  active_.store(true, std::memory_order_release);
+  for (const auto& s : train_) {
+    if (s->phase == Phase::kRunning) out.push_back(s);
+  }
+  return out;
 }
 
-std::string MigrationController::TraceNameOf(const ActiveState& state) {
-  if (!state.plan.name.empty()) return state.plan.name;
-  for (const MigrationStatement& stmt : state.plan.statements) {
+void MigrationController::Publish(const std::shared_ptr<ActiveState>& state) {
+  std::lock_guard lock(mu_);
+  state->phase = Phase::kRunning;
+  RepublishLocked();
+  // The footprint is now covered by a visible entry; overlapping submits
+  // waiting on it can queue behind it.
+  train_cv_.notify_all();
+}
+
+std::string MigrationController::TraceNameOf(const MigrationPlan& plan) {
+  if (!plan.name.empty()) return plan.name;
+  for (const MigrationStatement& stmt : plan.statements) {
     if (!stmt.output_tables.empty()) return stmt.output_tables[0];
   }
   return "(unnamed)";
@@ -196,78 +227,35 @@ void MigrationController::BindObservability(obs::MetricsRegistry* registry,
 }
 
 bool MigrationController::NameInFlightLocked(const std::string& name) const {
-  for (const auto& s : states_) {
-    if (s->name == name && !s->complete.load(std::memory_order_acquire)) {
-      return true;
-    }
-  }
-  for (const auto& e : queue_) {
-    if (e.name == name) return true;
-  }
-  for (const auto& r : reservations_) {
-    if (r.name == name) return true;
-  }
-  return false;
+  return std::any_of(train_.begin(), train_.end(), [&](const auto& s) {
+    return s->name == name && !s->complete.load(std::memory_order_acquire);
+  });
 }
 
-bool MigrationController::OverlapsInFlightLocked(
-    const std::vector<std::string>& tables, std::string* blocker) const {
-  auto hits = [&](const std::vector<std::string>& other) {
+const MigrationController::ActiveState* MigrationController::OverlapLocked(
+    const std::vector<std::string>& tables, bool starting_only) const {
+  for (const auto& s : train_) {
+    if (s->complete.load(std::memory_order_acquire) ||
+        (starting_only && s->phase != Phase::kStarting)) {
+      continue;
+    }
     for (const std::string& t : tables) {
-      if (std::find(other.begin(), other.end(), t) != other.end()) {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (const auto& s : states_) {
-    if (!s->complete.load(std::memory_order_acquire) && hits(s->table_set)) {
-      if (blocker != nullptr) *blocker = s->name;
-      return true;
-    }
-  }
-  for (const auto& e : queue_) {
-    if (hits(e.table_set)) {
-      if (blocker != nullptr) *blocker = e.name;
-      return true;
-    }
-  }
-  for (const auto& r : reservations_) {
-    if (hits(r.table_set)) {
-      if (blocker != nullptr) *blocker = r.name;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool MigrationController::OverlapsReservationLocked(
-    const std::vector<std::string>& tables) const {
-  for (const auto& r : reservations_) {
-    for (const std::string& t : tables) {
-      if (std::find(r.table_set.begin(), r.table_set.end(), t) !=
-          r.table_set.end()) {
-        return true;
+      if (std::find(s->table_set.begin(), s->table_set.end(), t) !=
+          s->table_set.end()) {
+        return s.get();
       }
     }
   }
-  return false;
-}
-
-void MigrationController::RemoveReservationLocked(const std::string& name) {
-  for (auto it = reservations_.begin(); it != reservations_.end(); ++it) {
-    if (it->name == name) {
-      reservations_.erase(it);
-      break;
-    }
-  }
-  reservation_cv_.notify_all();
+  return nullptr;
 }
 
 void MigrationController::RepublishLocked() {
   auto next = std::make_shared<RoutingView>();
-  for (const auto& s : states_) {
-    if (s->finishing.load(std::memory_order_acquire)) continue;
+  for (const auto& s : train_) {
+    if (s->phase != Phase::kRunning ||
+        s->finishing.load(std::memory_order_acquire)) {
+      continue;
+    }
     for (const auto& entry : s->by_output) next->by_output[entry.first] = s;
     if (s->opts.strategy == MigrationStrategy::kMultiStep) next->multistep = s;
   }
@@ -275,154 +263,124 @@ void MigrationController::RepublishLocked() {
   routing_.Publish(std::move(next));
 }
 
-void MigrationController::RecomputeActiveLocked() {
-  active_.store(!states_.empty() || !queue_.empty(),
-                std::memory_order_release);
+void MigrationController::StopWorkers(
+    const std::vector<std::shared_ptr<ActiveState>>& states) {
+  for (const auto& state : states) {
+    if (state->background != nullptr) state->background->Stop();
+    if (state->multistep != nullptr) state->multistep->Stop();
+  }
 }
 
 void MigrationController::PruneCompletedLocked(
     std::vector<std::shared_ptr<ActiveState>>* torn_down) {
-  for (auto it = states_.begin(); it != states_.end();) {
+  for (auto it = train_.begin(); it != train_.end();) {
     if ((*it)->complete.load(std::memory_order_acquire)) {
       torn_down->push_back(std::move(*it));
-      it = states_.erase(it);
+      it = train_.erase(it);
     } else {
       ++it;
     }
   }
 }
 
-Status MigrationController::LogQueuedMigrateDdlLocked(
-    const PendingMigration& e) {
-  // Programmatic plans cannot be serialized; replays must not re-log.
-  if (e.script.empty() || e.opts.replicated_replay) return Status::OK();
-  std::string blob;
-  EncodeMigrateBlob(&blob, e.opts.strategy, e.opts.lazy.granularity, e.script);
-  return txns_->redo_log().AppendCommitted(
-      0, {MakeDdlRecord("migrate", std::move(blob))});
-}
-
 Status MigrationController::Submit(MigrationPlan plan,
                                    const SubmitOptions& opts) {
-  PendingMigration e;
   auto owned = std::make_shared<MigrationPlan>(std::move(plan));
-  e.name = owned->name;
-  if (e.name.empty()) {
-    for (const MigrationStatement& stmt : owned->statements) {
-      if (!stmt.output_tables.empty()) {
-        e.name = stmt.output_tables[0];
-        break;
-      }
-    }
-    if (e.name.empty()) e.name = "(unnamed)";
-  }
-  e.script = owned->source_script;
-  e.table_set = TableSetOf(*owned);
-  e.opts = opts;
-  e.factory = [owned]() -> Result<MigrationPlan> { return *owned; };
-  return SubmitEntry(std::move(e));
+  return SubmitScript(
+      TraceNameOf(*owned), owned->source_script, TableSetOf(*owned),
+      [owned]() -> Result<MigrationPlan> { return *owned; }, opts);
 }
 
 Status MigrationController::SubmitScript(std::string name, std::string script,
                                          std::vector<std::string> table_set,
                                          PlanFactory factory,
                                          const SubmitOptions& opts) {
-  PendingMigration e;
-  e.name = std::move(name);
-  e.script = std::move(script);
-  e.table_set = std::move(table_set);
-  e.opts = opts;
-  e.factory = std::move(factory);
-  return SubmitEntry(std::move(e));
-}
-
-Status MigrationController::SubmitEntry(PendingMigration e) {
+  auto e = std::make_shared<ActiveState>();
+  e->name = std::move(name);
+  e->script = std::move(script);
+  e->table_set = std::move(table_set);
+  e->opts = opts;
+  e->factory = std::move(factory);
   std::vector<std::shared_ptr<ActiveState>> torn_down;
   {
     std::unique_lock lock(mu_);
-    // An overlapping reservation is a submit mid-construction: its
+    // An overlapping starting entry is a submit mid-construction: its
     // "migrate" record may not be durable yet, so enqueueing (and
     // logging) now could put this entry's record ahead of its
-    // predecessor's in the WAL. Wait for the reservation to publish or
-    // fail, then decide between start and queue.
-    reservation_cv_.wait(lock, [&] {
-      return NameInFlightLocked(e.name) ||
-             !OverlapsReservationLocked(e.table_set);
+    // predecessor's in the WAL. Wait for it to publish or fail, then
+    // decide between start and queue.
+    train_cv_.wait(lock, [&] {
+      return NameInFlightLocked(e->name) ||
+             OverlapLocked(e->table_set, /*starting_only=*/true) == nullptr;
     });
-    if (NameInFlightLocked(e.name)) {
-      return Status::Busy("migration '" + e.name +
+    if (NameInFlightLocked(e->name)) {
+      return Status::Busy("migration '" + e->name +
                           "' is already in flight or queued");
     }
-    if (e.opts.strategy == MigrationStrategy::kMultiStep &&
-        (!queue_.empty() || !reservations_.empty() ||
-         std::any_of(states_.begin(), states_.end(), [](const auto& s) {
-           return !s->complete.load(std::memory_order_acquire);
-         }))) {
+    if (e->opts.strategy == MigrationStrategy::kMultiStep &&
+        std::any_of(train_.begin(), train_.end(), [](const auto& s) {
+          return !s->complete.load(std::memory_order_acquire);
+        })) {
       // The dual-write guard routes through a single copier; multistep
       // never joins a train.
       return Status::Busy(
           "a migration is already in flight; multi-step migrations cannot "
           "join a migration train");
     }
-    std::string blocker;
-    if (OverlapsInFlightLocked(e.table_set, &blocker)) {
-      if (e.opts.strategy != MigrationStrategy::kLazy) {
+    if (const ActiveState* blocker =
+            OverlapLocked(e->table_set, /*starting_only=*/false)) {
+      if (e->opts.strategy != MigrationStrategy::kLazy) {
         return Status::Busy(
-            "a migration over overlapping tables is in flight ('" + blocker +
-            "'); only lazy migrations can queue behind it");
+            "a migration over overlapping tables is in flight ('" +
+            blocker->name + "'); only lazy migrations can queue behind it");
       }
       // Make the queued script durable now, under mu_, so queue order
       // and WAL order agree: a crash replays the whole train in order.
-      BF_RETURN_NOT_OK(LogQueuedMigrateDdlLocked(e));
-      e.ddl_logged = true;
-      e.since_queued.Restart();
-      queue_.push_back(std::move(e));
-      const PendingMigration& parked = queue_.back();
-      const size_t position = queue_.size();
+      BF_RETURN_NOT_OK(LogMigrateDdl(*e));
+      e->ddl_logged = true;
+      e->since_queued.Restart();
+      train_.push_back(e);
       active_.store(true, std::memory_order_release);
+      const std::string position = std::to_string(std::count_if(
+          train_.begin(), train_.end(),
+          [](const auto& s) { return s->phase == Phase::kQueued; }));
       if (tracer_ != nullptr) {
-        tracer_->Record(obs::TraceEventKind::kSubmit, parked.name,
-                        "queued position=" + std::to_string(position) +
-                            " behind=" + blocker);
+        tracer_->Record(obs::TraceEventKind::kSubmit, e->name,
+                        "queued position=" + position +
+                            " behind=" + blocker->name);
       }
       return Status::Queued(
-          "migration '" + parked.name + "' queued at position " +
-          std::to_string(position) + " behind '" + blocker +
+          "migration '" + e->name + "' queued at position " + position +
+          " behind '" + blocker->name +
           "'; it starts automatically when its predecessors complete");
     }
     // Disjoint from everything in flight: prune completed predecessors
     // and claim the footprint.
     PruneCompletedLocked(&torn_down);
-    reservations_.push_back({e.name, e.table_set});
+    e->phase = Phase::kStarting;
+    train_.push_back(e);
+    active_.store(true, std::memory_order_release);
   }
   // Tear down pruned migrations' machinery outside the lock (Stop joins
   // worker threads). Readers still holding a snapshot keep the state
   // alive until they are done.
-  for (auto& state : torn_down) {
-    if (state->background != nullptr) state->background->Stop();
-    if (state->multistep != nullptr) state->multistep->Stop();
-  }
+  StopWorkers(torn_down);
   torn_down.clear();
-  return StartReserved(std::move(e), /*from_queue=*/false);
+  return Start(e, /*from_queue=*/false);
 }
 
-Status MigrationController::StartReserved(PendingMigration e,
-                                          bool from_queue) {
-  // Build the new state privately; it becomes visible to readers only via
+Status MigrationController::Start(const std::shared_ptr<ActiveState>& state,
+                                  bool from_queue) {
+  // Build the entry privately; it becomes visible to readers only via
   // Publish(), after every non-atomic member has its final value.
-  auto state = std::make_shared<ActiveState>();
   Status s = [&]() -> Status {
-    if (!e.factory) {
+    if (!state->factory) {
       return Status::InvalidArgument("migration has no plan factory");
     }
-    Result<MigrationPlan> plan = e.factory();
+    Result<MigrationPlan> plan = state->factory();
     BF_RETURN_NOT_OK(plan.status());
-    state->name = e.name;
-    state->table_set = e.table_set;
-    state->ddl_logged = e.ddl_logged;
     state->plan = std::move(*plan);
-    state->opts = e.opts;
-    state->replaying.store(e.opts.replicated_replay,
+    state->replaying.store(state->opts.replicated_replay,
                            std::memory_order_release);
     for (size_t i = 0; i < state->plan.statements.size(); ++i) {
       for (const std::string& out : state->plan.statements[i].output_tables) {
@@ -430,22 +388,15 @@ Status MigrationController::StartReserved(PendingMigration e,
       }
     }
     if (tracer_ != nullptr) {
-      const char* strategy = "lazy";
-      if (state->opts.strategy == MigrationStrategy::kEager) {
-        strategy = "eager";
-      }
-      if (state->opts.strategy == MigrationStrategy::kMultiStep) {
-        strategy = "multistep";
-      }
       char queued[48] = "";
       if (from_queue) {
         std::snprintf(queued, sizeof(queued), " auto-start queued_s=%.3f",
-                      e.since_queued.ElapsedSeconds());
+                      state->since_queued.ElapsedSeconds());
       }
       tracer_->Record(
-          obs::TraceEventKind::kSubmit, TraceNameOf(*state),
-          std::string("strategy=") + strategy + " statements=" +
-              std::to_string(state->plan.statements.size()) +
+          obs::TraceEventKind::kSubmit, TraceNameOf(state->plan),
+          std::string("strategy=") + StrategyName(state->opts.strategy) +
+              " statements=" + std::to_string(state->plan.statements.size()) +
               (state->opts.replicated_replay ? " replicated_replay=1" : "") +
               queued);
     }
@@ -459,23 +410,21 @@ Status MigrationController::StartReserved(PendingMigration e,
     }
     return Status::InvalidArgument("unknown migration strategy");
   }();
+  if (s.ok()) return s;
   {
+    // Published then failed (e.g. the eager copy), or failed before
+    // publishing: the entry leaves the train either way.
     std::lock_guard lock(mu_);
-    RemoveReservationLocked(e.name);
-    if (!s.ok()) {
-      // Published, then failed (e.g. the eager copy): withdraw it.
-      auto it = std::find(states_.begin(), states_.end(), state);
-      if (it != states_.end()) {
-        states_.erase(it);
-        RepublishLocked();
-      }
-    }
-    RecomputeActiveLocked();
+    auto it = std::find(train_.begin(), train_.end(), state);
+    if (it != train_.end()) train_.erase(it);
+    RepublishLocked();
+    active_.store(!train_.empty(), std::memory_order_release);
+    train_cv_.notify_all();
   }
   // A failed start frees its footprint: entries queued behind it may now
   // be startable. (The pump loop itself re-scans after a from_queue
   // failure.)
-  if (!s.ok() && !from_queue) WakePump();
+  if (!from_queue) WakePump();
   return s;
 }
 
@@ -504,51 +453,47 @@ void MigrationController::WakePump() {
 
 void MigrationController::PumpQueue() {
   while (true) {
-    PendingMigration next;
-    bool found = false;
+    std::shared_ptr<ActiveState> next;
     {
       std::lock_guard lock(mu_);
       // FIFO with dependency order: an entry may start only when its
-      // tables are disjoint from every incomplete started migration,
-      // every reservation, and every *earlier* queue entry (so chained
-      // hops drain in submit order).
+      // tables are disjoint from every incomplete started entry and every
+      // *earlier* queued entry (so chained hops drain in submit order).
       std::unordered_set<std::string> blocked;
-      for (const auto& s : states_) {
-        if (s->complete.load(std::memory_order_acquire)) continue;
+      for (const auto& s : train_) {
+        if (s->phase == Phase::kQueued ||
+            s->complete.load(std::memory_order_acquire)) {
+          continue;
+        }
         blocked.insert(s->table_set.begin(), s->table_set.end());
       }
-      for (const auto& r : reservations_) {
-        blocked.insert(r.table_set.begin(), r.table_set.end());
-      }
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      for (const auto& e : train_) {
+        if (e->phase != Phase::kQueued) continue;
         // Replayed entries stay parked until their "migrate_start"
         // record arrives (StartQueuedMigration) so the replica/recovery
         // switch point matches the primary's exactly.
         const bool startable =
-            !it->opts.replicated_replay &&
-            std::none_of(it->table_set.begin(), it->table_set.end(),
+            !e->opts.replicated_replay &&
+            std::none_of(e->table_set.begin(), e->table_set.end(),
                          [&](const std::string& t) {
                            return blocked.count(t) > 0;
                          });
         if (!startable) {
-          blocked.insert(it->table_set.begin(), it->table_set.end());
+          blocked.insert(e->table_set.begin(), e->table_set.end());
           continue;
         }
-        next = std::move(*it);
-        queue_.erase(it);
-        reservations_.push_back({next.name, next.table_set});
-        found = true;
+        e->phase = Phase::kStarting;
+        next = e;
         break;
       }
     }
-    if (!found) return;
-    const std::string name = next.name;
-    Status s = StartReserved(std::move(next), /*from_queue=*/true);
+    if (next == nullptr) return;
+    Status s = Start(next, /*from_queue=*/true);
     if (!s.ok()) {
       // No client is waiting on an auto-start; surface the failure in
       // the status report instead.
       std::lock_guard lock(mu_);
-      train_errors_.push_back("train entry '" + name +
+      train_errors_.push_back("train entry '" + next->name +
                               "' failed to auto-start: " + s.ToString());
     }
     // Loop: starting (or failing) one entry may unblock the next.
@@ -649,7 +594,7 @@ Status MigrationController::SubmitLazy(
       BF_ASSIGN_OR_RETURN(
           std::unique_ptr<StatementMigrator> m,
           MakeStatementMigrator(catalog_, txns_, stmt, state->opts.lazy));
-      m->BindTracing(tracer_, TraceNameOf(*state));
+      m->BindTracing(tracer_, TraceNameOf(state->plan));
       state->stmt_migrators.push_back(std::move(m));
     }
     // A replaying entry gets its worker too, left unstarted until
@@ -661,14 +606,14 @@ Status MigrationController::SubmitLazy(
           std::move(raw), state->opts.lazy,
           [this, s = state.get()] { OnMigrationComplete(s); });
       state->background->BindObservability(registry_, tracer_,
-                                           TraceNameOf(*state));
+                                           TraceNameOf(state->plan));
     }
     state->since_submit.Restart();
     // Publish inside the switch gate: the instant a client can see the
     // new schema, the fully-built migration state is visible with it.
     Publish(state);
     if (tracer_ != nullptr) {
-      tracer_->Record(obs::TraceEventKind::kSwitch, TraceNameOf(*state),
+      tracer_->Record(obs::TraceEventKind::kSwitch, TraceNameOf(state->plan),
                       "new schema live");
     }
   }
@@ -681,18 +626,11 @@ Status MigrationController::SubmitLazy(
 
 Status MigrationController::SubmitEager(
     const std::shared_ptr<ActiveState>& state) {
-  if (state->opts.replicated_replay) {
-    // Replaying a replicated eager migrate record: perform the logical
-    // switch only. The copied rows arrive physically through the log
-    // stream, and the matching "migrate_complete" record drops the
-    // retired inputs (via CompleteReplicatedMigration).
-    std::unique_lock switch_lock(*switch_gate_);
-    BF_RETURN_NOT_OK(CreateOutputTables(state->plan));
-    BF_RETURN_NOT_OK(RetireInputs(state->plan));
-    state->since_submit.Restart();
-    Publish(state);
-    return Status::OK();
-  }
+  // Replaying a replicated eager migrate record performs the logical
+  // switch only: the copied rows arrive physically through the log
+  // stream, and the matching "migrate_complete" record drops the retired
+  // inputs (via CompleteReplicatedMigration).
+  const bool replay = state->opts.replicated_replay;
   std::vector<std::shared_ptr<WriterPriorityGate>> held;
   std::vector<std::string> outputs;
   // Unlocks the held gates and drops their map entries: once the eager
@@ -706,10 +644,11 @@ Status MigrationController::SubmitEager(
   Status s = [&]() -> Status {
     std::unique_lock switch_lock(*switch_gate_);
     BF_RETURN_NOT_OK(CreateOutputTables(state->plan));
-    // Gate every output table exclusively: client requests that touch the
-    // new schema queue here for the entire copy — the downtime of Fig 3.
+    // Gate every output table exclusively (a replay copies nothing): client
+    // requests that touch the new schema queue here for the entire copy —
+    // the downtime of Fig 3.
     for (const TableSchema& t : state->plan.new_tables) {
-      outputs.push_back(t.name());
+      if (!replay) outputs.push_back(t.name());
     }
     std::sort(outputs.begin(), outputs.end());
     for (const std::string& t : outputs) {
@@ -723,7 +662,7 @@ Status MigrationController::SubmitEager(
     Publish(state);
     return Status::OK();
   }();
-  if (!s.ok()) {
+  if (!s.ok() || replay) {
     open_gates();
     return s;
   }
@@ -782,7 +721,7 @@ Status MigrationController::LogMigrateDdl(const ActiveState& state) {
   // Only script-backed, locally-originated migrations are replicated:
   // programmatic plans carry unserializable std::function transforms, and
   // a replay must not re-log the record it is replaying.
-  if (state.plan.source_script.empty() || state.opts.replicated_replay) {
+  if (state.script.empty() || state.opts.replicated_replay) {
     return Status::OK();
   }
   std::string blob;
@@ -795,7 +734,7 @@ Status MigrationController::LogMigrateDdl(const ActiveState& state) {
         0, {MakeDdlRecord("migrate_start", std::move(blob))});
   }
   EncodeMigrateBlob(&blob, state.opts.strategy, state.opts.lazy.granularity,
-                    state.plan.source_script);
+                    state.script);
   return txns_->redo_log().AppendCommitted(
       0, {MakeDdlRecord("migrate", std::move(blob))});
 }
@@ -814,7 +753,7 @@ void MigrationController::OnMigrationComplete(ActiveState* state) {
     char detail[48];
     std::snprintf(detail, sizeof(detail), "elapsed_s=%.3f",
                   state->complete_s.load(std::memory_order_relaxed));
-    tracer_->Record(obs::TraceEventKind::kComplete, TraceNameOf(*state),
+    tracer_->Record(obs::TraceEventKind::kComplete, TraceNameOf(state->plan),
                     detail);
   }
   // §2.2: "When these threads finish, the migration is complete and the
@@ -826,7 +765,7 @@ void MigrationController::OnMigrationComplete(ActiveState* state) {
   // report: a checkpoint taken on "complete" must not capture a retired
   // input.
   state->complete.store(true, std::memory_order_release);
-  if (!state->plan.source_script.empty() &&
+  if (!state->script.empty() &&
       !state->replaying.load(std::memory_order_acquire)) {
     std::string blob;
     EncodeMigrateCompleteBlob(&blob, state->plan.name,
@@ -875,51 +814,42 @@ MigrationController::ActiveState* MigrationController::StateForTable(
   return it == by_output.end() ? nullptr : it->second.get();
 }
 
-StatementMigrator* MigrationController::FindMigratorForOutput(
-    const std::string& table) const {
-  const RoutingRef routing = routing_.Load();
-  ActiveState* state = StateForTable(*routing, table);
-  if (state == nullptr) return nullptr;
-  return MigratorFor(*state, table);
+StatementMigrator* MigrationController::LazyMigratorFor(
+    const RoutingView& routing, const std::string& table, bool replaying,
+    const ActiveState** state) {
+  // Per-table resolution: with a train in flight, `table` belongs to at
+  // most one migration (admission serializes overlapping footprints).
+  const ActiveState* s = StateForTable(routing, table);
+  if (s == nullptr || s->finishing.load(std::memory_order_acquire) ||
+      s->opts.strategy != MigrationStrategy::kLazy ||
+      s->replaying.load(std::memory_order_acquire) != replaying) {
+    return nullptr;
+  }
+  StatementMigrator* m = MigratorFor(*s, table);
+  if (m == nullptr || m->IsComplete()) return nullptr;
+  *state = s;
+  return m;
 }
 
 Status MigrationController::PrepareRead(const Views& views,
                                         const std::string& table,
                                         const ExprPtr& pred) {
-  // Per-table resolution: with a train in flight, `table` belongs to at
-  // most one migration (admission serializes overlapping footprints).
-  ActiveState* state = StateForTable(*views.routing, table);
-  if (state == nullptr || state->finishing.load(std::memory_order_acquire)) {
-    return Status::OK();
-  }
-  if (state->opts.strategy != MigrationStrategy::kLazy) return Status::OK();
   // On a replica, data moves only via the replicated log: migrating
   // locally would assign rids the primary will later assign differently.
-  if (state->replaying.load(std::memory_order_acquire)) return Status::OK();
-  StatementMigrator* m = MigratorFor(*state, table);
-  if (m == nullptr || m->IsComplete()) return Status::OK();
-  Status s = m->MigrateForPredicate(pred);
-  // Benign race: the background threads may finish the migration (and
-  // drop the retired inputs) between the IsComplete check above and the
-  // migrator touching the old tables.
-  if (!s.ok() && (m->IsComplete() ||
-                  state->finishing.load(std::memory_order_acquire))) {
-    return Status::OK();
-  }
-  return s;
+  const ActiveState* state = nullptr;
+  StatementMigrator* m =
+      LazyMigratorFor(*views.routing, table, /*replaying=*/false, &state);
+  if (m == nullptr) return Status::OK();
+  return PullStatus(m->MigrateForPredicate(pred), *m, state->finishing);
 }
 
 Status MigrationController::PrepareInsert(const Views& views,
                                           const std::string& table,
                                           const Tuple& row) {
-  ActiveState* state = StateForTable(*views.routing, table);
-  if (state == nullptr || state->finishing.load(std::memory_order_acquire)) {
-    return Status::OK();
-  }
-  if (state->opts.strategy != MigrationStrategy::kLazy) return Status::OK();
-  if (state->replaying.load(std::memory_order_acquire)) return Status::OK();
-  StatementMigrator* m = MigratorFor(*state, table);
-  if (m == nullptr || m->IsComplete()) return Status::OK();
+  const ActiveState* state = nullptr;
+  StatementMigrator* m =
+      LazyMigratorFor(*views.routing, table, /*replaying=*/false, &state);
+  if (m == nullptr) return Status::OK();
 
   Table* t = views.catalog->FindTable(table);
   if (t == nullptr) return Status::NotFound("no table '" + table + "'");
@@ -936,13 +866,9 @@ Status MigrationController::PrepareInsert(const Views& views,
       BF_ASSIGN_OR_RETURN(size_t idx, schema.RequireColumn(c));
       conjuncts.push_back(Eq(Col(c), Lit(row[idx])));
     }
-    Status s = m->MigrateForPredicate(JoinConjuncts(std::move(conjuncts)));
-    // Same benign completion race as PrepareRead.
-    if (!s.ok() && (m->IsComplete() ||
-                    state->finishing.load(std::memory_order_acquire))) {
-      return Status::OK();
-    }
-    return s;
+    return PullStatus(
+        m->MigrateForPredicate(JoinConjuncts(std::move(conjuncts))), *m,
+        state->finishing);
   };
   BF_RETURN_NOT_OK(migrate_key(schema.primary_key()));
   for (const UniqueConstraint& u : schema.unique_constraints()) {
@@ -998,10 +924,9 @@ bool MigrationController::MultiStepActive(const Views& views) {
 
 MigrationController::MultiStepGuard MigrationController::MultiStepWriteGuard(
     const Views& views) {
+  // A routed multistep entry is running: its copier exists.
+  if (!MultiStepActive(views)) return MultiStepGuard();
   const auto& state = views.routing->multistep;
-  if (!MultiStepActive(views) || state->multistep == nullptr) {
-    return MultiStepGuard();
-  }
   MultiStepGuard guard;
   guard.lock_ =
       std::shared_lock<WriterPriorityGate>(state->multistep->write_gate());
@@ -1014,12 +939,10 @@ Status MigrationController::PropagateOldWrite(const Views& views,
                                               const std::string& table,
                                               RowId rid, const Tuple* before,
                                               const Tuple* after) {
-  const auto& state = views.routing->multistep;
-  if (!MultiStepActive(views) || state->multistep == nullptr) {
-    return Status::OK();
-  }
+  if (!MultiStepActive(views)) return Status::OK();
   // Propagate no-ops for tables the copier does not consume.
-  return state->multistep->Propagate(txn, table, rid, before, after);
+  return views.routing->multistep->multistep->Propagate(txn, table, rid,
+                                                        before, after);
 }
 
 bool MigrationController::UsesNewSchema() const { return !MultiStepActive(); }
@@ -1027,32 +950,27 @@ bool MigrationController::UsesNewSchema() const { return !MultiStepActive(); }
 bool MigrationController::IsComplete() const {
   if (!active_.load(std::memory_order_acquire)) return true;
   std::lock_guard lock(mu_);
-  // A reservation is an entry the pump (or a submit) has claimed but not
-  // yet published: still in flight.
-  if (!queue_.empty() || !reservations_.empty()) return false;
-  for (const auto& s : states_) {
-    if (!s->complete.load(std::memory_order_acquire)) return false;
-  }
-  return true;
+  // Queued and starting entries are in flight too.
+  return std::all_of(train_.begin(), train_.end(), [](const auto& s) {
+    return s->complete.load(std::memory_order_acquire);
+  });
 }
 
 double MigrationController::Progress() const {
-  std::vector<std::shared_ptr<ActiveState>> states;
-  size_t queued;
+  std::vector<std::shared_ptr<ActiveState>> running;
+  size_t n = 0;
   {
     std::lock_guard lock(mu_);
-    states = states_;
-    queued = queue_.size() + reservations_.size();
+    for (const auto& s : train_) {
+      if (s->complete.load(std::memory_order_acquire)) continue;
+      ++n;
+      if (s->phase == Phase::kRunning) running.push_back(s);
+    }
   }
-  double total = 0;
-  size_t n = 0;
-  for (const auto& state : states) {
-    if (state->complete.load(std::memory_order_acquire)) continue;
-    total += StateProgress(*state);
-    ++n;
-  }
-  n += queued;  // Queued and reserved entries have moved nothing yet.
   if (n == 0) return 1.0;
+  // Queued and starting entries have moved nothing yet.
+  double total = 0;
+  for (const auto& state : running) total += StateProgress(*state);
   return total / static_cast<double>(n);
 }
 
@@ -1062,16 +980,17 @@ uint64_t MigrationController::UnitsMigrated() const {
 
 size_t MigrationController::ActiveMigrations() const {
   std::lock_guard lock(mu_);
-  size_t n = 0;
-  for (const auto& s : states_) {
-    if (!s->complete.load(std::memory_order_acquire)) ++n;
-  }
-  return n;
+  return std::count_if(train_.begin(), train_.end(), [](const auto& s) {
+    return s->phase != Phase::kQueued &&
+           !s->complete.load(std::memory_order_acquire);
+  });
 }
 
 size_t MigrationController::QueuedMigrations() const {
   std::lock_guard lock(mu_);
-  return queue_.size();
+  return std::count_if(train_.begin(), train_.end(), [](const auto& s) {
+    return s->phase == Phase::kQueued;
+  });
 }
 
 MigrationController::Timeline MigrationController::timeline() const {
@@ -1098,39 +1017,42 @@ Status MigrationController::background_error() const {
 }
 
 std::string MigrationController::StatusReport() const {
-  std::vector<std::shared_ptr<ActiveState>> states;
+  std::vector<std::shared_ptr<ActiveState>> states;  // Running.
+  std::vector<std::string> starting;
   std::vector<std::pair<std::string, double>> queued;
   std::vector<std::string> errors;
+  size_t active = 0;
   {
     std::lock_guard lock(mu_);
-    states = states_;
-    for (const auto& e : queue_) {
-      queued.emplace_back(e.name, e.since_queued.ElapsedSeconds());
+    for (const auto& s : train_) {
+      if (s->phase == Phase::kQueued) {
+        queued.emplace_back(s->name, s->since_queued.ElapsedSeconds());
+        continue;
+      }
+      if (!s->complete.load(std::memory_order_acquire)) ++active;
+      if (s->phase == Phase::kStarting) {
+        starting.push_back(s->name);
+      } else {
+        states.push_back(s);
+      }
     }
     errors = train_errors_;
   }
-  if (states.empty() && queued.empty()) return "migration: none\n";
+  const size_t entries = states.size() + starting.size() + queued.size();
+  if (entries == 0) return "migration: none\n";
   std::string out;
   char line[256];
   // Single migration, nothing queued: the classic report. A train gets a
   // header plus one block per entry with its own trace stream.
-  const bool train = states.size() + queued.size() > 1 || !errors.empty();
+  const bool train = entries > 1 || !errors.empty();
   if (train) {
-    size_t active = 0;
-    for (const auto& s : states) {
-      if (!s->complete.load(std::memory_order_acquire)) ++active;
-    }
     std::snprintf(line, sizeof(line),
                   "migration train: entries=%zu active=%zu queued=%zu\n",
-                  states.size() + queued.size(), active, queued.size());
+                  entries, active, queued.size());
     out += line;
   }
   for (const auto& state : states) {
-    const char* strategy = "lazy";
-    if (state->opts.strategy == MigrationStrategy::kEager) strategy = "eager";
-    if (state->opts.strategy == MigrationStrategy::kMultiStep) {
-      strategy = "multistep";
-    }
+    const char* strategy = StrategyName(state->opts.strategy);
     const bool complete = state->complete.load(std::memory_order_acquire);
     const double progress = complete ? 1.0 : StateProgress(*state);
     std::snprintf(line, sizeof(line),
@@ -1180,6 +1102,7 @@ std::string MigrationController::StatusReport() const {
       if (!events.empty()) out += "  trace:\n" + events;
     }
   }
+  for (const std::string& name : starting) out += "starting: " + name + "\n";
   size_t pos = 1;
   for (const auto& q : queued) {
     std::snprintf(line, sizeof(line), "queued[%zu]: %s waiting_s=%.3f\n",
@@ -1238,106 +1161,98 @@ Status MigrationController::CompleteReplicatedMigration(
 
 Status MigrationController::StartQueuedMigration(
     const std::string& plan_name) {
-  PendingMigration e;
-  bool found = false;
+  std::shared_ptr<ActiveState> e;
   {
     std::lock_guard lock(mu_);
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->name == plan_name) {
-        e = std::move(*it);
-        queue_.erase(it);
-        reservations_.push_back({e.name, e.table_set});
-        found = true;
+    for (const auto& s : train_) {
+      if (s->phase == Phase::kQueued && s->name == plan_name) {
+        s->phase = Phase::kStarting;
+        e = s;
         break;
       }
     }
   }
   // Not queued: it already started (checkpoint restore or local
   // auto-start) — the record is a no-op.
-  if (!found) return Status::OK();
-  return StartReserved(std::move(e), /*from_queue=*/true);
+  if (e == nullptr) return Status::OK();
+  return Start(e, /*from_queue=*/true);
 }
 
 bool MigrationController::ShouldForwardReads(const std::string& table) const {
   const RoutingRef routing = routing_.Load();
-  ActiveState* state = StateForTable(*routing, table);
-  if (state == nullptr || !state->replaying.load(std::memory_order_acquire) ||
-      state->opts.strategy != MigrationStrategy::kLazy ||
-      state->finishing.load(std::memory_order_acquire)) {
-    return false;
-  }
-  StatementMigrator* m = MigratorFor(*state, table);
-  return m != nullptr && !m->IsComplete();
+  const ActiveState* state = nullptr;
+  return LazyMigratorFor(*routing, table, /*replaying=*/true, &state) !=
+         nullptr;
 }
 
 Status MigrationController::DescribeTrainForCheckpoint(
     std::vector<CheckpointMigration>* out) const {
-  std::lock_guard lock(mu_);
-  if (!reservations_.empty()) {
-    return Status::Busy(
-        "checkpoint deferred: a migration submit is mid-construction");
-  }
   out->clear();
-  for (const auto& state : states_) {
-    if (state->complete.load(std::memory_order_acquire)) continue;
-    if (state->finishing.load(std::memory_order_acquire)) {
+  std::vector<CheckpointMigration> queued;
+  std::lock_guard lock(mu_);
+  for (const auto& e : train_) {
+    if (e->complete.load(std::memory_order_acquire)) continue;
+    if (e->phase == Phase::kStarting) {
+      return Status::Busy(
+          "checkpoint deferred: a migration submit is mid-construction");
+    }
+    if (e->script.empty()) {
+      return Status::Busy(
+          "checkpoint deferred: a migration has no source script "
+          "(programmatic plans cannot be rebuilt from a checkpoint)");
+    }
+    const bool started = e->phase == Phase::kRunning;
+    if (started && e->finishing.load(std::memory_order_acquire)) {
       return Status::Busy(
           "checkpoint deferred: a migration is dropping its retired inputs");
     }
-    if (state->opts.strategy != MigrationStrategy::kLazy) {
+    if (started && e->opts.strategy != MigrationStrategy::kLazy) {
       return Status::Busy(
           "checkpoint deferred: a non-lazy migration is in flight");
     }
-    if (state->plan.source_script.empty()) {
-      return Status::Busy(
-          "checkpoint deferred: an active migration has no source script "
-          "(programmatic plans cannot be rebuilt from a checkpoint)");
-    }
     CheckpointMigration m;
-    m.started = true;
-    EncodeMigrateBlob(&m.blob, state->opts.strategy,
-                      state->opts.lazy.granularity,
-                      state->plan.source_script);
-    out->push_back(std::move(m));
+    m.started = started;
+    EncodeMigrateBlob(&m.blob, e->opts.strategy, e->opts.lazy.granularity,
+                      e->script);
+    (started ? *out : queued).push_back(std::move(m));
   }
-  for (const auto& e : queue_) {
-    if (e.script.empty()) {
-      return Status::Busy(
-          "checkpoint deferred: a queued migration has no source script");
-    }
-    CheckpointMigration m;
-    m.started = false;
-    EncodeMigrateBlob(&m.blob, e.opts.strategy, e.opts.lazy.granularity,
-                      e.script);
-    out->push_back(std::move(m));
-  }
+  // Started entries first, then queued ones, each in admission order.
+  for (auto& m : queued) out->push_back(std::move(m));
   if (out->empty()) return Status::NotFound("no active migration");
   return Status::OK();
 }
 
 Status MigrationController::TakeOwnership() {
   std::vector<std::shared_ptr<ActiveState>> owned;
+  std::vector<ActiveState*> queued;
   {
     std::lock_guard lock(mu_);
-    for (const auto& state : states_) {
-      if (state->finishing.load(std::memory_order_acquire)) continue;
+    for (const auto& state : train_) {
+      if (state->phase == Phase::kQueued) {
+        queued.push_back(state.get());
+        continue;
+      }
+      if (state->phase != Phase::kRunning ||
+          state->finishing.load(std::memory_order_acquire)) {
+        continue;
+      }
       if (state->opts.strategy != MigrationStrategy::kLazy) {
         return Status::Unsupported("recovery applies to lazy migrations");
       }
       owned.push_back(state);
     }
-    if (owned.empty() && queue_.empty()) return Status::OK();
+    if (owned.empty() && queued.empty()) return Status::OK();
     // Queued entries are handed back too: they auto-start locally once
     // their predecessors complete (their "migrate" records are already
     // durable, so the start path logs only the migrate_start marker).
-    for (auto& e : queue_) e.opts.replicated_replay = false;
+    for (ActiveState* e : queued) e->opts.replicated_replay = false;
   }
   // The WAL replay already re-marked these trackers from every committed
   // kMigrationMark; this node only resumes moving the rest.
   for (const auto& state : owned) {
     state->replaying.store(false, std::memory_order_release);
     if (tracer_ != nullptr) {
-      tracer_->Record(obs::TraceEventKind::kRecovery, TraceNameOf(*state),
+      tracer_->Record(obs::TraceEventKind::kRecovery, TraceNameOf(state->plan),
                       "ownership after WAL replay");
     }
     if (state->background != nullptr) state->background->Start();

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -45,12 +44,13 @@ namespace bullfrog {
 /// over its tables. A submit with the same name as an in-flight or
 /// queued migration returns kBusy (duplicate).
 ///
-/// Lifetime model: each migration's state is an immutable
-/// `shared_ptr<ActiveState>`. The statement path never takes `mu_`: it
-/// resolves tables against a published RoutingView (output table ->
-/// incomplete entry, the incomplete multistep entry, the eager gates),
-/// which owns the states it names, so a concurrent Submit, completion or
-/// prune can never free a state out from under an in-flight request.
+/// Lifetime model: each train entry is one `shared_ptr<ActiveState>`,
+/// queued, starting or running, immutable once running. The statement
+/// path never takes `mu_`: it resolves tables against a published
+/// RoutingView (output table -> incomplete entry, the incomplete multistep
+/// entry, the eager gates), which owns the states it names, so a
+/// concurrent Submit, completion or prune can never free a state out from
+/// under an in-flight request.
 /// Status paths copy the train under `mu_`. See DESIGN.md "Threading &
 /// lifetime model".
 class MigrationController {
@@ -151,7 +151,8 @@ class MigrationController {
   /// used for overlap admission; `script` is the replicable SQL source
   /// (empty for programmatic plans, which then cannot queue durably).
   /// The factory runs when the entry actually starts — immediately for a
-  /// disjoint submit, at auto-start for a queued one.
+  /// disjoint submit, at auto-start for a queued one. A submit overlapping
+  /// a starting entry waits for it to publish or fail before admission.
   Status SubmitScript(std::string name, std::string script,
                       std::vector<std::string> table_set, PlanFactory factory,
                       const SubmitOptions& opts);
@@ -225,7 +226,13 @@ class MigrationController {
    public:
     MultiStepGuard() = default;
     MultiStepGuard(MultiStepGuard&&) = default;
-    MultiStepGuard& operator=(MultiStepGuard&&) = default;
+    /// Unlocks the gate before releasing the state that owns it (a
+    /// defaulted assignment would release state_ first).
+    MultiStepGuard& operator=(MultiStepGuard&& other) noexcept {
+      lock_ = std::move(other.lock_);
+      state_ = std::move(other.state_);
+      return *this;
+    }
 
    private:
     friend class MigrationController;
@@ -257,22 +264,25 @@ class MigrationController {
 
   /// --- status -----------------------------------------------------------
 
+  /// True while the train holds any entry, queued and starting ones
+  /// included (completed entries stay until a later submit prunes them).
   bool HasActiveMigration() const {
     return active_.load(std::memory_order_acquire);
   }
   /// False only between a multi-step Submit and its cutover.
   bool UsesNewSchema() const;
-  /// True when every train entry has completed and nothing is queued.
+  /// True when every train entry has completed: none is queued, starting
+  /// or running.
   bool IsComplete() const;
-  /// Mean progress over the incomplete train entries (queued entries
-  /// count as 0); 1.0 when nothing is in flight.
+  /// Mean progress over the incomplete train entries (queued and starting
+  /// entries count as 0); 1.0 when nothing is in flight.
   double Progress() const;
   /// Units migrated so far, summed across every train entry's statement
   /// migrators (timeseries sampling).
   uint64_t UnitsMigrated() const;
   Timeline timeline() const;
 
-  /// Started train entries not yet complete / entries still queued.
+  /// Starting or running entries not yet complete / entries still queued.
   size_t ActiveMigrations() const;
   size_t QueuedMigrations() const;
 
@@ -283,10 +293,11 @@ class MigrationController {
   /// Renders a human-readable status report. For a single migration this
   /// is the classic block (strategy, overall and per-statement progress,
   /// background worker state, milestone timeline, recent trace events);
-  /// with a train in flight it lists every entry — started ones with
-  /// their per-migration trace stream, queued ones with position and
-  /// wait time. Safe to call from any thread at any time (works on state
-  /// snapshots); served over the wire by the server's ADMIN opcode.
+  /// with a train in flight it lists every entry — running ones with
+  /// their per-migration trace stream, starting ones by name, queued ones
+  /// with position and wait time. Safe to call from any thread at any time
+  /// (works on state snapshots); served over the wire by the server's
+  /// ADMIN opcode.
   std::string StatusReport() const;
 
   /// Attaches observability (either may be null). The registry gets
@@ -305,10 +316,6 @@ class MigrationController {
   /// migration's state is alive — use them promptly, not across a later
   /// Submit.
   std::vector<StatementMigrator*> migrators() const;
-
-  /// Finds the migrator of the incomplete migration (if any) whose
-  /// outputs include `table`. Same lifetime caveat as migrators().
-  StatementMigrator* FindMigratorForOutput(const std::string& table) const;
 
   /// --- recovery (§3.5) --------------------------------------------------
 
@@ -340,8 +347,8 @@ class MigrationController {
   /// when no matching migration is active or it already completed.
   Status CompleteReplicatedMigration(const std::string& plan_name = "");
 
-  /// Applies a replicated "migrate_start" record: pops the named entry
-  /// from the queue and runs its logical switch at exactly this log
+  /// Applies a replicated "migrate_start" record: starts the named queued
+  /// entry, running its logical switch at exactly this log
   /// position, mirroring the primary's auto-start point. No-op (OK) when
   /// the entry is not queued (it already started via a checkpoint restore
   /// or local auto-start).
@@ -365,17 +372,24 @@ class MigrationController {
       std::vector<CheckpointMigration>* out) const;
 
  private:
-  /// Per-migration state. Immutable once published through `states_`
-  /// except for the `finishing` / `complete` / `complete_s` / `replaying`
-  /// atomics (and the thread-safe migrators and workers it owns). Member
-  /// order matters for teardown: `background` and `multistep` are declared
-  /// after `stmt_migrators` so their destructors join worker threads before
-  /// the migrators those threads use are destroyed.
+  /// One train entry, from admission to prune. `phase` (guarded by mu_)
+  /// moves queued -> starting -> running. A starting entry's plan,
+  /// migrators and workers belong to the thread starting it until Publish
+  /// sets `running`; from then on the entry is immutable except for the
+  /// `finishing` / `complete` / `complete_s` / `replaying` atomics (and the
+  /// thread-safe migrators and workers it owns). Member order matters for
+  /// teardown: `background` and `multistep` are declared after
+  /// `stmt_migrators` so their destructors join worker threads before the
+  /// migrators those threads use are destroyed.
   struct ActiveState {
+    enum class Phase { kQueued, kStarting, kRunning };
     /// Train identity: the plan name (or first output for unnamed
     /// plans). Unique among in-flight entries — duplicate submits are
     /// rejected with kBusy.
     std::string name;
+    /// The replicable SQL source (empty for programmatic plans, which
+    /// then cannot queue durably).
+    std::string script;
     /// Full table footprint (inputs, outputs, retired) for overlap
     /// admission against later submits.
     std::vector<std::string> table_set;
@@ -383,8 +397,12 @@ class MigrationController {
     /// appended (at enqueue time, or upstream for replays): the start
     /// path then logs a "migrate_start" marker instead.
     bool ddl_logged = false;
-    MigrationPlan plan;
     SubmitOptions opts;
+    /// Compiles the plan when the entry starts (see PlanFactory).
+    PlanFactory factory;
+    Stopwatch since_queued;
+    Phase phase = Phase::kQueued;
+    MigrationPlan plan;
     std::vector<std::unique_ptr<StatementMigrator>> stmt_migrators;
     std::unique_ptr<BackgroundMigrator> background;
     std::unique_ptr<MultiStepCopier> multistep;
@@ -398,7 +416,7 @@ class MigrationController {
     /// with a retired input.
     std::atomic<bool> complete{false};
     std::atomic<double> complete_s{-1.0};
-    /// opts.replicated_replay as of now: set at submit, cleared only by
+    /// opts.replicated_replay as of now: set at start, cleared only by
     /// TakeOwnership. While set, the statement path migrates nothing and
     /// the background migrator (built whenever opts.enable_background)
     /// stays unstarted.
@@ -406,52 +424,38 @@ class MigrationController {
     /// Output table name -> statement index.
     std::unordered_map<std::string, size_t> by_output;
   };
-
-  /// A submit parked behind an overlapping in-flight migration. Its
-  /// "migrate" record is already durable (ddl_logged) so a crash replays
-  /// the whole train in order; the plan itself is compiled by `factory`
-  /// only when the entry starts.
-  struct PendingMigration {
-    std::string name;
-    std::string script;
-    std::vector<std::string> table_set;
-    SubmitOptions opts;
-    PlanFactory factory;
-    bool ddl_logged = false;
-    Stopwatch since_queued;
-  };
-
-  /// A submit between admission and publish: its table footprint is
-  /// claimed (so concurrent overlapping submits wait — their WAL records
-  /// must not precede this one's) but no state is visible yet.
-  struct Reservation {
-    std::string name;
-    std::vector<std::string> table_set;
-  };
+  using Phase = ActiveState::Phase;
 
   /// The incomplete state owning `table` (as an output) in `routing`, or
   /// null. Lives as long as the view does.
   static ActiveState* StateForTable(const RoutingView& routing,
                                     const std::string& table);
 
-  /// Copies every published state pointer under mu_ (submit order).
-  std::vector<std::shared_ptr<ActiveState>> SnapshotAll() const {
-    std::lock_guard lock(mu_);
-    return states_;
-  }
+  /// The running (or finished) train entries, copied under mu_ in
+  /// admission order. Queued and starting entries are not the caller's to
+  /// read.
+  std::vector<std::shared_ptr<ActiveState>> SnapshotAll() const;
 
-  /// Makes a fully-built state visible to readers: appends it to the
-  /// train, republishes the routing view, releases its reservation, and
-  /// raises active_. Called with every non-atomic member of `state` in
+  /// Makes a fully-built starting entry visible to readers: sets it
+  /// running, republishes the routing view and wakes the submits waiting
+  /// on its footprint. Called with every non-atomic member of `state` in
   /// its final value.
-  void Publish(std::shared_ptr<ActiveState> state);
+  void Publish(const std::shared_ptr<ActiveState>& state);
 
-  /// Rebuilds the routing view from the incomplete states and the gate
-  /// map and publishes it.
+  /// Rebuilds the routing view from the running, unfinished entries and
+  /// the gate map and publishes it.
   void RepublishLocked();
 
   static StatementMigrator* MigratorFor(const ActiveState& state,
                                         const std::string& table);
+
+  /// The incomplete migrator producing `table` in `routing` for an
+  /// unfinished lazy entry whose replay flag equals `replaying`, or null.
+  /// *state receives the entry.
+  static StatementMigrator* LazyMigratorFor(const RoutingView& routing,
+                                            const std::string& table,
+                                            bool replaying,
+                                            const ActiveState** state);
 
   /// One entry's progress: multistep copier fraction, or the mean over
   /// its statement migrators (1.0 when complete or machinery-less).
@@ -459,7 +463,7 @@ class MigrationController {
 
   /// Identifies a migration in trace events: the plan name, or the first
   /// output table for unnamed plans.
-  static std::string TraceNameOf(const ActiveState& state);
+  static std::string TraceNameOf(const MigrationPlan& plan);
 
   /// The plan's full table footprint: retired inputs, created outputs,
   /// and every statement's input/output tables.
@@ -469,18 +473,13 @@ class MigrationController {
   /// migrators (for the registry callbacks).
   uint64_t SumStats(std::atomic<uint64_t> MigrationStats::* field) const;
 
-  /// Admission: dedup by name (kBusy), overlap -> queue (kQueued, lazy
-  /// only, logging the "migrate" record at enqueue), disjoint -> reserve
-  /// and start. Waits out overlapping reservations first.
-  Status SubmitEntry(PendingMigration e);
+  /// Runs a starting entry: compiles the plan via its factory and
+  /// dispatches to the strategy's submit path. A failed start leaves the
+  /// train (published or not).
+  Status Start(const std::shared_ptr<ActiveState>& state, bool from_queue);
 
-  /// Runs a reserved entry: compiles the plan via its factory and
-  /// dispatches to the strategy's submit path. Releases the reservation
-  /// (and withdraws a published-then-failed state) on exit.
-  Status StartReserved(PendingMigration e, bool from_queue);
-
-  /// Starts every queue entry whose tables are disjoint from all
-  /// incomplete migrations, reservations, and earlier queue entries.
+  /// Starts every queued entry whose tables are disjoint from all
+  /// incomplete started entries and earlier queued ones.
   /// Runs only on the pump thread (see WakePump) — auto-start takes the
   /// switch gate exclusively, which must never happen on a thread that
   /// already holds a migration gate (e.g. the multistep cutover path).
@@ -489,24 +488,18 @@ class MigrationController {
   void WakePump();
 
   bool NameInFlightLocked(const std::string& name) const;
-  /// True when `tables` intersects an incomplete state, a reservation,
-  /// or a queued entry; names the first blocker found.
-  bool OverlapsInFlightLocked(const std::vector<std::string>& tables,
-                              std::string* blocker) const;
-  bool OverlapsReservationLocked(const std::vector<std::string>& tables) const;
-  void RemoveReservationLocked(const std::string& name);
-  /// active_ = any published state or queued entry exists (reservations
-  /// excluded: a mid-construction submit is not yet visible, matching
-  /// the pre-train behavior where active_ rose only at publish).
-  void RecomputeActiveLocked();
-  /// Moves completed states out of the train (into *torn_down for the
+  /// The first incomplete entry (only starting ones when `starting_only`)
+  /// whose footprint intersects `tables`, or null.
+  const ActiveState* OverlapLocked(const std::vector<std::string>& tables,
+                                   bool starting_only) const;
+  /// Stops the entries' background and multi-step workers (joins them).
+  static void StopWorkers(
+      const std::vector<std::shared_ptr<ActiveState>>& states);
+  /// Moves completed entries out of the train (into *torn_down for the
   /// caller to Stop outside the lock). Completion already took them out
   /// of the routing view.
   void PruneCompletedLocked(
       std::vector<std::shared_ptr<ActiveState>>* torn_down);
-  /// Appends the queued entry's "migrate" record at enqueue time, under
-  /// mu_ so queue order and WAL order agree.
-  Status LogQueuedMigrateDdlLocked(const PendingMigration& e);
 
   Status SubmitLazy(const std::shared_ptr<ActiveState>& state);
   Status SubmitEager(const std::shared_ptr<ActiveState>& state);
@@ -519,9 +512,10 @@ class MigrationController {
   /// Appends the replicated "migrate" kDdl record — or, for an entry
   /// whose "migrate" record already went in at enqueue, the
   /// "migrate_start" marker (no-op for script-less plans and replayed
-  /// submits). Called inside the switch gate so the record's log
-  /// position is exactly the logical switch point. Returns the
-  /// durable-append status: a failed WAL sync fails the submit.
+  /// submits). Called at enqueue under mu_ (WAL order is queue order)
+  /// and at start inside the switch gate, so the record's log position
+  /// is exactly the logical switch point. Returns the durable-append
+  /// status: a failed WAL sync fails the submit.
   Status LogMigrateDdl(const ActiveState& state);
 
   /// Per-table gate used to queue requests during eager migration
@@ -585,22 +579,19 @@ class MigrationController {
   obs::MetricsRegistry* registry_ = nullptr;
   obs::MigrationTracer* tracer_ = nullptr;
 
-  mutable std::mutex mu_;  // Guards the train containers and gate map.
-  /// Published migrations, submit order. Completed entries linger (for
-  /// status/metrics) until a later Submit prunes them.
-  std::vector<std::shared_ptr<ActiveState>> states_;
-  /// The statement path's view of states_ and gates_ (see RoutingView).
+  mutable std::mutex mu_;  // Guards train_, entry phases and the gate map.
+  /// Every entry from admission to prune, in admission order. Completed
+  /// entries linger (for status/metrics) until a later submit prunes them.
+  std::vector<std::shared_ptr<ActiveState>> train_;
+  /// The statement path's view of train_ and gates_ (see RoutingView).
   Published<RoutingView> routing_;
-  /// Overlapping submits parked FIFO; started by the pump thread.
-  std::deque<PendingMigration> queue_;
-  /// Submits between admission and publish (see Reservation).
-  std::vector<Reservation> reservations_;
   /// Auto-starts that failed (compile error, switch failure): surfaced
   /// in StatusReport, since no client is waiting on the status.
   std::vector<std::string> train_errors_;
-  /// Signalled when a reservation resolves (publish or failure), so
-  /// admission can re-evaluate overlap.
-  std::condition_variable reservation_cv_;
+  /// Signalled when a starting entry publishes or fails, so admission can
+  /// re-evaluate overlap.
+  std::condition_variable train_cv_;
+  /// True while the train is non-empty (status paths only).
   std::atomic<bool> active_{false};
   /// Eager per-table gates; the statement path reads them from routing_.
   std::unordered_map<std::string, std::shared_ptr<WriterPriorityGate>> gates_;

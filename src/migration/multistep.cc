@@ -158,8 +158,20 @@ Status MultiStepCopier::CopyRange(StmtState* state, RowId begin, RowId end) {
     });
     return s;
   }
+  // Each source row is read under its row lock, held until the derived
+  // rows commit: a delete or key change that commits first is seen here,
+  // and one that comes later propagates onto the derived rows.
   auto txn = txns_->Begin();
-  input.ScanRange(begin, end, [&](RowId, const Tuple& row) {
+  const RowId limit = std::min<RowId>(end, input.NumAllocatedRows());
+  for (RowId rid = begin; s.ok() && rid < limit; ++rid) {
+    Tuple row;
+    s = txns_->Read(txn.get(), state->inputs[0], rid, &row,
+                    /*for_update=*/true);
+    if (s.IsNotFound()) {  // Deleted, or a slot never filled.
+      s = Status::OK();
+      continue;
+    }
+    if (!s.ok()) break;
     auto targets = stmt.row_transform(row);
     s = targets.status();
     for (size_t i = 0; s.ok() && i < targets->size(); ++i) {
@@ -169,8 +181,7 @@ Status MultiStepCopier::CopyRange(StmtState* state, RowId begin, RowId end) {
                         OnConflict::kDoNothing)
               .status();
     }
-    return s.ok();
-  });
+  }
   if (!s.ok()) {
     (void)txns_->Abort(txn.get());
     return s;

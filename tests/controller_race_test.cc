@@ -8,8 +8,10 @@
 // ThreadSanitizer (BULLFROG_SANITIZE=thread) verifies there is no window
 // left.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,8 @@
 #include "query/expr.h"
 #include "replication/applier.h"
 #include "sql/engine.h"
+#include "sql/migration_compiler.h"
+#include "sql/parser.h"
 #include "txn/txn_manager.h"
 
 namespace bullfrog {
@@ -131,7 +135,6 @@ TEST(ControllerRaceTest, ReadersSurviveRepeatedSubmits) {
         (void)controller.UsesNewSchema();
         { auto guard = controller.MultiStepWriteGuard(); }
         (void)controller.migrators();
-        (void)controller.FindMigratorForOutput(dst);
         (void)controller.background_error();
       }
     });
@@ -308,6 +311,266 @@ TEST(ControllerRaceTest, CompleteOnlyAfterRetiredInputsDropped) {
   EXPECT_EQ(early, 0) << "rounds that reported complete before every "
                          "retired input was dropped";
 }
+
+/// Seeded random interleavings of the migration train: disjoint first
+/// hops, chained hops, duplicate names, a submit held in its plan factory
+/// (starting), status reads and background completion. Each chain's
+/// background workers wait at a per-chain gate until a completion step
+/// opens it, so every hop of a chain still closed is known unfinished.
+/// After every step the status readers must agree with what the test
+/// knows; at the end every chain has converged.
+class TrainInterleavingTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  static constexpr int kRows = 16;
+  static constexpr int kChains = 6;  // The last one is the final hold's.
+  static constexpr int kMaxHops = 3;
+  static constexpr int kSteps = 30;
+
+  struct Chain {
+    int hops = 0;  // Accepted hops; hop h moves c<k>_<h> to c<k>_<h+1>.
+    std::atomic<bool> open{false};
+  };
+
+  void TearDown() override {
+    for (Chain& c : chains_) c.open = true;
+    hold_ = false;
+    if (holder_.joinable()) holder_.join();
+  }
+
+  static std::string TableName(int chain, int hop) {
+    return "c" + std::to_string(chain) + "_" + std::to_string(hop);
+  }
+  static std::string HopName(int chain, int hop) {
+    return "sql:" + TableName(chain, hop + 1);
+  }
+
+  void Seed(int chain) {
+    sql::SqlEngine engine(&db_);
+    const std::string t = TableName(chain, 0);
+    ASSERT_TRUE(
+        engine.Execute("CREATE TABLE " + t + " (id INT PRIMARY KEY, v INT)")
+            .ok());
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(engine
+                      .Execute("INSERT INTO " + t + " VALUES (" +
+                               std::to_string(i) + ", " + std::to_string(i) +
+                               ")")
+                      .ok());
+    }
+  }
+
+  /// Submits hop `hop` of `chain`. With `hold`, the plan factory waits
+  /// while *hold is set.
+  Status SubmitHop(int chain, int hop, std::atomic<bool>* hold) {
+    const std::string script = "CREATE TABLE " + TableName(chain, hop + 1) +
+                               " PRIMARY KEY (id) AS SELECT id, v FROM " +
+                               TableName(chain, hop) + "; DROP TABLE " +
+                               TableName(chain, hop) + ";";
+    auto parsed = sql::ParseSqlScript(script);
+    if (!parsed.ok()) return parsed.status();
+    auto footprint = sql::MigrationScriptFootprint(*parsed);
+    if (!footprint.ok()) return footprint.status();
+    MigrationController::SubmitOptions opts = FastLazyOpts();
+    opts.lazy.background_threads = 1;
+    Chain* c = &chains_[static_cast<size_t>(chain)];
+    return db_.controller().SubmitScript(
+        footprint->name, script, footprint->tables,
+        [this, script, c, hold]() -> Result<MigrationPlan> {
+          if (hold != nullptr) {
+            held_entered_ = true;
+            while (*hold) Clock::SleepMillis(1);
+          }
+          BF_ASSIGN_OR_RETURN(auto stmts, sql::ParseSqlScript(script));
+          BF_ASSIGN_OR_RETURN(MigrationPlan plan,
+                              sql::CompileMigration(stmts, &db_.catalog()));
+          plan.source_script = script;
+          for (MigrationStatement& stmt : plan.statements) {
+            stmt.row_transform = [inner = stmt.row_transform,
+                                  c](const Tuple& in) {
+              Stopwatch sw;
+              while (!c->open && sw.ElapsedMillis() < 60000) {
+                Clock::SleepMillis(1);
+              }
+              return inner(in);
+            };
+          }
+          return plan;
+        },
+        opts);
+  }
+
+  bool Closed(int k) const {
+    const Chain& c = chains_[static_cast<size_t>(k)];
+    return c.hops > 0 && !c.open;
+  }
+
+  /// Holds chain k's first hop in its plan factory on a helper thread.
+  void Hold(int k) {
+    Seed(k);
+    hold_ = true;
+    held_entered_ = false;
+    held_ = k;
+    holder_ = std::thread([this, k] { held_status_ = SubmitHop(k, 0, &hold_); });
+    Stopwatch sw;
+    while (!held_entered_ && sw.ElapsedMillis() < 30000) Clock::SleepMillis(1);
+    ASSERT_TRUE(held_entered_);
+  }
+
+  void Release() {
+    hold_ = false;
+    holder_.join();
+    EXPECT_TRUE(held_status_.ok()) << held_status_.ToString();
+    chains_[static_cast<size_t>(held_)].hops = 1;
+    held_ = -1;
+  }
+
+  /// Opens chain k and waits until its last hop has dropped its input.
+  void Complete(int k) {
+    Chain& c = chains_[static_cast<size_t>(k)];
+    c.open = true;
+    const std::string last_input = TableName(k, c.hops - 1);
+    Stopwatch sw;
+    while (db_.catalog().GetState(last_input) != TableState::kDropped &&
+           sw.ElapsedMillis() < 60000) {
+      Clock::SleepMillis(1);
+    }
+    Table* out = db_.catalog().FindTable(TableName(k, c.hops));
+    ASSERT_NE(out, nullptr) << TableName(k, c.hops);
+    EXPECT_EQ(out->NumLiveRows(), static_cast<uint64_t>(kRows));
+  }
+
+  void Check(const std::string& step) {
+    SCOPED_TRACE(step);
+    MigrationController& c = db_.controller();
+    bool unfinished = held_ >= 0;
+    for (int k = 0; k < kChains; ++k) unfinished |= Closed(k);
+    const bool complete = c.IsComplete();
+    const double progress = c.Progress();
+    const std::string report = c.StatusReport();
+    std::vector<MigrationController::CheckpointMigration> train;
+    const Status described = c.DescribeTrainForCheckpoint(&train);
+    if (unfinished) {
+      EXPECT_FALSE(complete);
+      EXPECT_LT(progress, 1.0);
+      EXPECT_EQ(report.find("migration: none"), std::string::npos) << report;
+    }
+    if (held_ >= 0) {
+      EXPECT_NE(report.find(HopName(held_, 0)), std::string::npos) << report;
+      EXPECT_TRUE(described.IsBusy()) << described.ToString();
+    }
+    if (complete) {
+      // Reported complete: every hop the test submitted dropped its input.
+      for (int k = 0; k < kChains; ++k) {
+        const Chain& ch = chains_[static_cast<size_t>(k)];
+        if (ch.hops == 0) continue;
+        EXPECT_EQ(db_.catalog().GetState(TableName(k, ch.hops - 1)),
+                  TableState::kDropped)
+            << "chain " << k;
+      }
+    }
+  }
+
+  std::array<Chain, kChains> chains_;
+  Database db_;  // After chains_: its workers read the chain gates.
+  std::atomic<bool> hold_{false};
+  std::atomic<bool> held_entered_{false};
+  int held_ = -1;
+  Status held_status_;
+  std::thread holder_;
+};
+
+TEST_P(TrainInterleavingTest, StatusTracksEveryEntry) {
+  std::mt19937 rng(GetParam());
+  auto pick = [&](auto&& eligible) {
+    std::vector<int> ks;
+    for (int k = 0; k < kChains - 1; ++k) {
+      if (eligible(k)) ks.push_back(k);
+    }
+    return ks.empty() ? -1 : ks[rng() % ks.size()];
+  };
+  for (int step = 0; step < kSteps; ++step) {
+    std::string what;
+    switch (rng() % 6) {
+      case 0: {  // A disjoint first hop, or a chained one behind a closed hop.
+        const int k = pick([&](int k) {
+          const Chain& c = chains_[static_cast<size_t>(k)];
+          return k != held_ && !c.open && c.hops < kMaxHops;
+        });
+        if (k < 0) break;
+        Chain& c = chains_[static_cast<size_t>(k)];
+        if (c.hops == 0) Seed(k);
+        const Status s = SubmitHop(k, c.hops, nullptr);
+        if (c.hops == 0) {
+          EXPECT_TRUE(s.ok()) << s.ToString();
+        } else {
+          EXPECT_TRUE(s.IsQueued()) << s.ToString();
+        }
+        ++c.hops;
+        what = "submit " + HopName(k, c.hops - 1);
+        break;
+      }
+      case 1: {  // A duplicate of an unfinished hop.
+        const int k = pick([&](int k) { return Closed(k) || k == held_; });
+        if (k < 0) break;
+        const int hop =
+            k == held_ ? 0 : static_cast<int>(rng() % chains_[k].hops);
+        const Status s = SubmitHop(k, hop, nullptr);
+        EXPECT_TRUE(s.IsBusy()) << s.ToString();
+        what = "duplicate " + HopName(k, hop);
+        break;
+      }
+      case 2: {
+        if (held_ >= 0) break;
+        const int k = pick([&](int k) {
+          return chains_[static_cast<size_t>(k)].hops == 0 &&
+                 !chains_[static_cast<size_t>(k)].open;
+        });
+        if (k < 0) break;
+        Hold(k);
+        what = "hold " + HopName(k, 0);
+        break;
+      }
+      case 3:
+        if (held_ < 0) break;
+        what = "release " + HopName(held_, 0);
+        Release();
+        break;
+      case 4:
+        what = "status";
+        break;
+      case 5: {  // Background completion of a closed chain.
+        const int k = pick([&](int k) { return Closed(k); });
+        if (k < 0) break;
+        Complete(k);
+        what = "complete chain " + std::to_string(k);
+        break;
+      }
+    }
+    if (!what.empty()) Check("step " + std::to_string(step) + ": " + what);
+  }
+
+  // The held entry alone in flight: drain everything else first.
+  if (held_ < 0) Hold(kChains - 1);
+  for (int k = 0; k < kChains; ++k) {
+    if (Closed(k)) Complete(k);
+  }
+  Check("held entry alone");
+  const int held = held_;
+  Release();
+  Complete(held);
+  Check("drained");
+  WaitComplete(&db_.controller());
+  for (int k = 0; k < kChains; ++k) {
+    const Chain& c = chains_[static_cast<size_t>(k)];
+    if (c.hops == 0) continue;
+    Table* out = db_.catalog().FindTable(TableName(k, c.hops));
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->NumLiveRows(), static_cast<uint64_t>(kRows)) << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TrainInterleavingTest,
+                         ::testing::Values(1u, 2u, 3u));
 
 }  // namespace
 }  // namespace bullfrog

@@ -1,10 +1,13 @@
+#include <atomic>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "bullfrog/database.h"
 #include "common/clock.h"
+#include "query/scan.h"
 
 namespace bullfrog {
 namespace {
@@ -264,6 +267,93 @@ TEST_F(DatabaseTest, EndToEndLazyMigrationThroughFacade) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->front().second[1].AsInt(), 99);
   ASSERT_TRUE(db_.Commit(&s).ok());
+}
+
+/// users -> `to` (same columns), retiring users.
+MigrationPlan CopyUsersPlan(const std::string& to) {
+  MigrationPlan plan;
+  plan.name = "copy_users";
+  plan.new_tables = {SchemaBuilder(to)
+                         .AddColumn("id", ValueType::kInt64, false)
+                         .AddColumn("name", ValueType::kString)
+                         .AddColumn("age", ValueType::kInt64)
+                         .SetPrimaryKey({"id"})
+                         .Build()};
+  plan.retire_tables = {"users"};
+  MigrationStatement stmt;
+  stmt.name = "copy";
+  stmt.category = MigrationCategory::kOneToOne;
+  stmt.input_tables = {"users"};
+  stmt.output_tables = {to};
+  for (const char* c : {"id", "name", "age"}) {
+    stmt.provenance.AddPassThrough(c, "users", c);
+  }
+  stmt.row_transform =
+      [](const Tuple& in) -> Result<std::vector<TargetRow>> {
+    return std::vector<TargetRow>{TargetRow{0, in}};
+  };
+  plan.statements.push_back(std::move(stmt));
+  return plan;
+}
+
+/// A committed session kept in scope holds no gate: a lazy submit's
+/// logical switch goes ahead.
+TEST_F(DatabaseTest, CommittedSessionDoesNotBlockLogicalSwitch) {
+  std::optional<Database::Session> s(db_.BeginSession({"users"}));
+  ASSERT_TRUE(db_.Select(&*s, "users", nullptr).ok());
+  ASSERT_TRUE(db_.Commit(&*s).ok());
+  std::atomic<bool> returned{false};
+  Status submitted;
+  std::thread submitter([&] {
+    submitted = db_.SubmitMigration(CopyUsersPlan("users_v2"),
+                                    MigrationController::SubmitOptions());
+    returned = true;
+  });
+  Stopwatch sw;
+  while (!returned && sw.ElapsedMillis() < 2000) Clock::SleepMillis(1);
+  EXPECT_TRUE(returned) << "the submit waited on a committed session";
+  s.reset();  // Lets a waiting submit through, so the join cannot hang.
+  submitter.join();
+  EXPECT_TRUE(submitted.ok()) << submitted.ToString();
+}
+
+/// Same for a multi-step cutover: the copier's write gate is not held by a
+/// session whose transaction has committed.
+TEST_F(DatabaseTest, CommittedSessionDoesNotBlockMultiStepCutover) {
+  MigrationController::SubmitOptions opts;
+  opts.strategy = MigrationStrategy::kMultiStep;
+  opts.multistep.threads = 1;
+  opts.multistep.batch = 4;
+  opts.multistep.pause_us = 20000;
+  ASSERT_TRUE(db_.SubmitMigration(CopyUsersPlan("users_v2"), opts).ok());
+  std::optional<Database::Session> s(db_.BeginSession({"users"}));
+  ASSERT_TRUE(db_.controller().MultiStepActive());
+  ASSERT_TRUE(db_.Update(&*s, "users", Eq(Col("id"), LitInt(3)),
+                         [](const Tuple& t) {
+                           Tuple u = t;
+                           u[2] = Value::Int(99);
+                           return u;
+                         })
+                  .ok());
+  ASSERT_TRUE(db_.Commit(&*s).ok());
+  Stopwatch sw;
+  while (!db_.controller().IsComplete() && sw.ElapsedMillis() < 5000) {
+    Clock::SleepMillis(5);
+  }
+  EXPECT_TRUE(db_.controller().IsComplete())
+      << "the cutover waited on a committed session";
+  s.reset();
+  while (!db_.controller().IsComplete() && sw.ElapsedMillis() < 30000) {
+    Clock::SleepMillis(5);
+  }
+  ASSERT_TRUE(db_.controller().IsComplete());
+  Table* out = db_.catalog().FindTable("users_v2");
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->NumLiveRows(), 20u);
+  auto rows = CollectWhere(*out, Eq(Col("id"), LitInt(3)));
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(rows->front().second[2].AsInt(), 99);
 }
 
 }  // namespace

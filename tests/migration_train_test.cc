@@ -213,6 +213,52 @@ TEST(MigrationTrainTest, EntryBetweenPopAndPublishIsNotComplete) {
   EXPECT_EQ(r->rows[0][0].AsInt(), 16);
 }
 
+/// A first submit held in its plan factory is in flight to every status
+/// reader: not complete, active, named in the report, and not embeddable
+/// in a checkpoint.
+TEST(MigrationTrainTest, StartingSubmitIsInFlightToStatus) {
+  Database db;
+  sql::SqlEngine engine(&db);
+  SeedTable(&engine, "t0", 16);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  const std::string script = HopScript("t0", "t1");
+  auto parsed = sql::ParseSqlScript(script);
+  ASSERT_TRUE(parsed.ok());
+  auto footprint = sql::MigrationScriptFootprint(*parsed);
+  ASSERT_TRUE(footprint.ok());
+  Status submitted;
+  std::thread submitter([&] {
+    submitted = db.controller().SubmitScript(
+        footprint->name, script, footprint->tables,
+        [&]() -> Result<MigrationPlan> {
+          entered = true;
+          while (!release) Clock::SleepMillis(1);
+          BF_ASSIGN_OR_RETURN(auto stmts, sql::ParseSqlScript(script));
+          BF_ASSIGN_OR_RETURN(MigrationPlan plan,
+                              sql::CompileMigration(stmts, &db.catalog()));
+          plan.source_script = script;
+          return plan;
+        },
+        Lazy(true));
+  });
+  Stopwatch sw;
+  while (!entered && sw.ElapsedMillis() < 30000) Clock::SleepMillis(1);
+  MigrationController& c = db.controller();
+  EXPECT_FALSE(c.IsComplete());
+  EXPECT_TRUE(c.HasActiveMigration());
+  EXPECT_EQ(c.ActiveMigrations(), 1u);
+  const std::string report = c.StatusReport();
+  EXPECT_NE(report.find(footprint->name), std::string::npos) << report;
+  std::vector<MigrationController::CheckpointMigration> train;
+  EXPECT_TRUE(c.DescribeTrainForCheckpoint(&train).IsBusy());
+
+  release = true;
+  submitter.join();
+  ASSERT_TRUE(submitted.ok()) << submitted.ToString();
+  ASSERT_TRUE(WaitComplete(&c));
+}
+
 TEST(MigrationTrainTest, ChainedHopsReadThroughAndConvergeInOrder) {
   Database db;
   sql::SqlEngine engine(&db);

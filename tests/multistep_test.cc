@@ -200,16 +200,23 @@ TEST_F(MultiStepTest, AggregatePropagationRecomputesGroup) {
 class MultiStepDatabaseTest : public ::testing::Test {
  protected:
   using Row = UnitKindData::Row;
+  using RowTransform = MigrationStatement::RowTransform;
 
   MultiStepDatabaseTest(int rows, int groups)
       : data_(rows, groups, &db_.catalog(), &db_.txns()) {}
   MultiStepDatabaseTest() : MultiStepDatabaseTest(2000, 10) {}
 
-  void Submit(UnitKind kind, MultiStepCopier::Options options) {
+  /// `wrap`, when given, replaces the submitted statement's row_transform
+  /// (stmt_ keeps the plain one for Reference).
+  void Submit(UnitKind kind, MultiStepCopier::Options options,
+              std::function<RowTransform(RowTransform)> wrap = nullptr) {
     stmt_ = data_.Statement(kind, nullptr);
     MigrationPlan plan;
     plan.name = "ms_" + UnitKindName(kind);
     plan.statements.push_back(stmt_);
+    if (wrap) {
+      plan.statements[0].row_transform = wrap(stmt_.row_transform);
+    }
     MigrationController::SubmitOptions opts;
     opts.strategy = MigrationStrategy::kMultiStep;
     opts.multistep = options;
@@ -349,6 +356,40 @@ TEST_F(MultiStepDualWriteTest, ProjectionKeyChangeDeletesOldKey) {
   });
 }
 
+/// A delete that commits while the copier derives the deleted row's
+/// target must not leave that target behind.
+TEST_F(MultiStepDualWriteTest, DeleteDuringRowCopyLeavesNoOrphan) {
+  constexpr int64_t kId = 5;
+  std::atomic<bool> armed{true};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> deleted{false};
+  MultiStepCopier::Options options;
+  options.threads = 1;
+  options.batch = 64;
+  options.pause_us = 20000;
+  Submit(UnitKind::kProjection, options, [&](RowTransform inner) {
+    return [&, inner](const Tuple& row) {
+      // The copier's first derivation of kId waits (bounded) for the
+      // delete; the delete's own propagation passes straight through.
+      if (row[0].AsInt() == kId && armed.exchange(false)) {
+        entered = true;
+        Stopwatch sw;
+        while (!deleted && sw.ElapsedMillis() < 1000) Clock::SleepMillis(1);
+      }
+      return inner(row);
+    };
+  });
+  Stopwatch sw;
+  while (!entered && sw.ElapsedMillis() < 30000) Clock::SleepMillis(1);
+  ASSERT_TRUE(entered);
+  ASSERT_TRUE(Write([&](Database::Session* s) {
+    return db_.Delete(s, "src", Eq(Col("id"), LitInt(kId))).status();
+  })) << "the copy ended before the write";
+  deleted = true;
+  WaitComplete();
+  EXPECT_EQ(data_.Output(UnitKind::kProjection), Reference());
+}
+
 TEST_F(MultiStepDualWriteTest, JoinKeyChangeDeletesOldPairs) {
   // dim's row 3 leaves its class: src's group-3 rows no longer join.
   WriteMidCopy(UnitKind::kJoinHashKey, [&](Database::Session* s) {
@@ -356,19 +397,15 @@ TEST_F(MultiStepDualWriteTest, JoinKeyChangeDeletesOldPairs) {
   });
 }
 
-/// Exactness against the copier: one writer thread commits inserts and
-/// updates (half of them move a row to another group, a unit-key change
-/// for the aggregate and the join) while the copier runs through cutover;
-/// a tail session inserts rows after the watermark has passed, so
-/// TryCutover copies a tail. The shadow table must then equal the
-/// statement's transform over the final inputs.
+/// Exactness against the copier: one writer thread commits inserts,
+/// deletes and updates (some move a row to another group, a unit-key
+/// change for the aggregate and the join; some change the primary key)
+/// while the copier runs through cutover; a tail session inserts rows
+/// after the watermark has passed, so TryCutover copies a tail. The shadow
+/// table must then equal the statement's transform over the final inputs.
 ///
-/// Left out on purpose:
-///  - deletes, and updates that change a projection's primary key: the
-///    copier reads source rows without a lock, so a write that propagates
-///    between the copier's read of a row and its insert of the derived
-///    row leaves the old row behind;
-///  - more than one writer: MultiStepCopier's "Known simplification".
+/// Left out on purpose: more than one writer (MultiStepCopier's "Known
+/// simplification").
 class MultiStepExactnessTest
     : public MultiStepDatabaseTest,
       public ::testing::WithParamInterface<UnitKind> {
@@ -401,7 +438,7 @@ TEST_P(MultiStepExactnessTest, ShadowEqualsTransformOfFinalInputs) {
       const int64_t id = static_cast<int64_t>(rng() % kRows);
       const int64_t value = static_cast<int64_t>(rng() % 1000);
       std::function<Status(Database::Session*)> write;
-      if (r % 10 < 3) {
+      if (r % 10 < 2) {
         const int64_t new_id = next_id++;
         write = [&, new_id, value](Database::Session* s) {
           return db_.Insert(s, "src",
@@ -409,13 +446,22 @@ TEST_P(MultiStepExactnessTest, ShadowEqualsTransformOfFinalInputs) {
                                   Value::Int(value % kGroups),
                                   Value::Int(value)});
         };
-      } else if (r % 10 < 6) {
+      } else if (r % 10 < 4) {
         write = [&, id, value](Database::Session* s) {
           return SetColumn(s, "src", "id", id, /*column=*/2, value);
         };
-      } else if (r % 10 < 9) {
+      } else if (r % 10 < 6) {
         write = [&, id, value](Database::Session* s) {
           return SetColumn(s, "src", "id", id, /*column=*/1, value % kGroups);
+        };
+      } else if (r % 10 < 7) {
+        write = [&, id](Database::Session* s) {
+          return db_.Delete(s, "src", Eq(Col("id"), LitInt(id))).status();
+        };
+      } else if (r % 10 < 9) {
+        const int64_t new_id = next_id++;
+        write = [&, id, new_id](Database::Session* s) {
+          return SetColumn(s, "src", "id", id, /*column=*/0, new_id);
         };
       } else {
         write = [&, value](Database::Session* s) {
