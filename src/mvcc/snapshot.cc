@@ -1,7 +1,6 @@
 #include "mvcc/snapshot.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace bullfrog::mvcc {
 
@@ -131,29 +130,6 @@ uint64_t SnapshotManager::AdvanceWatermark() {
                                            std::memory_order_acquire)) {
   }
   return std::max(cur, low);
-}
-
-void SnapshotManager::PublishCommitTs(uint64_t ts) {
-  // In-order publication: wait for the predecessor. Allocation happens
-  // just before the durable append, so in the worst case a predecessor is
-  // still inside a group-commit sync and this spin stretches to one batch
-  // interval; in the common case allocation order matches append order
-  // and the predecessor publishes promptly.
-  uint64_t expected = ts - 1;
-  while (visible_clock_.load(std::memory_order_acquire) != expected) {
-    std::this_thread::yield();
-  }
-  visible_clock_.store(ts, std::memory_order_seq_cst);
-}
-
-void SnapshotManager::WaitForAllocatedCommits() const {
-  // next_ts_ - 1 is the highest timestamp handed out so far; dense,
-  // in-order publication means the visible clock reaching it covers every
-  // allocation that preceded this load.
-  const uint64_t target = next_ts_.load(std::memory_order_seq_cst) - 1;
-  while (visible_clock_.load(std::memory_order_acquire) < target) {
-    std::this_thread::yield();
-  }
 }
 
 }  // namespace bullfrog::mvcc

@@ -11,15 +11,15 @@ namespace bullfrog::mvcc {
 
 /// The per-database commit clock and snapshot registry.
 ///
-/// Timestamp protocol. Commit timestamps are *allocated* from one atomic
-/// counter but only become *visible* in allocation order: a committer
-/// first stamps all of its installed versions with its allocated ts, then
-/// publishes by advancing `visible_clock_` from ts-1 to ts (spinning on
-/// its predecessor). A reader's snapshot is simply a load of
-/// visible_clock_, which guarantees that every commit <= that value has
-/// finished stamping — a snapshot can never observe commit N+1's rows
-/// while missing commit N's (no torn snapshots). A transaction that wrote
-/// nothing commits without a timestamp: it has nothing to publish.
+/// Timestamp protocol. The redo log is the one commit sequencer
+/// (RedoLog, txn/wal.h): inside its ordering section a commit takes the
+/// next timestamp, has its records appended, has its installed versions
+/// stamped, and only then moves `visible_clock_` forward (Publish). So
+/// timestamp order is log order, and a reader's snapshot — a load of
+/// visible_clock_ — covers every commit at or below it in full: a
+/// snapshot can never observe commit N+1's rows while missing commit N's
+/// (no torn snapshots). A transaction that wrote nothing commits without
+/// a timestamp: it has nothing to publish.
 ///
 /// Pin slots. Pinned snapshots live in cache-line-padded slots, one per
 /// open pin, in a chain of fixed-size chunks that only grows. A thread
@@ -52,15 +52,6 @@ namespace bullfrog::mvcc {
 /// scan per kScanEvery published commits; a read-only steady state never
 /// scans.
 ///
-/// Checkpoint barrier. Commit timestamps are allocated *before* the
-/// durable WAL append (see AllocateCommitTs), so any transaction whose
-/// records sit at a log offset below O holds a timestamp <= the
-/// allocation clock read after O. Because publication is dense and in
-/// order — every allocated ts is eventually published, failed appends
-/// included — waiting until visible_clock_ reaches that allocation-clock
-/// reading (WaitForAllocatedCommits) guarantees a snapshot at the then-
-/// visible ts covers every commit below O. No counters, no substitution
-/// races: the clock itself is the barrier.
 class SnapshotManager {
  private:
   struct alignas(64) Slot {
@@ -98,7 +89,9 @@ class SnapshotManager {
   /// capture); transactions are pinned by TransactionManager::Begin.
   class PinGuard {
    public:
-    explicit PinGuard(SnapshotManager* mgr) : mgr_(mgr), pin_(mgr->Pin()) {}
+    explicit PinGuard(SnapshotManager* mgr) : PinGuard(mgr, mgr->Pin()) {}
+    /// Adopts a pin taken elsewhere (RedoLog::PinOrderPoint).
+    PinGuard(SnapshotManager* mgr, PinHandle pin) : mgr_(mgr), pin_(pin) {}
     ~PinGuard() { mgr_->Unpin(pin_); }
     PinGuard(const PinGuard&) = delete;
     PinGuard& operator=(const PinGuard&) = delete;
@@ -109,28 +102,14 @@ class SnapshotManager {
     PinHandle pin_;
   };
 
-  /// --- committer side --------------------------------------------------
+  /// --- sequencer side --------------------------------------------------
 
-  /// Allocates the next commit timestamp. Call *before* the commit's
-  /// durable WAL append. Every allocated timestamp MUST be published via
-  /// PublishCommitTs — on a failed append too (publish, then roll back;
-  /// the rolled-back versions stay invisible because they are never
-  /// stamped committed) — or every later committer spins forever on the
-  /// hole.
-  uint64_t AllocateCommitTs() {
-    return next_ts_.fetch_add(1, std::memory_order_seq_cst);
+  /// Makes every commit timestamp up to `ts` visible. Single writer: only
+  /// the redo log's ordering section calls it, after stamping every
+  /// version the newly visible commits installed.
+  void Publish(uint64_t ts) {
+    visible_clock_.store(ts, std::memory_order_seq_cst);
   }
-
-  /// Publishes `ts` in allocation order (spins on the predecessor).
-  /// Successful committers stamp their installed versions first, while
-  /// still holding their row locks.
-  void PublishCommitTs(uint64_t ts);
-
-  /// Waits until every commit timestamp allocated before this call is
-  /// published. After it returns, a load of visible() covers every
-  /// commit whose WAL append *started* before the wait — the checkpoint
-  /// barrier (allocation precedes the append in the commit protocol).
-  void WaitForAllocatedCommits() const;
 
   /// --- GC --------------------------------------------------------------
 
@@ -172,7 +151,6 @@ class SnapshotManager {
   /// high-water mark over it; grows the chain when every slot is taken.
   Slot* ClaimSlot();
 
-  std::atomic<uint64_t> next_ts_{kBootstrapTs + 1};
   alignas(64) std::atomic<uint64_t> visible_clock_{kBootstrapTs};
   alignas(64) std::atomic<uint64_t> watermark_{kBootstrapTs};
   /// Highest clock reading a watermark scan started from (or an Unpin

@@ -51,7 +51,8 @@ enum class Stage : int {
   kMigratePull,   ///< Lazy-migration granule pulls done by this request.
   kMigrateWait,   ///< Waiting out units claimed by another migrator
                   ///< (background-migrator interference).
-  kWalSync,       ///< Group-commit WAL sync wait at commit.
+  kWalSync,       ///< Commit wait for (and in) the redo log ordering
+                  ///< section, group-commit sync included.
   kShardSend,     ///< Cross-shard fan-out: posting per-shard tasks.
   kShardWait,     ///< Cross-shard fan-out: waiting for all shards.
   kShardMerge,    ///< Cross-shard fan-out: merging per-shard results.

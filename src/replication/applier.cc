@@ -50,8 +50,7 @@ Status LogApplier::Flush(uint64_t txn_id) {
   // retired against the commit clock (Table::Retire). Move the clock once
   // per applied transaction, as its commit did on the primary, so the
   // watermark — and reclamation — keeps up on a replica too.
-  mvcc::SnapshotManager& snapshots = db_->txns().snapshots();
-  snapshots.PublishCommitTs(snapshots.AllocateCommitTs());
+  db_->txns().redo_log().AdvanceClock();
   return Status::OK();
 }
 
@@ -67,10 +66,9 @@ Status LogApplier::ApplyDml(const LogRecord& r) {
   switch (r.op) {
     case LogOp::kInsert: {
       Status s = t->RestoreAt(r.rid, r.after);
-      // A snapshot checkpoint overlaps its WAL suffix: a record at an
-      // offset past the checkpoint's may still have committed at or below
-      // its snapshot timestamp, so the row can already be live. Re-apply
-      // the post-image in place.
+      // A snapshot checkpoint's WAL suffix may repeat a bulk-loaded row:
+      // those are live before their records are appended, so the row can
+      // already be in the snapshot. Re-apply the post-image in place.
       if (s.IsAlreadyExists()) return t->ForceApply(r.rid, r.after);
       return s;
     }

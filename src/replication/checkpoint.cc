@@ -88,7 +88,7 @@ Status CaptureCheckpoint(Database* db, std::string* out,
                          uint64_t offset_base) {
   // Shared switch gate: Submit serializes against us; client requests
   // (which also hold it shared) keep flowing. See checkpoint.h for the
-  // O/T barrier argument.
+  // O/T pair.
   auto guard = db->controller().GuardTables({});
   std::vector<MigrationController::CheckpointMigration> train;
   if (!db->controller().IsComplete()) {
@@ -97,10 +97,9 @@ Status CaptureCheckpoint(Database* db, std::string* out,
       return d;  // Busy: multistep/eager or script-less migration.
     }
   }
-  const uint64_t wal_offset =
-      offset_base + db->txns().redo_log().size();
-  db->txns().snapshots().WaitForAllocatedCommits();
-  mvcc::SnapshotManager::PinGuard pin(&db->txns().snapshots());
+  const RedoLog::OrderPoint point = db->txns().redo_log().PinOrderPoint();
+  mvcc::SnapshotManager::PinGuard pin(&db->txns().snapshots(), point.pin);
+  const uint64_t wal_offset = offset_base + point.offset;
   const mvcc::ReadView view{pin.ts(), /*txn=*/0};
 
   out->clear();

@@ -34,24 +34,24 @@ namespace bullfrog::replication {
 /// Capture is quiesce-free: it holds the controller's switch gate
 /// *shared* — client traffic keeps flowing; only a concurrent logical
 /// switch serializes against it — and scans every table through the MVCC
-/// version chains at one snapshot timestamp T. The barrier pairing T with
-/// the embedded wal_offset O:
-///   1. O = offset_base + redo-log size,
-///   2. SnapshotManager::WaitForAllocatedCommits() — commit timestamps
-///      are allocated before the durable append, so every transaction
-///      with records below O has published once this returns,
-///   3. T = pinned visible clock (>= every such commit's ts).
-/// Records at offsets >= O with ts <= T are replayed on top of the
-/// snapshot; LogApplier applies them idempotently. A live *lazy* script-
-/// based migration does not defer the checkpoint: its replication blob
-/// is embedded, and LoadCheckpoint re-submits it with replicated_replay
-/// and ON CONFLICT duplicate detection so granule marks lost below O are
-/// simply re-migrated and deduplicated at insert time (this leans on the
-/// §3.7 on-conflict mode, i.e. deterministic unique keys on the output
-/// tables). The whole migration train is embedded — every started entry
-/// plus the queued scripts in submit order. Non-lazy (eager, multistep)
-/// and script-less migrations return Busy, as does a capture racing a
-/// submit mid-construction; callers retry (see ReplicaOptions).
+/// version chains at one snapshot timestamp T. The redo log is the one
+/// commit sequencer, so T and the embedded wal_offset O (offset_base +
+/// log size) are read as one pair in a single pass of its ordering
+/// section (RedoLog::PinOrderPoint): every commit below O is visible at
+/// T, and every commit at or past O has a timestamp above T.
+/// Non-transactional installs (bulk loads) are visible before their
+/// records are appended, so the suffix from O may still repeat rows the
+/// snapshot holds; LogApplier applies them idempotently. A live *lazy*
+/// script-based migration does not defer the checkpoint: its replication
+/// blob is embedded, and LoadCheckpoint re-submits it with
+/// replicated_replay and ON CONFLICT duplicate detection so granule marks
+/// lost below O are simply re-migrated and deduplicated at insert time
+/// (this leans on the §3.7 on-conflict mode, i.e. deterministic unique
+/// keys on the output tables). The whole migration train is embedded —
+/// every started entry plus the queued scripts in submit order. Non-lazy
+/// (eager, multistep) and script-less migrations return Busy, as does a
+/// capture racing a submit mid-construction; callers retry (see
+/// ReplicaOptions).
 ///
 /// `offset_base` shifts the embedded wal_offset: the in-memory redo log
 /// holds only the records since the last restart, so a WalDir whose

@@ -56,21 +56,11 @@ class Transaction {
  private:
   friend class TransactionManager;
 
-  /// One installed row version. Undo unlinks it (Table::UndoInstall);
-  /// commit stamps it with the allocated commit timestamp. The version's
-  /// own shape (tombstone / shadowed predecessor) tells the table how to
-  /// reverse index effects, so no before-image is kept here.
-  struct UndoRecord {
-    Table* table;
-    RowId rid;
-    mvcc::RowVersion* version;
-  };
-
   uint64_t id_;
   TxnState state_ = TxnState::kActive;
   /// The begin snapshot; `slot` is null once commit/abort unpinned it.
   mvcc::SnapshotManager::PinHandle pin_;
-  std::vector<UndoRecord> undo_;
+  std::vector<InstalledVersion> undo_;
   std::vector<LockKey> locks_;
   std::vector<LogRecord> redo_;
   std::vector<std::function<void()>> commit_hooks_;

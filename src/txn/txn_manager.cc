@@ -75,8 +75,7 @@ Result<InsertOutcome> TransactionManager::Insert(Transaction* txn,
   // back; then lock the freshly created row so no concurrent txn can
   // touch it before we commit. The pending version is visible to latest
   // (non-snapshot) scans before commit; timestamped snapshots skip it.
-  txn->undo_.push_back(
-      Transaction::UndoRecord{table, outcome->rid, installed});
+  txn->undo_.push_back(InstalledVersion{table, outcome->rid, installed});
   BF_RETURN_NOT_OK(LockRow(txn, table, outcome->rid));
 
   LogRecord redo;
@@ -109,7 +108,7 @@ Status TransactionManager::Update(Transaction* txn, Table* table, RowId rid,
   mvcc::RowVersion* installed = nullptr;
   BF_RETURN_NOT_OK(table->Update(rid, std::move(new_row), nullptr, txn->id(),
                                  &installed));
-  txn->undo_.push_back(Transaction::UndoRecord{table, rid, installed});
+  txn->undo_.push_back(InstalledVersion{table, rid, installed});
   LogRecord redo;
   redo.op = LogOp::kUpdate;
   redo.table = table->name();
@@ -125,7 +124,7 @@ Status TransactionManager::Delete(Transaction* txn, Table* table, RowId rid) {
   BF_RETURN_NOT_OK(LockRow(txn, table, rid));
   mvcc::RowVersion* installed = nullptr;
   BF_RETURN_NOT_OK(table->Delete(rid, nullptr, txn->id(), &installed));
-  txn->undo_.push_back(Transaction::UndoRecord{table, rid, installed});
+  txn->undo_.push_back(InstalledVersion{table, rid, installed});
   LogRecord redo;
   redo.op = LogOp::kDelete;
   redo.table = table->name();
@@ -153,33 +152,21 @@ Status TransactionManager::Commit(Transaction* txn, CommitTicket* ticket) {
     // or publish, so no commit timestamp either.
     if (ticket != nullptr) *ticket = CommitTicket{};
   } else {
-    // Allocate the commit timestamp *before* the durable append: the
-    // checkpoint barrier depends on "records at a WAL offset below O
-    // imply a timestamp at or below the allocation clock read after O"
-    // (SnapshotManager::WaitForAllocatedCommits). Every allocated ts
-    // must be published, so the failure path below publishes too.
-    const uint64_t commit_ts = snapshots_.AllocateCommitTs();
     // Durable-first: the append blocks until the records (plus commit
     // record) are on disk — through the group-commit writer when one is
-    // running. A failed write/sync means the commit never happened: fill
-    // the timestamp hole (no version was stamped, so the ts commits
-    // nothing), roll the transaction back, and surface the sink's error.
+    // running. Its ordering section then gives the commit its timestamp,
+    // stamps every installed version and publishes the timestamp, all
+    // while we still hold our row locks: a snapshot at ts >= ours sees
+    // all our writes and one below sees none. A failed write/sync means
+    // the commit never happened and took no timestamp: roll back and
+    // surface the sink's error.
     Status durable = redo_.AppendCommitted(txn->id(), std::move(txn->redo_),
-                                           ticket);
+                                           txn->undo_, ticket);
     txn->redo_.clear();
     if (!durable.ok()) {
-      snapshots_.PublishCommitTs(commit_ts);
       RollbackActive(txn);
       return durable;
     }
-    // Stamp every installed version with the allocated commit timestamp,
-    // then publish it in allocation order — still under our row locks,
-    // so a snapshot acquired at ts >= ours sees all our writes and one
-    // below sees none.
-    for (const auto& u : txn->undo_) {
-      u.version->commit_ts.store(commit_ts, std::memory_order_release);
-    }
-    snapshots_.PublishCommitTs(commit_ts);
   }
   UnpinBegin(txn);
   txn->undo_.clear();

@@ -19,8 +19,8 @@ namespace bullfrog {
 
 /// Drives transactions over heap tables: strict 2PL (wait-die) row locks,
 /// version-chain undo on abort, and redo logging on commit. Writers
-/// install new row versions (never update in place) and stamp them with a
-/// commit timestamp from the per-database SnapshotManager at commit.
+/// install new row versions (never update in place); at commit the redo
+/// log stamps them with the commit timestamp it hands out in log order.
 ///
 /// Isolation contract: writes are serializable per-row (exclusive row
 /// locks, wait-die). Reads are MVCC snapshot reads: Begin pins the
@@ -80,7 +80,7 @@ class TransactionManager {
   /// is rolled back exactly as Abort would (undo applied, abort hooks
   /// run, locks released) and the sink's error is returned: a commit
   /// that never hit disk is never acked. `ticket`, when non-null,
-  /// receives the commit's LSN/ack order on success.
+  /// receives the commit's LSN and timestamp on success.
   Status Commit(Transaction* txn, CommitTicket* ticket = nullptr);
 
   /// Aborts: applies undo in reverse, runs abort hooks, releases locks.
@@ -114,8 +114,8 @@ class TransactionManager {
   void UnpinBegin(Transaction* txn);
 
   LockManager locks_;
-  RedoLog redo_;
   mvcc::SnapshotManager snapshots_;
+  RedoLog redo_{&snapshots_};
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> committed_{0};
   std::atomic<uint64_t> aborted_{0};

@@ -1,6 +1,7 @@
 #include "txn/wal.h"
 
 #include <chrono>
+#include <iterator>
 
 #include "common/clock.h"
 #include "obs/request_trace.h"
@@ -37,9 +38,38 @@ RedoLog::~RedoLog() {
   if (writer_.joinable()) writer_.join();
 }
 
-void RedoLog::PublishLocked(std::vector<LogRecord> records, uint64_t* lsn) {
-  for (LogRecord& r : records) records_.push_back(std::move(r));
-  if (lsn != nullptr) *lsn = records_.size();
+void RedoLog::SequenceLocked(std::span<Pending* const> batch,
+                             std::vector<LogRecord>* records) {
+  // The clock moves only under mu_ (here and in AdvanceClock), so
+  // visible() + 1 is the next timestamp. Moved-from records keep their
+  // vector's size, which the LSNs still need.
+  uint64_t ts = clock_->visible();
+  uint64_t lsn = records_.size();
+  for (Pending* p : batch) {
+    lsn += p->records.size();
+    p->ticket = CommitTicket{lsn, ++ts};
+  }
+  records_.insert(records_.end(), std::make_move_iterator(records->begin()),
+                  std::make_move_iterator(records->end()));
+  for (const Pending* p : batch) {
+    for (const InstalledVersion& v : p->versions) {
+      v.version->commit_ts.store(p->ticket.commit_ts,
+                                 std::memory_order_release);
+    }
+  }
+  // Stamped first: a snapshot at the published clock sees every version
+  // of every commit at or below it.
+  clock_->Publish(ts);
+}
+
+void RedoLog::AdvanceClock() {
+  std::lock_guard lock(mu_);
+  clock_->Publish(clock_->visible() + 1);
+}
+
+RedoLog::OrderPoint RedoLog::PinOrderPoint() {
+  std::lock_guard lock(mu_);
+  return OrderPoint{records_.size(), clock_->Pin()};
 }
 
 Status RedoLog::RunSinkLocked(const std::vector<LogRecord>& records) {
@@ -58,54 +88,30 @@ void RedoLog::StartWriterLocked() {
   if (!stop_) writer_ = std::thread([this] { WriterLoop(); });
 }
 
-void RedoLog::SetSink(Sink sink) {
-  std::lock_guard sink_lock(sink_mu_);
-  sink_ = std::move(sink);
-  if (sink_) StartWriterLocked();
-}
-
 size_t RedoLog::SwapSink(Sink sink) {
   // sink_mu_ first: an in-flight batch finishes against the old sink and
-  // publishes before we read the swap offset, so every record below the
-  // returned offset is durable in the old segment and everything queued
-  // behind us lands in the new one.
+  // is sequenced before we read the swap offset, so every record below
+  // the returned offset is durable in the old segment and everything
+  // queued behind us lands in the new one. mu_ makes the swap atomic with
+  // a no-sink commit's ordering section.
   std::lock_guard sink_lock(sink_mu_);
-  std::lock_guard lock(mu_);
-  sink_ = std::move(sink);
-  if (sink_) StartWriterLocked();
-  return records_.size();
-}
-
-Status RedoLog::SyncAppend(std::vector<LogRecord> records,
-                           CommitTicket* ticket) {
-  std::lock_guard sink_lock(sink_mu_);
-  Status st = RunSinkLocked(records);
-  if (!st.ok()) return AnnotateSinkFailure(st);
-  uint64_t lsn = 0;
+  size_t offset;
   {
     std::lock_guard lock(mu_);
-    PublishLocked(std::move(records), &lsn);
+    sink_ = std::move(sink);
+    offset = records_.size();
   }
-  grow_cv_.notify_all();
-  uint64_t seq;
-  {
-    std::lock_guard ack_lock(ack_mu_);
-    seq = ++acks_released_;
-  }
-  if (acks_counter_ != nullptr) acks_counter_->Inc();
-  if (ticket != nullptr) {
-    ticket->lsn = lsn;
-    ticket->ack_seq = seq;
-  }
-  return Status::OK();
+  if (sink_) StartWriterLocked();
+  return offset;
 }
 
 Status RedoLog::AppendCommitted(uint64_t txn_id,
                                 std::vector<LogRecord> records,
+                                std::span<const InstalledVersion> versions,
                                 CommitTicket* ticket) {
   // A read-only transaction has nothing to make durable: skip the commit
   // record (and the fsync it would cost) entirely.
-  if (records.empty()) {
+  if (records.empty() && versions.empty()) {
     if (ticket != nullptr) *ticket = CommitTicket{};
     return Status::OK();
   }
@@ -115,42 +121,51 @@ Status RedoLog::AppendCommitted(uint64_t txn_id,
   commit.op = LogOp::kCommit;
   records.push_back(std::move(commit));
 
-  bool has_sink;
-  {
-    std::lock_guard sink_lock(sink_mu_);
-    has_sink = sink_ != nullptr;
-  }
-  if (!has_sink) return SyncAppend(std::move(records), ticket);
-
   Pending pending;
   pending.records = std::move(records);
+  pending.versions = versions;
+  Pending* const one = &pending;
+  // The whole wait for the ordering section — the lock below, or the
+  // group-commit writer's sync and sequencing — is this commit's
+  // wal_sync stage.
+  obs::ScopedSpan span("wal_sync", obs::Stage::kWalSync);
+  std::unique_lock lock(mu_);
+  if (!sink_) {
+    SequenceLocked({&one, 1}, &pending.records);
+    lock.unlock();
+    grow_cv_.notify_all();
+    if (acks_counter_ != nullptr) acks_counter_->Inc();
+    if (ticket != nullptr) *ticket = pending.ticket;
+    return Status::OK();
+  }
+  lock.unlock();
+
   bool queued = false;
   bool was_empty = false;
   {
-    std::lock_guard lock(queue_mu_);
+    std::lock_guard queue_lock(queue_mu_);
     if (!stop_) {
       was_empty = queue_.empty();
       queue_.push_back(&pending);
       queued = true;
     }
   }
-  if (!queued) {
-    // Shutdown race: the writer is gone (or going); fall back to the
-    // synchronous path rather than parking forever.
-    return SyncAppend(std::move(pending.records), ticket);
+  if (queued) {
+    // Only the empty -> non-empty transition needs a wake: a non-empty
+    // queue means the writer is either mid-batch or accumulating on a
+    // timed tick, and will see this entry without a futex wake per
+    // commit.
+    if (was_empty) queue_cv_.notify_one();
+  } else {
+    // Shutdown race: the writer is gone (or going); run the batch on
+    // this thread rather than parking forever.
+    ProcessBatch({&one, 1});
   }
-  // Only the empty -> non-empty transition needs a wake: a non-empty
-  // queue means the writer is either mid-batch or accumulating on a
-  // timed tick, and will see this entry without a futex wake per commit.
-  if (was_empty) queue_cv_.notify_one();
   // Futex-style park on our own flag: the writer's release store (and
   // notify_one) publishes result/ticket to exactly this thread, so a
   // batch of N acks costs N targeted wakes, not N threads contending one
   // condition-variable mutex.
-  {
-    obs::ScopedSpan span("wal_sync", obs::Stage::kWalSync);
-    pending.done.wait(0, std::memory_order_acquire);
-  }
+  pending.done.wait(0, std::memory_order_acquire);
   if (!pending.result.ok()) return pending.result;
   if (ticket != nullptr) *ticket = pending.ticket;
   return Status::OK();
@@ -189,11 +204,10 @@ void RedoLog::WriterLoop() {
   }
 }
 
-void RedoLog::ProcessBatch(const std::vector<Pending*>& batch) {
+void RedoLog::ProcessBatch(std::span<Pending* const> batch) {
   // One sink call for the whole batch: LogFileWriter turns this into a
   // single fwrite + fdatasync. Records are moved, not copied — the
-  // committer never looks at them again; the moved-from vectors keep
-  // their size, which the LSN assignment below still needs.
+  // committer never looks at them again.
   std::vector<LogRecord> combined;
   size_t total = 0;
   for (const Pending* p : batch) total += p->records.size();
@@ -207,17 +221,12 @@ void RedoLog::ProcessBatch(const std::vector<Pending*>& batch) {
     std::lock_guard sink_lock(sink_mu_);
     st = RunSinkLocked(combined);
     if (st.ok()) {
-      // Publish while still holding sink_mu_ so SwapSink cannot slide a
+      // Sequence while still holding sink_mu_ so SwapSink cannot slide a
       // new sink (and read its base offset) between our durable write
-      // and our memory publish. mu_ itself is held only for the splice —
-      // readers never wait on the fsync above.
+      // and the ordering section. mu_ itself is held only for the
+      // sequencing — readers never wait on the fsync above.
       std::lock_guard lock(mu_);
-      uint64_t lsn = records_.size();
-      for (Pending* p : batch) {
-        lsn += p->records.size();
-        p->ticket.lsn = lsn;
-      }
-      PublishLocked(std::move(combined), nullptr);
+      SequenceLocked(batch, &combined);
     }
   }
   if (st.ok()) grow_cv_.notify_all();
@@ -229,19 +238,10 @@ void RedoLog::ProcessBatch(const std::vector<Pending*>& batch) {
   }
   if (st.ok() && acks_counter_ != nullptr) acks_counter_->Inc(batch.size());
 
-  const Status failure = st.ok() ? Status::OK() : AnnotateSinkFailure(st);
-  {
-    std::lock_guard ack_lock(ack_mu_);
-    // ack_seq hands out in batch order == LSN order: tickets were
-    // assigned walking the batch front-to-back, and so does this loop,
-    // under one critical section shared with SyncAppend's counter.
-    if (st.ok()) {
-      for (Pending* p : batch) p->ticket.ack_seq = ++acks_released_;
-    }
-  }
   // Release waiters front-to-back so acks fire in LSN order. Each store
   // + notify targets one parked committer; result/ticket writes above
   // happen-before the acquire load in AppendCommitted.
+  const Status failure = st.ok() ? Status::OK() : AnnotateSinkFailure(st);
   for (Pending* p : batch) {
     p->result = failure;
     p->done.store(1, std::memory_order_release);

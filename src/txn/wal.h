@@ -7,16 +7,20 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "mvcc/snapshot.h"
 #include "obs/metrics.h"
 #include "storage/tuple.h"
 
 namespace bullfrog {
+
+class Table;
 
 /// Logical redo-log record kinds.
 enum class LogOp : uint8_t {
@@ -65,29 +69,55 @@ inline LogRecord MakeDdlRecord(std::string kind, std::string blob) {
   return r;
 }
 
-/// Receipt for one committed append, filled by AppendCommitted on
-/// success. `lsn` is the log size (record count) just past this commit's
-/// records — commits become durable and visible in strictly increasing
-/// LSN order. `ack_seq` is the order in which the ack was released;
-/// sorting a set of tickets by ack_seq must yield nondecreasing lsn,
-/// which the LSN-ordered-ack test asserts under 16 concurrent committers.
-struct CommitTicket {
-  uint64_t lsn = 0;
-  uint64_t ack_seq = 0;
+/// One row version a committing transaction installed. Undo unlinks it
+/// (Table::UndoInstall); the redo log's ordering section stamps it with
+/// the commit's timestamp. The version's own shape (tombstone / shadowed
+/// predecessor) tells the table how to reverse index effects, so no
+/// before-image is kept.
+struct InstalledVersion {
+  Table* table;
+  RowId rid;
+  mvcc::RowVersion* version;
 };
 
-/// The redo log: an in-memory, append-only record vector plus an optional
-/// durability sink (e.g. a LogFileWriter), with a group-commit writer in
-/// front of the sink.
+/// Receipt for one committed append, filled by AppendCommitted on
+/// success. `lsn` is the log size (record count) just past this commit's
+/// records; `commit_ts` is the commit timestamp it took in the same pass
+/// of the ordering section. Across commits, commit_ts increases strictly
+/// with lsn.
+struct CommitTicket {
+  uint64_t lsn = 0;
+  uint64_t commit_ts = 0;
+};
+
+/// The redo log and the one commit sequencer: an in-memory, append-only
+/// record vector plus an optional durability sink (e.g. a LogFileWriter),
+/// with a group-commit writer in front of the sink.
 ///
-/// Commit path (sink attached): committing transactions enqueue their
-/// records and block on a per-commit latch; a dedicated writer thread
+/// Ordering section. Commit order is decided in one place: under `mu_`,
+/// in one pass, each commit takes the next commit timestamp (the visible
+/// clock plus one), has its records appended, has its installed versions
+/// stamped, and then the clock moves to the pass's top timestamp (one
+/// store). Timestamp order is therefore log order, and a log offset O
+/// pairs with a timestamp T: PinOrderPoint reads both in one pass, so the
+/// commits below O are exactly the commits at or below T. The log
+/// applier's per-transaction clock step (AdvanceClock) goes through the
+/// same section. A failed sink call reaches no ordering section: its
+/// commits take no timestamp.
+///
+/// No sink (the in-memory engine): the committer runs the ordering
+/// section itself, one mutex per commit.
+///
+/// Sink attached: committing transactions enqueue their records and
+/// versions and block on a per-commit latch; a dedicated writer thread
 /// drains the queue, hands the whole batch to the sink in one call (one
-/// fwrite + one fdatasync in LogFileWriter), publishes the records to the
-/// in-memory log, and releases the acks strictly in LSN order. The sink's
-/// Status is propagated to every waiter in the batch: a failed write/sync
-/// aborts those commits instead of acking them, and the failed records are
-/// never published (not visible to ReadFrom, never shipped to replicas).
+/// fwrite + one fdatasync in LogFileWriter), runs the ordering section
+/// once for the batch, and releases the acks in LSN order. Committers
+/// keep their row locks until their ack, so a commit is visible before
+/// its locks are released. The sink's Status is propagated to every
+/// waiter in the batch: a failed write/sync aborts those commits instead
+/// of acking them, and the failed records are never published (not
+/// visible to ReadFrom, never shipped to replicas).
 ///
 /// Reader isolation: the sink is invoked WITHOUT holding the log mutex,
 /// so ReadFrom / size readers (replication tails, checkpoints, ADMIN
@@ -97,30 +127,52 @@ struct CommitTicket {
 ///
 /// The writer drains at most 128 commits per sink call and, once the
 /// queue is non-empty, waits up to 500 µs for more to accumulate (see
-/// kMaxBatch / kMaxWaitUs in wal.cc). With no sink attached (the
-/// in-memory engine) a commit publishes synchronously on its own thread.
+/// kMaxBatch / kMaxWaitUs in wal.cc).
 class RedoLog {
  public:
-  RedoLog() = default;
+  /// `clock` is the commit clock the ordering section advances; it must
+  /// outlive the log.
+  explicit RedoLog(mvcc::SnapshotManager* clock) : clock_(clock) {}
   ~RedoLog();
   RedoLog(const RedoLog&) = delete;
   RedoLog& operator=(const RedoLog&) = delete;
 
   /// Atomically appends all records of a committing transaction plus its
-  /// commit record, making them durable through the sink first (see class
-  /// comment). Returns the sink's Status: on error the records were NOT
-  /// appended anywhere and the caller must treat the commit as failed.
-  /// Empty `records` (a read-only transaction) are skipped entirely — no
-  /// commit record, no fsync. `ticket`, when non-null, receives the
-  /// commit's LSN and ack sequence on success.
+  /// commit record, making them durable through the sink first, then
+  /// sequences the commit: it takes a commit timestamp, and every version
+  /// in `versions` is stamped with it before it becomes visible (see
+  /// class comment). `versions` must stay alive until the call returns.
+  /// Returns the sink's Status: on error the records were NOT appended
+  /// anywhere, no timestamp was taken, and the caller must treat the
+  /// commit as failed. A commit with neither records nor versions (a
+  /// read-only transaction) is skipped entirely — no commit record, no
+  /// fsync, no timestamp. `ticket`, when non-null, receives the commit's
+  /// LSN and timestamp on success.
   Status AppendCommitted(uint64_t txn_id, std::vector<LogRecord> records,
+                         std::span<const InstalledVersion> versions = {},
                          CommitTicket* ticket = nullptr);
+
+  /// Takes and publishes the next commit timestamp for a transaction
+  /// whose records are not appended through AppendCommitted: the log
+  /// applier replays a commit's rows itself and steps the clock here, as
+  /// the commit did on the primary.
+  void AdvanceClock();
+
+  /// A log offset and a snapshot pinned at the visible clock, read in one
+  /// pass of the ordering section: every commit below `offset` has a
+  /// timestamp at or below `pin.ts`, every one past it a later one. The
+  /// caller unpins.
+  struct OrderPoint {
+    size_t offset;
+    mvcc::SnapshotManager::PinHandle pin;
+  };
+  OrderPoint PinOrderPoint();
 
   /// Attaches a durability sink invoked with each committed batch.
   /// Pass nullptr to detach. Attach sinks before commit traffic flows;
   /// call BindMetrics (if at all) before the first attach.
   using Sink = std::function<Status(const std::vector<LogRecord>&)>;
-  void SetSink(Sink sink);
+  void SetSink(Sink sink) { SwapSink(std::move(sink)); }
 
   /// Atomically replaces the sink and returns the log size at the swap
   /// point. WAL segment rotation needs the two together: every record
@@ -165,7 +217,7 @@ class RedoLog {
   }
 
  private:
-  /// One queued commit awaiting durability + ack. `done` doubles as the
+  /// One commit awaiting durability + ack. `done` doubles as the
   /// publication flag: the writer fills result/ticket, then flips it with
   /// release semantics and notifies exactly this committer — a targeted
   /// futex wake instead of a shared-CV thundering herd. int, not bool:
@@ -173,33 +225,39 @@ class RedoLog {
   /// instead of the shared proxy waiter pool.
   struct Pending {
     std::vector<LogRecord> records;  // Stamped, commit record included.
+    std::span<const InstalledVersion> versions;
     Status result;
     CommitTicket ticket;
     std::atomic<int> done{0};
   };
 
-  /// Appends under mu_ (already locked by caller) and fills lsn.
-  void PublishLocked(std::vector<LogRecord> records, uint64_t* lsn);
+  /// The ordering section (mu_ held by the caller): fills each commit's
+  /// ticket, appends `records` (the batch's records, in batch order;
+  /// moved from), stamps every commit's versions and publishes the top
+  /// timestamp.
+  void SequenceLocked(std::span<Pending* const> batch,
+                      std::vector<LogRecord>* records);
   /// Runs the sink (if any) for `records` under sink_mu_ (already locked
   /// by caller), observing sync latency. OK when no sink is attached.
   Status RunSinkLocked(const std::vector<LogRecord>& records);
-  /// The group-commit writer thread: drain queue -> sink -> publish ->
-  /// release acks in LSN order.
+  /// The group-commit writer thread: drain queue -> ProcessBatch.
   void WriterLoop();
-  void ProcessBatch(const std::vector<Pending*>& batch);
-  /// Synchronous append (no writer thread): sink, publish, ack. Used with
-  /// no sink attached and as the shutdown-race fallback.
-  Status SyncAppend(std::vector<LogRecord> records, CommitTicket* ticket);
+  /// sink -> ordering section -> release acks in LSN order. Runs on the
+  /// writer thread, or on a committer that lost the race with shutdown.
+  void ProcessBatch(std::span<Pending* const> batch);
   /// Starts the writer thread if not yet running (called under sink_mu_).
   void StartWriterLocked();
 
-  // Lock order (when nested): sink_mu_ -> mu_. queue_mu_ and ack_mu_ are
-  // leaves, never held across a sink call or while taking the others.
-  mutable std::mutex mu_;  // records_ + growth signal.
+  mvcc::SnapshotManager* const clock_;
+
+  // Lock order (when nested): sink_mu_ -> mu_ and sink_mu_ -> queue_mu_;
+  // mu_ and queue_mu_ never nest. `sink_` is written under both sink_mu_
+  // and mu_, so either one reads it.
+  mutable std::mutex mu_;  // The ordering section: records_ + the clock.
   mutable std::condition_variable grow_cv_;
   std::vector<LogRecord> records_;
 
-  std::mutex sink_mu_;  // sink_ identity + serialization of sink calls.
+  std::mutex sink_mu_;  // Serializes sink calls with their sequencing.
   Sink sink_;
 
   std::mutex queue_mu_;  // queue_ + writer lifecycle.
@@ -207,9 +265,6 @@ class RedoLog {
   std::deque<Pending*> queue_;
   bool stop_ = false;
   std::thread writer_;
-
-  std::mutex ack_mu_;  // Ack counter only; Pending fields are handed off
-  uint64_t acks_released_ = 0;  // via Pending::done release/acquire.
 
   // Nullable metric handles; bound before the writer thread exists.
   obs::Histogram* batch_size_hist_ = nullptr;

@@ -267,7 +267,8 @@ TEST_F(LogFileTest, FailedSinkBatchErrorsAndIsNeverRecovered) {
   // failed (unacked) commit.
   auto writer = std::make_shared<LogFileWriter>();
   ASSERT_TRUE(writer->Open(path_).ok());
-  RedoLog log;
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   std::atomic<int> batch_no{0};
   log.SetSink([&, writer](const std::vector<LogRecord>& batch) -> Status {
     if (batch_no.fetch_add(1) == 1) {
@@ -305,7 +306,8 @@ TEST_F(LogFileTest, ConcurrentCommitsRecoverExactlyTheAckedSet) {
   {
     auto writer = std::make_shared<LogFileWriter>();
     ASSERT_TRUE(writer->Open(path_).ok());
-    RedoLog log;
+    mvcc::SnapshotManager clock;
+    RedoLog log(&clock);
     std::atomic<int> batch_no{0};
     log.SetSink([&, writer](const std::vector<LogRecord>& batch) -> Status {
       if (batch_no.fetch_add(1) % 4 == 3) {

@@ -1,5 +1,8 @@
 // MVCC race tests, written for TSan: snapshot readers racing committing
-// writers (statement-level sum invariant), racing the background version
+// writers (statement-level sum invariant) on both commit paths — the
+// committer sequencing its own commit, and the group-commit writer
+// sequencing a batch — checkpoint captures racing those writers, racing
+// the background version
 // GC at a 1ms sweep interval (plus a delete/re-insert churn writer feeding
 // its dirty lists), multi-statement transactions whose one begin pin must
 // cover every statement while writers commit and sweeps run between
@@ -20,6 +23,7 @@
 #include "bullfrog/database.h"
 #include "common/clock.h"
 #include "replication/applier.h"
+#include "replication/checkpoint.h"
 #include "sql/engine.h"
 
 namespace bullfrog {
@@ -73,14 +77,17 @@ bool TryTransfer(Database* db, int from, int to, int64_t delta) {
   return db->Commit(&s).ok();
 }
 
-/// Snapshot readers sum every balance `rounds` times; each statement
-/// must observe a transactionally consistent total.
+/// Snapshot readers sum every balance `rounds` times, and then on until
+/// `until` (when given) is set; each statement must observe a
+/// transactionally consistent total.
 void RunReaders(Database* db, int nthreads, int rounds,
-                std::atomic<bool>* failed) {
+                std::atomic<bool>* failed,
+                const std::atomic<bool>* until = nullptr) {
   std::vector<std::thread> readers;
   for (int r = 0; r < nthreads; ++r) {
-    readers.emplace_back([db, rounds, failed, r] {
-      for (int i = 0; i < rounds; ++i) {
+    readers.emplace_back([db, rounds, failed, until, r] {
+      for (int i = 0; i < rounds || (until != nullptr && !until->load());
+           ++i) {
         auto s = db->BeginSession({"accounts"});
         auto rows = db->Select(&s, "accounts", nullptr);
         if (!rows.ok()) {
@@ -135,24 +142,112 @@ void RunWriters(Database* db, int nthreads, int transfers) {
   for (auto& t : writers) t.join();
 }
 
-TEST(MvccRaceTest, SnapshotReadersVsTransferWriters) {
-  Database db;
-  SeedAccounts(&db);
+int64_t SumBalances(Database* db) {
+  auto s = db->BeginSession({"accounts"});
+  auto rows = db->Select(&s, "accounts", nullptr);
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  int64_t sum = 0;
+  if (rows.ok()) {
+    for (const auto& [rid, row] : *rows) sum += row[1].AsInt();
+  }
+  EXPECT_TRUE(db->Commit(&s).ok());
+  return sum;
+}
+
+/// Runs each body twice: with no sink, where every committer runs the
+/// redo log's ordering section itself, and with a sink attached, where
+/// the group-commit writer runs it once per batch.
+class MvccCommitPathRaceTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam()) {
+      db_.txns().redo_log().SetSink(
+          [](const std::vector<LogRecord>&) { return Status::OK(); });
+    }
+  }
+
+  Database db_;
+};
+
+TEST_P(MvccCommitPathRaceTest, SnapshotReadersVsTransferWriters) {
+  // Readers keep going for as long as the writers do, so snapshots are
+  // pinned all through the sequencer's stamp-then-publish pass.
+  SeedAccounts(&db_);
   std::atomic<bool> failed{false};
-  std::thread writer_group([&] { RunWriters(&db, 4, 150); });
-  RunReaders(&db, 3, 200, &failed);
+  std::atomic<bool> writers_done{false};
+  std::thread writer_group([&] {
+    RunWriters(&db_, 4, 1000);
+    writers_done.store(true);
+  });
+  RunReaders(&db_, 3, 200, &failed, &writers_done);
   writer_group.join();
   EXPECT_FALSE(failed.load());
 
   // Quiescent total is exact.
-  auto s = db.BeginSession({"accounts"});
-  auto rows = db.Select(&s, "accounts", nullptr);
-  ASSERT_TRUE(rows.ok());
-  int64_t sum = 0;
-  for (const auto& [rid, row] : *rows) sum += row[1].AsInt();
-  EXPECT_EQ(sum, kTotal);
-  ASSERT_TRUE(db.Commit(&s).ok());
+  EXPECT_EQ(SumBalances(&db_), kTotal);
 }
+
+// Checkpoint captures race transfer writers. Each blob must be exactly
+// the log prefix below its embedded offset — no commit below the offset
+// missing from the snapshot, none past it in it — and restoring it, then
+// applying the suffix, must reproduce the quiesced primary.
+TEST_P(MvccCommitPathRaceTest, CheckpointCapturesVsTransferWriters) {
+  SeedAccounts(&db_);
+  std::atomic<bool> writers_done{false};
+  std::thread writer_group([&] {
+    RunWriters(&db_, 4, 120);
+    writers_done.store(true);
+  });
+  std::vector<std::string> blobs;
+  while (!writers_done.load() && blobs.size() < 200) {
+    std::string blob;
+    const Status st = replication::CaptureCheckpoint(&db_, &blob);
+    ASSERT_TRUE(st.ok()) << st;
+    blobs.push_back(std::move(blob));
+  }
+  writer_group.join();
+  ASSERT_FALSE(blobs.empty());
+
+  std::vector<LogRecord> log;
+  db_.txns().redo_log().ReadFrom(0, SIZE_MAX, &log);
+  const std::string primary = replication::DumpForDigest(&db_);
+  EXPECT_EQ(SumBalances(&db_), kTotal);
+  // `prefix` replays the log up to each blob's offset in turn (captures
+  // come in offset order).
+  Database prefix;
+  replication::LogApplier prefix_applier(&prefix,
+                                         /*append_to_local_log=*/false);
+  uint64_t replayed = 0;
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    SCOPED_TRACE("checkpoint " + std::to_string(i));
+    Database restored;
+    uint64_t offset = 0;
+    ASSERT_TRUE(replication::LoadCheckpoint(&restored, blobs[i], &offset).ok());
+    ASSERT_GE(offset, replayed);
+    ASSERT_LE(offset, log.size());
+    EXPECT_EQ(SumBalances(&restored), kTotal);
+
+    ASSERT_TRUE(prefix_applier
+                    .Apply(std::vector<LogRecord>(log.begin() + replayed,
+                                                  log.begin() + offset))
+                    .ok());
+    replayed = offset;
+    ASSERT_EQ(replication::DumpForDigest(&restored),
+              replication::DumpForDigest(&prefix));
+
+    replication::LogApplier applier(&restored, /*append_to_local_log=*/false);
+    ASSERT_TRUE(
+        applier.Apply(std::vector<LogRecord>(log.begin() + offset, log.end()))
+            .ok());
+    ASSERT_EQ(replication::DumpForDigest(&restored), primary);
+    EXPECT_EQ(SumBalances(&restored), kTotal);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sink, MvccCommitPathRaceTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "GroupCommit" : "None";
+                         });
 
 TEST(MvccRaceTest, SnapshotReadersVsVersionGc) {
   // A 1ms sweeper races the readers' pinned views and the writers'

@@ -189,7 +189,8 @@ TEST(MetricsRegistryTest, WalGroupCommitFamiliesRender) {
   // The redo log's group-commit instrumentation: one batch-size and one
   // sync-latency observation per sink call, one ack per released commit.
   MetricsRegistry reg;
-  RedoLog log;
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   log.BindMetrics(&reg);
   log.SetSink(
       [](const std::vector<LogRecord>&) { return Status::OK(); });

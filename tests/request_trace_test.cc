@@ -360,6 +360,17 @@ TEST_F(TraceEngineTest, AccountedWithinTenPercentOfTotal) {
   }
 }
 
+TEST_F(TraceEngineTest, NoSinkWriteTracesItsCommitAsWalSync) {
+  // No sink is attached, so the committer runs the redo log's ordering
+  // section itself; its wait for and hold of that section is the wal_sync
+  // span, as the group-commit wait is with a sink.
+  ASSERT_TRUE(
+      engine_->Execute("UPDATE accts SET bal = bal + 1 WHERE id = 3").ok());
+  const std::string out = LastProfile();
+  EXPECT_NE(out.find("] wal_sync"), std::string::npos) << out;
+  EXPECT_NE(out.find(" wal_sync="), std::string::npos) << out;
+}
+
 TEST_F(TraceEngineTest, SamplerOffRecordsNothing) {
   const size_t before = db_.profiles().recent_size();
   db_.trace_sampler().set_every(0);

@@ -322,7 +322,8 @@ TEST(TxnManagerTest, ConcurrentTransfersPreserveInvariant) {
 }
 
 TEST(RedoLogTest, AppendAndReplayOrder) {
-  RedoLog log;
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   LogRecord r1;
   r1.op = LogOp::kInsert;
   r1.table = "t";
@@ -344,7 +345,8 @@ TEST(RedoLogTest, AppendAndReplayOrder) {
 }
 
 TEST(RedoLogTest, EmptyCommitSkipsSinkAndCommitRecord) {
-  RedoLog log;
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   std::atomic<int> sink_calls{0};
   log.SetSink([&](const std::vector<LogRecord>&) {
     sink_calls.fetch_add(1);
@@ -353,32 +355,40 @@ TEST(RedoLogTest, EmptyCommitSkipsSinkAndCommitRecord) {
   // A read-only transaction has nothing to make durable: no commit
   // record, no sink call (and therefore no fsync for a SELECT).
   CommitTicket ticket;
-  ASSERT_TRUE(log.AppendCommitted(9, {}, &ticket).ok());
+  ASSERT_TRUE(log.AppendCommitted(9, {}, {}, &ticket).ok());
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(sink_calls.load(), 0);
   EXPECT_EQ(ticket.lsn, 0u);
+  EXPECT_EQ(ticket.commit_ts, 0u);
+  EXPECT_EQ(clock.visible(), mvcc::kBootstrapTs);
 }
 
 TEST(RedoLogTest, SinkFailurePropagatesAndNothingIsPublished) {
-  RedoLog log;
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   log.SetSink([](const std::vector<LogRecord>&) {
     return Status::Internal("disk full");
   });
   LogRecord r;
   r.op = LogOp::kInsert;
   r.table = "t";
+  const uint64_t clock_before = clock.visible();
   Status st = log.AppendCommitted(3, {r});
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("disk full"), std::string::npos);
-  // Failed appends must never become visible to readers / replication.
+  // Failed appends must never become visible to readers / replication,
+  // and take no commit timestamp.
   EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(clock.visible(), clock_before);
 }
 
 TEST(RedoLogTest, LsnOrderedAcksUnderConcurrentCommitters) {
-  // 16 committers race through the group-commit writer; acks must be
-  // released strictly in LSN order (ack_seq order == lsn order), every
-  // record must be published, and no two commits may share an LSN.
-  RedoLog log;
+  // 16 committers race through the group-commit writer. The log is the
+  // commit sequencer, so commit timestamps must increase strictly with
+  // LSN, every record must be published, no two commits may share an LSN
+  // or a timestamp, and the clock must end at the last commit's.
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   std::atomic<int> sink_calls{0};
   log.SetSink([&](const std::vector<LogRecord>& batch) {
     sink_calls.fetch_add(1);
@@ -397,6 +407,7 @@ TEST(RedoLogTest, LsnOrderedAcksUnderConcurrentCommitters) {
         r.table = "t";
         r.rid = static_cast<RowId>(t * kCommitsPerThread + i);
         ASSERT_TRUE(log.AppendCommitted(static_cast<uint64_t>(t + 1), {r},
+                                        {},
                                         &tickets[t * kCommitsPerThread + i])
                         .ok());
       }
@@ -413,16 +424,19 @@ TEST(RedoLogTest, LsnOrderedAcksUnderConcurrentCommitters) {
 
   std::sort(tickets.begin(), tickets.end(),
             [](const CommitTicket& a, const CommitTicket& b) {
-              return a.ack_seq < b.ack_seq;
+              return a.lsn < b.lsn;
             });
   for (size_t i = 0; i < tickets.size(); ++i) {
     EXPECT_GT(tickets[i].lsn, 0u);
+    EXPECT_GT(tickets[i].commit_ts, mvcc::kBootstrapTs);
     if (i > 0) {
-      // Strict: distinct commits get distinct LSNs, released in order.
-      EXPECT_GT(tickets[i].ack_seq, tickets[i - 1].ack_seq);
+      // Strict: distinct commits get distinct LSNs, and timestamp order
+      // is LSN order.
       EXPECT_GT(tickets[i].lsn, tickets[i - 1].lsn);
+      EXPECT_GT(tickets[i].commit_ts, tickets[i - 1].commit_ts);
     }
   }
+  EXPECT_EQ(clock.visible(), tickets.back().commit_ts);
 }
 
 TEST(RedoLogTest, ReadersDoNotBlockWhileSinkIsSyncing) {
@@ -431,7 +445,8 @@ TEST(RedoLogTest, ReadersDoNotBlockWhileSinkIsSyncing) {
   // (replication tails, recovery). Here the sink parks mid-"fsync" and
   // readers must still complete — and must NOT see the in-flight records
   // (publish-after-durable).
-  RedoLog log;
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool in_sink = false;
@@ -471,7 +486,8 @@ TEST(RedoLogTest, ReadersDoNotBlockWhileSinkIsSyncing) {
 }
 
 TEST(RedoLogTest, WaitForSizeWakesOnAppend) {
-  RedoLog log;
+  mvcc::SnapshotManager clock;
+  RedoLog log(&clock);
   std::thread waiter([&] {
     // Generous timeout; the appender below should wake us long before.
     EXPECT_GE(log.WaitForSize(0, 10000), 1u);
