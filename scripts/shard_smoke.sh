@@ -74,6 +74,24 @@ grep -q "state=idle" <<<"$SHARDS_IDLE" ||
 [[ $(grep -c "shard [0-9]:" <<<"$SHARDS_IDLE") -eq $SHARDS ]] ||
   { echo "ADMIN shards missing per-shard lines: $SHARDS_IDLE"; exit 1; }
 
+# A submit whose output name is taken on every shard (CREATE TABLE
+# broadcasts) must fail before any shard switches: the error comes back,
+# the coordinator stays idle and the report carries each shard's reason.
+run_sql "$ADDR" "CREATE TABLE kv_taken (id INT PRIMARY KEY);" >/dev/null
+COLLIDE=$(printf '.migrate\nCREATE TABLE kv_fresh PRIMARY KEY (id) AS SELECT id FROM kv;\nCREATE TABLE kv_taken PRIMARY KEY (id) AS SELECT id, val FROM kv;\nDROP TABLE kv;\n.go\n.quit\n' |
+  "$SHELL_BIN" --connect "$ADDR" 2>&1)
+grep -q "already exists" <<<"$COLLIDE" ||
+  { echo "colliding MIGRATE did not fail: $COLLIDE"; exit 1; }
+FAILED=$("$SHELL_BIN" --connect "$ADDR" <<<".admin shards" 2>&1)
+grep -q "state=idle" <<<"$FAILED" ||
+  { echo "ADMIN shards not idle after a failed MIGRATE: $FAILED"; exit 1; }
+[[ $(grep -c "last_failure=.*already exists" <<<"$FAILED") -eq $SHARDS ]] ||
+  { echo "ADMIN shards missing the failure reasons: $FAILED"; exit 1; }
+NOFRESH=$(run_sql "$ADDR" "SELECT COUNT(*) AS n FROM kv_fresh;")
+grep -qi "error" <<<"$NOFRESH" ||
+  { echo "failed MIGRATE left kv_fresh visible: $NOFRESH"; exit 1; }
+echo "colliding MIGRATE rejected with no trace"
+
 # Cross-shard lazy migration via the MIGRATE opcode, scraped mid-drain.
 printf '.migrate\nCREATE TABLE kv2 PRIMARY KEY (id) AS SELECT id, val, val + val AS dbl FROM kv;\nDROP TABLE kv;\n.go\n.quit\n' |
   "$SHELL_BIN" --connect "$ADDR" 2>&1 | grep -q "migration live" ||

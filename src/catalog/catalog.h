@@ -32,17 +32,16 @@ enum class TableState : uint8_t {
 
 std::string_view TableStateName(TableState s);
 
-/// An immutable snapshot of the catalog: every table name with its table,
-/// lifecycle state and creation version. Catalog publishes a new view on
-/// every change; a holder keeps using its view (and the tables it owns)
-/// however the catalog moves on, so a session resolving names against an
-/// older view never touches a table a later drop-and-re-create freed.
+/// An immutable snapshot of the catalog: every table name with its table
+/// and lifecycle state. Catalog publishes a new view on every change; a
+/// holder keeps using its view (and the tables it owns) however the
+/// catalog moves on, so a session resolving names against an older view
+/// never touches a table a later drop-and-re-create freed.
 class CatalogView {
  public:
   struct Entry {
     std::shared_ptr<Table> table;
     TableState state = TableState::kActive;
-    uint64_t created_at_version = 0;
   };
 
   /// The entry for `name` in any state, or nullptr.
@@ -65,7 +64,6 @@ class CatalogView {
     const Entry* e = Find(name);
     return e == nullptr ? TableState::kDropped : e->state;
   }
-  uint64_t schema_version() const { return schema_version_; }
   const std::unordered_map<std::string, Entry>& entries() const {
     return tables_;
   }
@@ -73,12 +71,11 @@ class CatalogView {
  private:
   friend class Catalog;
   std::unordered_map<std::string, Entry> tables_;
-  uint64_t schema_version_ = 0;
 };
 
-/// The catalog: named tables, their lifecycle states, and a monotonically
-/// increasing schema version. Thread-safe: every change publishes a new
-/// CatalogView; lookups resolve against the current view without a lock.
+/// The catalog: named tables and their lifecycle states. Thread-safe:
+/// every change publishes a new CatalogView; lookups resolve against the
+/// current view without a lock.
 class Catalog {
  public:
   using ViewRef = Published<CatalogView>::Ref;
@@ -92,9 +89,22 @@ class Catalog {
   /// Replaces *held with the current view if the catalog changed since.
   void Refresh(ViewRef* held) const { view_.Refresh(held); }
 
-  /// Creates an empty table under the given schema; becomes kActive at the
-  /// current schema version.
+  /// Creates an empty kActive table under the given schema.
   Result<Table*> CreateTable(TableSchema schema);
+
+  /// The atomic schema switch (§2.1). Under mu_: checks that no name in
+  /// `create` is taken, builds those tables and `indexes` (which must be
+  /// on them) privately, checks that every `retire` table is kActive, then
+  /// publishes one view in which the created tables are kActive and the
+  /// retired ones kRetired. On any failure nothing is published.
+  Status Switch(const std::vector<TableSchema>& create,
+                const std::vector<IndexSpec>& indexes,
+                const std::vector<std::string>& retire);
+  /// Undoes a successful Switch(created, ..., retired) in one publish: the
+  /// created tables leave the catalog, so their names are free again, and
+  /// the retired ones are kActive again.
+  void UndoSwitch(const std::vector<TableSchema>& created,
+                  const std::vector<std::string>& retired);
 
   /// Lookups against the current view (see CatalogView).
   Table* FindTable(const std::string& name) const {
@@ -110,20 +120,10 @@ class Catalog {
     return view()->GetState(name);
   }
 
-  /// Moves a table to kRetired (the big-flip half of SubmitMigration).
-  Status RetireTable(const std::string& name);
-
   /// Moves a retired table to kDropped (migration complete, §2.2: "the old
   /// schema can be deleted"). The storage is retained (we do not reclaim)
   /// but no further access is permitted.
   Status DropTable(const std::string& name);
-
-  /// Bumps and returns the schema version; called once per migration.
-  uint64_t BumpSchemaVersion();
-  uint64_t schema_version() const { return view()->schema_version(); }
-
-  /// Names of all tables in the given state.
-  std::vector<std::string> TablesInState(TableState s) const;
 
   /// Wires every future table's version reclamation to the snapshot
   /// manager (Table::SetSnapshots). Call before creating tables.
@@ -137,8 +137,10 @@ class Catalog {
   std::shared_ptr<CatalogView> CopyLocked() const {
     return std::make_shared<CatalogView>(*view_.Load());
   }
-  /// Moves `name` to `state`; kDropped entries only accept kDropped.
-  Status SetState(const std::string& name, TableState state);
+  /// Switch's body (caller holds mu_).
+  Status SwitchLocked(const std::vector<TableSchema>& create,
+                      const std::vector<IndexSpec>& indexes,
+                      const std::vector<std::string>& retire);
 
   std::mutex mu_;  // Serializes writers (copy, change, publish).
   Published<CatalogView> view_;

@@ -143,6 +143,16 @@ class SchemaBuilder {
   std::vector<Column> cols_;
 };
 
+/// DDL for a secondary index on a table (PK/unique indexes are implied by
+/// the table's schema).
+struct IndexSpec {
+  std::string table;
+  std::string index_name;
+  std::vector<std::string> columns;
+  bool unique = false;
+  bool ordered = false;
+};
+
 }  // namespace bullfrog
 
 #endif  // BULLFROG_CATALOG_SCHEMA_H_

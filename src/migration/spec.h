@@ -101,15 +101,6 @@ struct MigrationStatement {
   bool IsProjection() const { return row_transform != nullptr; }
 };
 
-/// DDL for a secondary index on a new-schema table.
-struct IndexSpec {
-  std::string table;
-  std::string index_name;
-  std::vector<std::string> columns;
-  bool unique = false;
-  bool ordered = false;
-};
-
 /// A complete schema migration: new-table DDL plus the statements that
 /// populate them. Submitted to the MigrationController in a single step
 /// (§2.1): the logical switch is immediate; physical movement is lazy.

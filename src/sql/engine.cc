@@ -475,23 +475,24 @@ Result<SqlEngine::QueryResult> SqlEngine::ExecuteDelete(
 Status SqlEngine::SubmitMigrationScript(
     const std::string& sql,
     const MigrationController::SubmitOptions& options) {
-  // Parse now (syntax errors surface to the submitter), but defer
-  // compilation: a script that queues behind an overlapping in-flight
-  // migration reads tables its predecessor has not created yet, so the
-  // plan is compiled only when the train entry actually starts.
+  return sql::SubmitMigrationScript(db_, sql, options);
+}
+
+Status SubmitMigrationScript(
+    Database* db, const std::string& sql,
+    const MigrationController::SubmitOptions& options,
+    std::function<Status(const MigrationPlan&)> check) {
   BF_ASSIGN_OR_RETURN(std::vector<Statement> script, ParseSqlScript(sql));
   BF_ASSIGN_OR_RETURN(MigrationFootprint footprint,
                       MigrationScriptFootprint(script));
-  Database* db = db_;
-  return db_->controller().SubmitScript(
+  return db->controller().SubmitScript(
       std::move(footprint.name), sql, std::move(footprint.tables),
-      [db, sql]() -> Result<MigrationPlan> {
+      [db, sql, check = std::move(check)]() -> Result<MigrationPlan> {
         BF_ASSIGN_OR_RETURN(std::vector<Statement> stmts,
                             ParseSqlScript(sql));
         BF_ASSIGN_OR_RETURN(MigrationPlan plan,
                             CompileMigration(stmts, &db->catalog()));
-        // Keep the script text with the plan: it is the serializable form
-        // of the migration, logged as a "migrate" DDL record for replicas.
+        if (check) BF_RETURN_NOT_OK(check(plan));
         plan.source_script = sql;
         return plan;
       },

@@ -193,8 +193,8 @@ Status CompileCreateTableAs(const CreateTableAsStatement& cta,
     // Readable, not active: a checkpoint restore recompiles the script
     // against a catalog where the inputs are already retired (the switch
     // is baked into the checkpoint). A fresh submit still fails cleanly —
-    // RetireInputs rejects re-retiring — so this does not loosen the
-    // originating path.
+    // the catalog switch retires only active tables — so this does not
+    // loosen the originating path.
     BF_RETURN_NOT_OK(catalog->RequireReadable(t).status());
   }
   const NameScope scope = NameScope::From(select);

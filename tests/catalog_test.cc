@@ -73,7 +73,7 @@ TEST(CatalogTest, CreateAndFind) {
 TEST(CatalogTest, RequireActiveRejectsRetired) {
   Catalog catalog;
   ASSERT_TRUE(catalog.CreateTable(Simple("a")).ok());
-  ASSERT_TRUE(catalog.RetireTable("a").ok());
+  ASSERT_TRUE(catalog.Switch({}, {}, {"a"}).ok());
   // The big-flip semantics: client requests against the old schema are
   // rejected...
   auto active = catalog.RequireActive("a");
@@ -93,22 +93,56 @@ TEST(CatalogTest, DropMakesTableUnreachable) {
   EXPECT_TRUE(catalog.CreateTable(Simple("a")).ok());
 }
 
-TEST(CatalogTest, SchemaVersionMonotonic) {
+TEST(CatalogTest, SwitchPublishesEverythingInOneView) {
   Catalog catalog;
-  const uint64_t v0 = catalog.schema_version();
-  EXPECT_EQ(catalog.BumpSchemaVersion(), v0 + 1);
-  EXPECT_EQ(catalog.schema_version(), v0 + 1);
+  ASSERT_TRUE(catalog.CreateTable(Simple("old")).ok());
+  const Catalog::ViewRef before = catalog.view();
+  ASSERT_TRUE(catalog
+                  .Switch({Simple("new1"), Simple("new2")},
+                          {IndexSpec{"new2", "new2_v", {"v"}, false, true}},
+                          {"old"})
+                  .ok());
+  EXPECT_EQ(catalog.GetState("new1"), TableState::kActive);
+  EXPECT_EQ(catalog.GetState("old"), TableState::kRetired);
+  EXPECT_NE(catalog.FindTable("new2")->FindIndex("new2_v"), nullptr);
+  // A view taken before the switch sees none of it.
+  EXPECT_EQ(before->Find("new1"), nullptr);
+  EXPECT_EQ(before->GetState("old"), TableState::kActive);
 }
 
-TEST(CatalogTest, TablesInState) {
+TEST(CatalogTest, FailedSwitchPublishesNothing) {
   Catalog catalog;
-  ASSERT_TRUE(catalog.CreateTable(Simple("a")).ok());
-  ASSERT_TRUE(catalog.CreateTable(Simple("b")).ok());
-  ASSERT_TRUE(catalog.RetireTable("b").ok());
-  EXPECT_EQ(catalog.TablesInState(TableState::kActive),
-            std::vector<std::string>{"a"});
-  EXPECT_EQ(catalog.TablesInState(TableState::kRetired),
-            std::vector<std::string>{"b"});
+  ASSERT_TRUE(catalog.CreateTable(Simple("old")).ok());
+  ASSERT_TRUE(catalog.CreateTable(Simple("taken")).ok());
+  ASSERT_TRUE(catalog.CreateTable(Simple("gone")).ok());
+  ASSERT_TRUE(catalog.DropTable("gone").ok());
+  const Catalog::ViewRef before = catalog.view();
+  // A taken output name, an index on a table the switch does not create,
+  // and a retire of a table that is not active each fail the whole switch.
+  EXPECT_TRUE(catalog.Switch({Simple("fresh"), Simple("taken")}, {}, {"old"})
+                  .IsAlreadyExists());
+  EXPECT_FALSE(catalog
+                   .Switch({Simple("fresh")},
+                           {IndexSpec{"old", "old_v", {"v"}, false, false}},
+                           {"old"})
+                   .ok());
+  EXPECT_FALSE(catalog.Switch({Simple("fresh")}, {}, {"old", "gone"}).ok());
+  EXPECT_FALSE(catalog.Switch({Simple("fresh")}, {}, {"missing"}).ok());
+  EXPECT_EQ(catalog.view().ptr, before.ptr);
+  EXPECT_EQ(catalog.FindTable("fresh"), nullptr);
+  EXPECT_EQ(catalog.GetState("old"), TableState::kActive);
+  EXPECT_EQ(catalog.FindTable("old")->FindIndex("old_v"), nullptr);
+}
+
+TEST(CatalogTest, UndoSwitchRestoresTheNamesAndInputs) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateTable(Simple("old")).ok());
+  ASSERT_TRUE(catalog.Switch({Simple("fresh")}, {}, {"old"}).ok());
+  catalog.UndoSwitch({Simple("fresh")}, {"old"});
+  EXPECT_EQ(catalog.FindTable("fresh"), nullptr);
+  EXPECT_EQ(catalog.GetState("old"), TableState::kActive);
+  // The freed name can be switched in again.
+  EXPECT_TRUE(catalog.Switch({Simple("fresh")}, {}, {"old"}).ok());
 }
 
 TEST(CatalogTest, PkAndUniqueIndexesAutoCreated) {

@@ -250,10 +250,10 @@ TEST(ControllerRaceTest, ConcurrentSubmitsSingleWinner) {
         if (st.ok()) {
           winners.fetch_add(1);
         } else if (st.code() == StatusCode::kBusy ||
-                   st.code() == StatusCode::kAlreadyExists) {
-          // kAlreadyExists: a loser that started after the winner
-          // completed the whole (tiny) migration and already dropped
-          // state visibility; its CreateOutputTables then collides.
+                   st.code() == StatusCode::kNotFound) {
+          // kNotFound: a loser that started after the winner completed
+          // the whole (tiny) migration and dropped its input; building
+          // its migrators, before any catalog change, finds none.
           busy.fetch_add(1);
         } else {
           ADD_FAILURE() << "unexpected submit status: " << st.ToString();
@@ -310,6 +310,80 @@ TEST(ControllerRaceTest, CompleteOnlyAfterRetiredInputsDropped) {
   }
   EXPECT_EQ(early, 0) << "rounds that reported complete before every "
                          "retired input was dropped";
+}
+
+/// A switch that fails on a taken output name is invisible to clients:
+/// while a thread keeps submitting the colliding script, readers never
+/// find its first output and always read every row of its input. Once
+/// the name is free, the same script converges.
+TEST(ControllerRaceTest, FailingSwitchIsInvisibleToReaders) {
+  const std::string script =
+      "CREATE TABLE fresh PRIMARY KEY (id) AS SELECT id FROM users; "
+      "CREATE TABLE taken PRIMARY KEY (id) AS SELECT id, v FROM users; "
+      "DROP TABLE users;";
+  Database db;
+  {
+    sql::SqlEngine engine(&db);
+    ASSERT_TRUE(
+        engine.Execute("CREATE TABLE users (id INT PRIMARY KEY, v INT)").ok());
+    ASSERT_TRUE(engine.Execute("CREATE TABLE taken (id INT PRIMARY KEY)").ok());
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(engine
+                      .Execute("INSERT INTO users VALUES (" +
+                               std::to_string(i) + ", " + std::to_string(i) +
+                               ")")
+                      .ok());
+    }
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> fresh_seen{0};
+  std::atomic<int> short_users{0};
+  std::atomic<int> user_reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      sql::SqlEngine engine(&db);
+      while (!done.load(std::memory_order_acquire)) {
+        auto users = engine.Execute("SELECT id, v FROM users");
+        if (!users.ok() || users->rows.size() != static_cast<size_t>(kRows)) {
+          short_users.fetch_add(1);
+        }
+        user_reads.fetch_add(1);
+        if (engine.Execute("SELECT id FROM fresh").ok()) {
+          fresh_seen.fetch_add(1);
+        }
+      }
+    });
+  }
+  sql::SqlEngine submitter(&db);
+  MigrationController::SubmitOptions opts = FastLazyOpts();
+  int unexpected = 0;
+  Stopwatch sw;
+  for (int i = 0; i < 200 || user_reads.load() < 100; ++i) {
+    if (sw.ElapsedMillis() > 30000) break;
+    const Status st = submitter.SubmitMigrationScript(script, opts);
+    if (!st.IsAlreadyExists()) ++unexpected;
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(unexpected, 0);
+  EXPECT_EQ(fresh_seen.load(), 0);
+  EXPECT_EQ(short_users.load(), 0);
+  EXPECT_GT(user_reads.load(), 0);
+  EXPECT_FALSE(db.controller().HasActiveMigration());
+  EXPECT_EQ(db.controller().RecentFailures().size(),
+            MigrationController::kMaxFailures);
+
+  ASSERT_TRUE(db.catalog().DropTable("taken").ok());
+  const Status st = submitter.SubmitMigrationScript(script, opts);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  WaitComplete(&db.controller());
+  for (const char* table : {"fresh", "taken"}) {
+    auto n = submitter.Execute(std::string("SELECT COUNT(*) AS n FROM ") +
+                               table);
+    ASSERT_TRUE(n.ok()) << table << ": " << n.status();
+    EXPECT_EQ(n->rows[0][0].AsInt(), kRows) << table;
+  }
 }
 
 /// Seeded random interleavings of the migration train: disjoint first
@@ -397,6 +471,34 @@ class TrainInterleavingTest : public ::testing::TestWithParam<uint32_t> {
           return plan;
         },
         opts);
+  }
+
+  /// Submits a script whose second output name is taken: it must fail
+  /// before its switch, hold no train entry, and show in the report.
+  void SubmitColliding() {
+    sql::SqlEngine engine(&db_);
+    if (db_.catalog().FindTable("x_src") == nullptr) {
+      ASSERT_TRUE(engine.Execute("CREATE TABLE x_src (id INT PRIMARY KEY, v INT)")
+                      .ok());
+      ASSERT_TRUE(engine.Execute("CREATE TABLE x_taken (id INT PRIMARY KEY)")
+                      .ok());
+    }
+    const Status s = engine.SubmitMigrationScript(
+        "CREATE TABLE x_fresh PRIMARY KEY (id) AS SELECT id, v FROM x_src; "
+        "CREATE TABLE x_taken PRIMARY KEY (id) AS SELECT id, v FROM x_src; "
+        "DROP TABLE x_src;",
+        FastLazyOpts());
+    EXPECT_TRUE(s.IsAlreadyExists()) << s.ToString();
+    EXPECT_EQ(db_.catalog().FindTable("x_fresh"), nullptr);
+    EXPECT_EQ(db_.catalog().GetState("x_src"), TableState::kActive);
+    const std::string report = db_.controller().StatusReport();
+    for (const char* entry :
+         {"migration: sql:x_fresh", "starting: sql:x_fresh",
+          "]: sql:x_fresh"}) {
+      EXPECT_EQ(report.find(entry), std::string::npos) << report;
+    }
+    EXPECT_NE(report.find("failed: sql:x_fresh"), std::string::npos)
+        << report;
   }
 
   bool Closed(int k) const {
@@ -490,7 +592,7 @@ TEST_P(TrainInterleavingTest, StatusTracksEveryEntry) {
   };
   for (int step = 0; step < kSteps; ++step) {
     std::string what;
-    switch (rng() % 6) {
+    switch (rng() % 7) {
       case 0: {  // A disjoint first hop, or a chained one behind a closed hop.
         const int k = pick([&](int k) {
           const Chain& c = chains_[static_cast<size_t>(k)];
@@ -545,6 +647,10 @@ TEST_P(TrainInterleavingTest, StatusTracksEveryEntry) {
         what = "complete chain " + std::to_string(k);
         break;
       }
+      case 6:
+        SubmitColliding();
+        what = "failed submit";
+        break;
     }
     if (!what.empty()) Check("step " + std::to_string(step) + ": " + what);
   }

@@ -617,6 +617,61 @@ TEST(LogApplierTest, RecordsApplyOnlyAtTheirCommit) {
   EXPECT_EQ(dst->NumLiveRows(), 1u);
 }
 
+// A queued train entry that fails to auto-start on the primary leaves the
+// replicas' trains too: the primary logs "migrate_abort", and a fresh
+// node fed the primary's whole log ends with an empty, complete train
+// that records the same reason.
+TEST(LogApplierTest, FailedAutoStartLeavesTheReplicaTrain) {
+  Database primary;
+  sql::SqlEngine engine(&primary);
+  MustExec(&engine, "CREATE TABLE users (id INT PRIMARY KEY, v INT)");
+  for (int i = 0; i < 16; ++i) {
+    MustExec(&engine, "INSERT INTO users VALUES (" + std::to_string(i) +
+                          ", " + std::to_string(i) + ")");
+  }
+  MustExec(&engine, "CREATE TABLE fin (id INT PRIMARY KEY, v INT)");
+  MigrationController::SubmitOptions opts;
+  opts.lazy.background_start_delay_ms = 50;
+  opts.lazy.background_pause_us = 0;
+  ASSERT_TRUE(engine
+                  .SubmitMigrationScript(
+                      "CREATE TABLE mid PRIMARY KEY (id) AS SELECT id, v "
+                      "FROM users; DROP TABLE users;",
+                      opts)
+                  .ok());
+  const Status queued = engine.SubmitMigrationScript(
+      "CREATE TABLE fin PRIMARY KEY (id) AS SELECT id, v FROM mid; "
+      "DROP TABLE mid;",
+      opts);
+  ASSERT_TRUE(queued.IsQueued()) << queued.ToString();
+  Stopwatch sw;
+  while ((primary.controller().RecentFailures().empty() ||
+          !primary.controller().IsComplete()) &&
+         sw.ElapsedMillis() < 30000) {
+    Clock::SleepMillis(2);
+  }
+  ASSERT_EQ(primary.controller().RecentFailures().size(), 1u);
+  const std::string reason = primary.controller().RecentFailures()[0].reason;
+  EXPECT_NE(reason.find("table 'fin' already exists"), std::string::npos)
+      << reason;
+
+  std::vector<LogRecord> records;
+  const RedoLog& log = primary.txns().redo_log();
+  log.ReadFrom(0, log.size(), &records);
+  Database replica;
+  LogApplier applier(&replica, /*append_to_local_log=*/false);
+  ASSERT_TRUE(applier.Apply(std::move(records)).ok());
+  MigrationController& c = replica.controller();
+  EXPECT_EQ(c.QueuedMigrations(), 0u);
+  EXPECT_EQ(c.ActiveMigrations(), 0u);
+  EXPECT_TRUE(c.IsComplete());
+  ASSERT_EQ(c.RecentFailures().size(), 1u);
+  EXPECT_EQ(c.RecentFailures()[0].name, "sql:fin");
+  EXPECT_EQ(c.RecentFailures()[0].reason, reason);
+  EXPECT_EQ(replica.catalog().GetState("mid"), TableState::kActive);
+  EXPECT_EQ(replica.catalog().FindTable("mid")->NumLiveRows(), 16u);
+}
+
 // A replica started while the primary defers its checkpoint (a multistep
 // migration held before its cut) keeps retrying with backoff and reports
 // the wait in its status line, then bootstraps and converges once the

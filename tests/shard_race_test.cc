@@ -47,8 +47,9 @@ TEST(ShardRaceTest, ConcurrentSubmitAdmitsExactlyOne) {
                     .ok());
   }
 
-  // 8 racers submit the same script; admission is serialized under the
-  // coordinator mutex, so exactly one wins and the rest see kBusy. The
+  // 8 racers submit the same script; fan-outs are serialized by the
+  // coordinator's submit mutex, so exactly one wins and the rest see
+  // kBusy (a fan-out in flight, or a duplicate on every shard). The
   // background delay keeps the winner's migration draining past the race
   // window (an instant drain would legitimately admit a later racer).
   MigrationController::SubmitOptions slow = FastLazy();
