@@ -22,7 +22,6 @@ class Clock {
   }
 
   static int64_t NowMicros() { return NowNanos() / 1000; }
-  static int64_t NowMillis() { return NowNanos() / 1000000; }
 
   static double SecondsSince(TimePoint start) {
     return std::chrono::duration<double>(Now() - start).count();
@@ -51,7 +50,6 @@ class Stopwatch {
                                                                 start_)
         .count();
   }
-  int64_t ElapsedMicros() const { return ElapsedNanos() / 1000; }
   int64_t ElapsedMillis() const { return ElapsedNanos() / 1000000; }
 
  private:

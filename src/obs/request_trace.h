@@ -78,9 +78,6 @@ class TraceContext {
 
   uint64_t id() const { return id_; }
   const std::string& sql() const { return sql_; }
-  /// Only safe before the trace is shared across threads (the root sets
-  /// the statement text right after allocation).
-  void set_sql(std::string sql) { sql_ = std::move(sql); }
   int64_t start_ns() const { return start_ns_; }
 
   /// Stage accumulation. `ns` and `count` are independent so a deep

@@ -50,9 +50,8 @@ class Expr : public std::enable_shared_from_this<Expr> {
 
   // --- accessors by kind (assert-checked) -----------------------------
   const std::string& column_name() const { return column_name_; }
-  /// Bound positional index; kInvalidIndex if unbound.
+  /// column_index_ of a column reference not yet bound to a schema.
   static constexpr size_t kInvalidIndex = ~size_t{0};
-  size_t column_index() const { return column_index_; }
   const Value& constant() const { return constant_; }
   CompareOp compare_op() const { return compare_op_; }
   ArithOp arith_op() const { return arith_op_; }

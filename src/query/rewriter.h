@@ -46,10 +46,6 @@ class ColumnProvenance {
   std::optional<std::string> SourceIn(const std::string& output_column,
                                       const std::string& input_table) const;
 
-  bool Knows(const std::string& output_column) const {
-    return map_.count(output_column) > 0;
-  }
-
  private:
   std::unordered_map<std::string, std::vector<Source>> map_;
 };

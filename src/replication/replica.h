@@ -92,10 +92,6 @@ class Replica {
   ///   last_error=...
   std::string StatusReport();
 
-  uint64_t applied_offset() const {
-    return applied_.load(std::memory_order_acquire);
-  }
-
  private:
   void ApplyLoop();
   /// Decodes one LSN-keyed tail frame (`u64 primary_size | u64 start_lsn

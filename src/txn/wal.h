@@ -211,11 +211,6 @@ class RedoLog {
     return records_.size();
   }
 
-  void Clear() {
-    std::lock_guard lock(mu_);
-    records_.clear();
-  }
-
  private:
   /// One commit awaiting durability + ack. `done` doubles as the
   /// publication flag: the writer fills result/ticket, then flips it with
